@@ -2,17 +2,22 @@
 
 Elements are vectors of rationals over the power basis 1, zeta, ...,
 zeta^(d-1), reduced modulo the n-th cyclotomic polynomial (d = deg Phi_n).
-This gives exact zero tests, conjugation, and inversion; certified numeric
-enclosures are produced on demand with mpmath interval arithmetic.
+This gives exact zero tests, inversion and the Galois automorphisms
+zeta -> zeta^m (conjugation is m = -1); certified numeric enclosures are
+produced on demand with mpmath interval arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
+
+# private interval context: enclosures set its precision, never mpmath.iv's
+_IV = MPIntervalContext()
 
 
 @lru_cache(maxsize=None)
@@ -216,16 +221,25 @@ class CycElt:
         inv = [c / g for c in s0]
         return self.field.element(inv)
 
-    def conjugate(self) -> "CycElt":
-        """Complex conjugation, zeta -> zeta^-1."""
+    def galois(self, m: int) -> "CycElt":
+        """Image under the automorphism zeta -> zeta^m, for gcd(m, n) = 1."""
         field = self.field
+        if gcd(m, field.n) != 1:
+            raise ValueError(
+                f"zeta -> zeta^{m} is not an automorphism of Q(zeta_{field.n})"
+            )
         out = [Fraction(0)] * field.degree
         for j, c in enumerate(self.coeffs):
             if c:
-                red = field._zeta_powers[(-j) % field.n]
-                for k in range(field.degree):
-                    out[k] += c * red[k]
+                red = field._zeta_powers[(j * m) % field.n]
+                for k, r in enumerate(red):
+                    if r:
+                        out[k] += c * r
         return CycElt(field, tuple(out))
+
+    def conjugate(self) -> "CycElt":
+        """Complex conjugation, zeta -> zeta^-1."""
+        return self.galois(-1)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -258,34 +272,16 @@ class CycElt:
 
     def real_enclosure(self, prec: int):
         """Interval containing the real part, at the given binary precision."""
-        old = iv.prec
+        iv = _IV
         iv.prec = prec
-        try:
-            total = iv.mpf(0)
-            n = self.field.n
-            two_pi = 2 * iv.pi
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += coeff * iv.cos(two_pi * iv.mpf(j) / n)
-            return total
-        finally:
-            iv.prec = old
-
-    def imag_enclosure(self, prec: int):
-        old = iv.prec
-        iv.prec = prec
-        try:
-            total = iv.mpf(0)
-            n = self.field.n
-            two_pi = 2 * iv.pi
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += coeff * iv.sin(two_pi * iv.mpf(j) / n)
-            return total
-        finally:
-            iv.prec = old
+        total = iv.mpf(0)
+        n = self.field.n
+        two_pi = 2 * iv.pi
+        for j, c in enumerate(self.coeffs):
+            if c:
+                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                total += coeff * iv.cos(two_pi * iv.mpf(j) / n)
+        return total
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):

@@ -1,17 +1,17 @@
 """Certified inertia of Hermitian matrices over cyclotomic fields.
 
-The zero eigenvalue count comes from an exact rank computation over the
-field.  The positive/negative counts come from a Hermitian congruence
-(LDL-style) elimination whose pivots are exact real field elements; each
-pivot sign is certified either exactly (rational pivots) or by
-adaptive-precision dyadic interval refinement, doubling the working
-precision each round.  Termination is guaranteed because every pivot is
-exactly nonzero.
+One Hermitian congruence (LDL-style) elimination over the field gives
+exact, exactly nonzero, real pivots.  Their number is the rank, so the
+zero eigenvalue count is the dimension minus the number of pivots.  The
+positive/negative counts are the pivot signs, each certified either
+exactly (rational pivots) or by adaptive-precision dyadic interval
+refinement, doubling the working precision each round.  Termination is
+guaranteed because every pivot is exactly nonzero.
 
-The real symmetric doubling [[Re, -Im], [Im, Re]] (inertia exactly twice
-the original) is available as an independent cross-check route; the
-primary path eliminates directly over the field, which keeps both the
-matrix dimension and the field degree down.
+The elimination uses only field operations, conjugation and exact zero
+tests, so a Galois automorphism of the field maps the pivots of H to the
+pivots of its image; callers may certify the signs of those images
+instead of eliminating again.
 """
 
 from __future__ import annotations
@@ -95,31 +95,6 @@ def certified_sign(x, start_prec: int = _START_PREC) -> CertifiedSign:
 
 # --- exact eliminations ---
 
-def _rank_over_field(rows: list[list], is_zero, inverse) -> int:
-    """Row-echelon rank using exact field arithmetic."""
-    rows = [row[:] for row in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (r for r in range(rank, m) if not is_zero(rows[r][col])), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = inverse(rows[rank][col])
-        rows[rank] = [entry * inv for entry in rows[rank]]
-        for r in range(rank + 1, m):
-            c = rows[r][col]
-            if not is_zero(c):
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 def _hermitian_pivots(matrix: list[list], is_zero, inverse, conj) -> list:
     """Pivots of a congruence diagonalization of a Hermitian matrix.
 
@@ -198,6 +173,36 @@ def _as_field_matrix(h: Sequence[Sequence], field: CyclotomicField | None):
     return out, target
 
 
+def hermitian_pivots(h: Sequence[Sequence], field: CyclotomicField | None = None) -> list:
+    """Exact pivots of one congruence diagonalization of a Hermitian matrix.
+
+    Entries may be CycElt values over cyclotomic fields, or plain
+    ints/Fractions (treated as rationals).  The pivots are exactly
+    nonzero real elements of the common field; their number is the rank
+    and their signs give the inertia.  Raises NotHermitian when the
+    matrix differs from its conjugate transpose.
+    """
+    if not h:
+        return []
+    matrix, field = _as_field_matrix(h, field)
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i, n):
+            if matrix[i][j] != matrix[j][i].conjugate():
+                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
+
+    if all(entry.is_rational() for row in matrix for entry in row):
+        q = [[entry.rational_value() for entry in row] for row in matrix]
+        pivots = _hermitian_pivots(q, lambda x: x == 0, lambda x: 1 / x, lambda x: x)
+        return [field.rational(p) for p in pivots]
+    return _hermitian_pivots(
+        matrix,
+        lambda x: x.is_zero(),
+        lambda x: x.inverse(),
+        lambda x: x.conjugate(),
+    )
+
+
 def certified_signature(
     h: Sequence[Sequence], field: CyclotomicField | None = None
 ) -> tuple[int, int, int]:
@@ -207,43 +212,12 @@ def certified_signature(
     ints/Fractions (treated as rationals).  Raises NotHermitian when the
     matrix differs from its conjugate transpose.
     """
-    n = len(h)
-    if n == 0:
-        return (0, 0, 0)
-    matrix, field = _as_field_matrix(h, field)
-    for i in range(n):
-        for j in range(i, n):
-            if matrix[i][j] != matrix[j][i].conjugate():
-                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
-
-    all_rational = all(entry.is_rational() for row in matrix for entry in row)
-
-    # contract: the zero count comes from an exact rank over the field
-    if all_rational:
-        q = [[entry.rational_value() for entry in row] for row in matrix]
-        rank = _rank_over_field(q, lambda x: x == 0, lambda x: 1 / x)
-        pivots = _hermitian_pivots(q, lambda x: x == 0, lambda x: 1 / x, lambda x: x)
-    else:
-        rank = _rank_over_field(
-            matrix, lambda x: x.is_zero(), lambda x: x.inverse()
-        )
-        pivots = _hermitian_pivots(
-            matrix,
-            lambda x: x.is_zero(),
-            lambda x: x.inverse(),
-            lambda x: x.conjugate(),
-        )
-    n_zero = n - rank
-
-    if len(pivots) != rank:
-        raise AssertionError(
-            "congruence elimination disagrees with the exact rank: "
-            f"{len(pivots)} pivots vs rank {rank}"
-        )
-    return _count_pivot_signs(pivots) + (n_zero,)
+    pivots = hermitian_pivots(h, field)
+    return count_pivot_signs(pivots) + (len(h) - len(pivots),)
 
 
-def _count_pivot_signs(pivots) -> tuple[int, int]:
+def count_pivot_signs(pivots) -> tuple[int, int]:
+    """(n_plus, n_minus) of exactly nonzero real pivots, each sign certified."""
     n_plus = n_minus = 0
     for p in pivots:
         s = certified_sign(p)
@@ -254,45 +228,3 @@ def _count_pivot_signs(pivots) -> tuple[int, int]:
         else:
             raise AssertionError("elimination produced an exactly-zero pivot")
     return (n_plus, n_minus)
-
-
-def doubled_signature(h: Sequence[Sequence], field: CyclotomicField | None = None):
-    """Inertia via the real symmetric doubling [[Re, -Im], [Im, Re]].
-
-    Independent cross-check route: the doubled matrix is real symmetric
-    over the field of order lcm(4, n) and its inertia is exactly twice
-    the Hermitian inertia.
-    """
-    n = len(h)
-    if n == 0:
-        return (0, 0, 0)
-    matrix, field = _as_field_matrix(h, field)
-    for i in range(n):
-        for j in range(i, n):
-            if matrix[i][j] != matrix[j][i].conjugate():
-                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
-    big = CyclotomicField(lcm(4, field.n))
-    eye = big.i()
-    half = Fraction(1, 2)
-    re = [[None] * n for _ in range(n)]
-    im = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            z = big.embed(matrix[i][j])
-            zbar = z.conjugate()
-            re[i][j] = (z + zbar) * half
-            im[i][j] = (z - zbar) * (-eye) * half
-    doubled = [
-        [re[i][j] for j in range(n)] + [(-im[i][j]) for j in range(n)]
-        for i in range(n)
-    ] + [
-        [im[i][j] for j in range(n)] + [re[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    pivots = _hermitian_pivots(
-        doubled, lambda x: x.is_zero(), lambda x: x.inverse(), lambda x: x
-    )
-    n_plus, n_minus = _count_pivot_signs(pivots)
-    if n_plus % 2 or n_minus % 2 or (2 * n - len(pivots)) % 2:
-        raise AssertionError("doubled inertia is not even")
-    return (n_plus // 2, n_minus // 2, n - len(pivots) // 2)

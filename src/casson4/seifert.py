@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 from .cyclotomic import CyclotomicField, evaluate_laurent
 from .errors import DegeneratePolarization, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
-from .inertia import certified_signature
+from .inertia import count_pivot_signs, hermitian_pivots
 from .laurent import LaurentPolynomial, laurent_normalize_symmetric
 
 
@@ -189,24 +190,47 @@ def alexander_at_root_of_unity(s: SeifertMatrix, n: int, m: int = 1):
 # --- Tristram-Levine signatures ---
 
 @lru_cache(maxsize=None)
-def _tl_cached(entries: tuple[tuple[int, ...], ...], m: int, n: int) -> int:
-    if m == 0:
-        return 0
+def _tl_orbit_cached(
+    entries: tuple[tuple[int, ...], ...], k: int
+) -> tuple[tuple[int | None, ...], int]:
+    """Signatures at every primitive k-th root of unity, and their nullity.
+
+    Returns (values, nullity): values[m] is the signature at zeta_k^m for
+    gcd(m, k) = 1 and None otherwise.  H(zeta_k^m) is the image of
+    H(zeta_k) under the automorphism zeta -> zeta^m, which commutes with
+    the elimination, so one elimination gives every pivot exactly; only
+    the signs of the images are certified.  The rank, and so the nullity,
+    is the same along the orbit.
+    """
     d = len(entries)
-    if d == 0:
-        return 0
-    field = CyclotomicField(n)
-    z = field.zeta(m)
-    zbar = z.conjugate()
-    one = field.one()
-    u = one - z
-    ubar = one - zbar
-    H = [
-        [u * entries[i][j] + ubar * entries[j][i] for j in range(d)]
-        for i in range(d)
-    ]
-    n_plus, n_minus, _ = certified_signature(H, field)
-    return n_plus - n_minus
+    pivots = []
+    if k > 1 and d:  # else H is the zero form: a = 0, or the unknot
+        field = CyclotomicField(k)
+        u = field.one() - field.zeta()
+        ubar = u.conjugate()
+        H = [
+            [u * entries[i][j] + ubar * entries[j][i] for j in range(d)]
+            for i in range(d)
+        ]
+        pivots = hermitian_pivots(H, field)
+    values = [None] * k
+    for m in range(k):
+        if gcd(m, k) == 1:
+            n_plus, n_minus = count_pivot_signs([p.galois(m) for p in pivots])
+            values[m] = n_plus - n_minus
+    return tuple(values), d - len(pivots)
+
+
+def _circle_point(a) -> Fraction:
+    """The exact rational a in [0, 1) naming the point e^(2*pi*i*a)."""
+    if isinstance(a, float):
+        raise TypeError(
+            f"a must be exact (int, Fraction or str), not float {a!r}"
+        )
+    a = Fraction(a)
+    if not 0 <= a < 1:
+        raise ValueError(f"a must lie in [0, 1), got {a}")
+    return a
 
 
 def tl_signature(s: SeifertMatrix, a) -> int:
@@ -215,30 +239,14 @@ def tl_signature(s: SeifertMatrix, a) -> int:
     Signature of the Hermitian form (1 - w) S + (1 - conj(w)) S^T at
     w = e^(2*pi*i*a), computed with certified exact arithmetic.
     """
-    a = Fraction(a)
-    if not 0 <= a < 1:
-        raise ValueError(f"a must lie in [0, 1), got {a}")
-    return _tl_cached(s.entries, a.numerator, a.denominator)
+    a = _circle_point(a)
+    return _tl_orbit_cached(s.entries, a.denominator)[0][a.numerator]
 
 
 def tl_nullity(s: SeifertMatrix, a) -> int:
     """Dimension of the kernel of the Tristram-Levine form at a."""
-    a = Fraction(a)
-    if not 0 <= a < 1:
-        raise ValueError(f"a must lie in [0, 1), got {a}")
-    if a == 0 or s.size == 0:
-        return s.size
-    field = CyclotomicField(a.denominator)
-    z = field.zeta(a.numerator)
-    u = field.one() - z
-    ubar = field.one() - z.conjugate()
-    d = s.size
-    H = [
-        [u * s.entries[i][j] + ubar * s.entries[j][i] for j in range(d)]
-        for i in range(d)
-    ]
-    _, _, n_zero = certified_signature(H, field)
-    return n_zero
+    a = _circle_point(a)
+    return _tl_orbit_cached(s.entries, a.denominator)[1]
 
 
 class SignatureSpectrum:
@@ -288,7 +296,11 @@ def signature_spectrum(s: SeifertMatrix, n: int) -> SignatureSpectrum:
     """Spectrum (sign^(m/n))_{m=0..n-1} of the knot."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    return SignatureSpectrum(n, [tl_signature(s, Fraction(m, n)) for m in range(n)])
+    values = []
+    for m in range(n):
+        g = gcd(m, n)  # e^(2 pi i m/n) is a primitive (n/g)-th root
+        values.append(_tl_orbit_cached(s.entries, n // g)[0][m // g])
+    return SignatureSpectrum(n, values)
 
 
 # --- Arf invariant ---

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from casson4 import (
+    CycElt,
+    CyclotomicField,
     LaurentPolynomial,
     SeifertMatrix,
+    certified_signature,
     connected_sum,
     laurent_normalize_symmetric,
     preset_knot,
@@ -143,3 +149,75 @@ def corpus_knots() -> list[tuple[str, SeifertMatrix]]:
     knots.append(("granny", connected_sum(tre, tre)))
     knots.append(("square", connected_sum(tre, tre.mirror())))
     return knots
+
+
+def rank_over_field(rows: list[list], is_zero, inverse) -> int:
+    """Row-echelon rank using exact field arithmetic (pivot-count oracle)."""
+    rows = [row[:] for row in rows]
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next(
+            (r for r in range(rank, m) if not is_zero(rows[r][col])), None
+        )
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = inverse(rows[rank][col])
+        rows[rank] = [entry * inv for entry in rows[rank]]
+        for r in range(rank + 1, m):
+            c = rows[r][col]
+            if not is_zero(c):
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def doubled_signature(h, field: CyclotomicField):
+    """Inertia via the real symmetric doubling [[Re, -Im], [Im, Re]].
+
+    Independent cross-check route: the doubled matrix is real symmetric
+    over the field of order lcm(4, n) and its inertia is exactly twice
+    the Hermitian inertia.
+    """
+    n = len(h)
+    if n == 0:
+        return (0, 0, 0)
+    big = CyclotomicField(lcm(4, field.n))
+    eye = big.i()
+    half = Fraction(1, 2)
+    re = [[None] * n for _ in range(n)]
+    im = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            entry = h[i][j]
+            z = big.embed(entry) if isinstance(entry, CycElt) else big.rational(entry)
+            zbar = z.conjugate()
+            re[i][j] = (z + zbar) * half
+            im[i][j] = (z - zbar) * (-eye) * half
+    doubled = [
+        [re[i][j] for j in range(n)] + [(-im[i][j]) for j in range(n)]
+        for i in range(n)
+    ] + [
+        [im[i][j] for j in range(n)] + [re[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    inertia = certified_signature(doubled, big)
+    assert all(x % 2 == 0 for x in inertia), "doubled inertia is not even"
+    return tuple(x // 2 for x in inertia)
+
+
+def tl_form(s: SeifertMatrix, n: int, m: int):
+    """H = (1 - w) S + (1 - conj w) S^T at w = zeta_n^m, over Q(zeta_n)."""
+    field = CyclotomicField(n)
+    u = field.one() - field.zeta(m)
+    ubar = field.one() - field.zeta(-m)
+    d = s.size
+    H = [
+        [u * s.entries[i][j] + ubar * s.entries[j][i] for j in range(d)]
+        for i in range(d)
+    ]
+    return H, field

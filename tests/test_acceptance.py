@@ -47,14 +47,14 @@ from casson4 import (
     torus4_ring,
     torus_knot_seifert,
 )
-from casson4.seifert import _alexander_cached, _arf_cached, _tl_cached
+from casson4.seifert import _alexander_cached, _arf_cached, _tl_orbit_cached
 from helpers import corpus_knots, random_seifert, random_unimodular
 
 
 def _clear_caches():
     _alexander_cached.cache_clear()
     _arf_cached.cache_clear()
-    _tl_cached.cache_clear()
+    _tl_orbit_cached.cache_clear()
 
 
 def _timed(body, repeats=3):

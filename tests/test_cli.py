@@ -272,3 +272,20 @@ def test_console_script_entry_point():
     assert result.returncode == 0
     report = json.loads(result.stdout)
     assert report["invariants"]["casson"] == -1
+
+
+def test_floer_zero_denominator_is_refused_without_traceback(tmp_path):
+    bad = tmp_path / "zero_denominator.json"
+    bad.write_text(json.dumps({
+        "schema": 1,
+        "ranks": [0, 1, 0, 0, 0, 1, 0, 0],
+        "maps": [[["1/0"]], "id", "id", "id", "id", "id", "id", "id"],
+    }))
+    result = subprocess.run(
+        [sys.executable, "-m", "casson4.cli", "floer", "--input", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error:")

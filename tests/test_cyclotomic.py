@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -38,6 +39,30 @@ def test_arithmetic_matches_complex_floats():
             if not a.is_zero():
                 assert abs(_numeric(a.inverse()) - 1 / _numeric(a)) < 1e-9
                 assert a * a.inverse() == field.one()
+
+
+def test_galois_is_a_field_automorphism():
+    rng = random.Random(11)
+    for n in [1, 3, 4, 5, 7, 8, 12, 13]:
+        field = CyclotomicField(n)
+        units = [m for m in range(-n, 2 * n) if gcd(m, n) == 1]
+        for _ in range(8):
+            a = field.element([rng.randint(-4, 4) for _ in range(field.degree)])
+            b = field.element([rng.randint(-4, 4) for _ in range(field.degree)])
+            # the conjugation formula galois(-1) replaced: sum c_j zeta^-j
+            old_conjugate = field.zero()
+            for j, c in enumerate(a.coeffs):
+                old_conjugate = old_conjugate + field.zeta(-j) * c
+            assert a.galois(-1) == a.conjugate() == old_conjugate
+            for m in rng.sample(units, min(3, len(units))):
+                assert (a + b).galois(m) == a.galois(m) + b.galois(m)
+                assert (a * b).galois(m) == a.galois(m) * b.galois(m)
+                assert a.galois(m).galois(pow(m, -1, n)) == a
+                assert field.zeta().galois(m) == field.zeta(m)
+                if not a.is_zero():
+                    assert a.inverse().galois(m) == a.galois(m).inverse()
+    with pytest.raises(ValueError):
+        CyclotomicField(12).zeta().galois(2)
 
 
 def test_zeta_has_exact_order():

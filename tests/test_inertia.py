@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from casson4 import CyclotomicField, certified_sign, certified_signature
 from casson4.errors import NotHermitian
-from casson4.inertia import IntervalWitness, ZeroWitness, doubled_signature
-from helpers import numpy_inertia
+from casson4.inertia import IntervalWitness, ZeroWitness
+from helpers import doubled_signature, numpy_inertia
 
 
 def test_zero_matrix_any_size():
@@ -131,3 +131,21 @@ def test_certified_sign_rejects_nonreal():
     field = CyclotomicField(5)
     with pytest.raises(ValueError):
         certified_sign(field.zeta())
+
+
+def test_certified_sign_leaves_global_interval_precision_alone():
+    import mpmath
+
+    field = CyclotomicField(13)
+    x = field.zeta(1) + field.zeta(12) - Fraction(3, 2)  # 2 cos(2 pi / 13) - 3/2
+    before = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 20
+        s = certified_sign(x, start_prec=256)
+        assert mpmath.iv.prec == 20
+    finally:
+        mpmath.iv.prec = before
+    assert s.value == 1
+    assert s.witness.precision == 256
+    # the enclosure was taken at 256 bits, not at the global 20
+    assert s.witness.upper - s.witness.lower < Fraction(1, 2 ** 200)

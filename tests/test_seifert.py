@@ -7,8 +7,10 @@ from casson4 import (
     LaurentPolynomial,
     SeifertMatrix,
     SignatureSpectrum,
+    CyclotomicField,
     alexander_polynomial,
     arf_invariant,
+    certified_signature,
     connected_sum,
     mirror,
     preset_knot,
@@ -25,7 +27,9 @@ from helpers import (
     numpy_inertia,
     random_seifert,
     random_unimodular,
+    rank_over_field,
     sympy_alexander,
+    tl_form,
     torus_alexander_closed_form,
 )
 
@@ -95,6 +99,41 @@ def test_spectrum_examples():
     assert signature_spectrum(TREFOIL, 2).values == (0, -2)
     assert signature_spectrum(UNKNOT, 7).values == (0,) * 7
     assert signature_spectrum(TREFOIL, 1).values == (0,)
+
+
+def _galois_oracle_knots():
+    rng = random.Random(2005)
+    knots = [s for _, s in corpus_knots()] + [torus_knot_seifert(5, 7)]
+    return knots + [random_seifert(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 12, 13])
+def test_galois_orbit_spectrum_matches_direct_eliminations(n):
+    # the slow path: one certified elimination of H(zeta_n^m) per m, over
+    # Q(zeta_n) itself, with the exact rank as the pivot-count oracle.
+    # H(zeta_n^(n-m)) is the transpose of H(zeta_n^m), and SignatureSpectrum
+    # enforces values[m] == values[n - m], so m <= n/2 covers every m.
+    for s in _galois_oracle_knots():
+        spectrum = signature_spectrum(s, n)
+        for m in range(1, n // 2 + 1):
+            H, field = tl_form(s, n, m)
+            n_plus, n_minus, n_zero = certified_signature(H, field)
+            rank = rank_over_field(H, lambda x: x.is_zero(), lambda x: x.inverse())
+            assert n_zero == s.size - rank, (s, n, m)
+            assert spectrum.values[m] == n_plus - n_minus, (s, n, m)
+            assert tl_signature(s, Fraction(m, n)) == n_plus - n_minus
+            assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
+
+
+def test_float_circle_points_rejected_before_any_field():
+    before = set(CyclotomicField._instances)
+    for fn in (tl_signature, tl_nullity):
+        with pytest.raises(TypeError):
+            fn(TREFOIL, 0.3)
+        with pytest.raises(TypeError):
+            fn(TREFOIL, 0.5)
+    assert set(CyclotomicField._instances) == before
+    assert tl_signature(TREFOIL, "1/2") == -2
 
 
 def test_spectrum_validation():
