@@ -4,7 +4,17 @@ Subcommands take a JSON input file conforming to the schemas shipped in
 casson4/schemas, compute invariants, and emit a report either as a
 human-readable table or as canonical JSON.  Exit codes: 0 on success, 1
 on bad input, 2 when a mandated congruence fails (a regression alarm, so
-CI can distinguish it from input trouble).
+CI can distinguish it from input trouble).  A failed input check (a
+non-integral mapping-torus invariant) still prints its report, with
+exit code 1.
+
+Each subcommand is a row of ``_COMMANDS``: its schema name and a handler
+``cmd_<name>(data) -> (invariants, congruences, certificates)``.  The
+handler sees only schema-valid input and returns plain dicts in report
+line order; congruence values are truth values.  ``build_report`` is the
+one place that turns them into an ``InvariantReport`` (name, input
+digest, 0/1 congruence bits) and its exit code; ``main`` loads, builds,
+renders and maps errors for every subcommand, ``sweep`` included.
 
 Reports are deterministic: the same input bytes always produce the same
 output bytes, and every report echoes a digest of its (canonicalized)
@@ -57,6 +67,7 @@ from .tori import (
     CupRing,
     ThreeTorusForm,
     admissible,
+    as_h2,
     bundle_exists,
     det4,
     donaldson_mod2,
@@ -121,12 +132,6 @@ def resolve_knot(ref) -> SeifertMatrix:
     raise SchemaError(f"cannot interpret knot reference {ref!r}")
 
 
-def _rational(value) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
-
-
 def _frac_json(value: Fraction | int):
     value = Fraction(value)
     if value.denominator == 1:
@@ -135,6 +140,11 @@ def _frac_json(value: Fraction | int):
 
 
 # --- reports ---
+
+# A failed congruence is a regression alarm (exit 2), except these checks,
+# which fail only on input that describes no geometric object (exit 1).
+INPUT_CHECKS = frozenset({"integral"})
+
 
 @dataclass
 class InvariantReport:
@@ -177,12 +187,42 @@ class InvariantReport:
         return "\n".join(lines)
 
     def exit_code(self) -> int:
-        return 2 if any(v == 0 for v in self.congruences.values()) else 0
+        failed = {key for key, value in self.congruences.items() if value == 0}
+        if failed & INPUT_CHECKS:
+            return 1
+        return 2 if failed else 0
 
 
-# --- subcommands ---
+def build_report(command: str, data: dict) -> tuple[InvariantReport, int]:
+    """Run the handler of ``command`` on validated input; the report and exit code."""
+    invariants, congruences, certificates = _COMMANDS[command][1](data)
+    report = InvariantReport(
+        command,
+        input_digest(data),
+        invariants,
+        congruences={key: int(value) for key, value in congruences.items()},
+        certificates=certificates,
+        name=data.get("name"),
+    )
+    return report, report.exit_code()
 
-def cmd_knot(data: dict) -> tuple[InvariantReport, int]:
+
+def _congruent_mod2(lam: Fraction, rho: int) -> int:
+    """1 when lam is an integer congruent to rho mod 2, else 0."""
+    return int(lam.denominator == 1 and int(lam) % 2 == rho)
+
+
+def _sign_pattern(ranks, lef: int) -> dict:
+    pattern = deduce_sign_pattern(ranks, lef)
+    return {str(k): v for k, v in sorted(pattern.items())}
+
+
+# --- subcommands: each returns (invariants, congruences, certificates) ---
+
+Computed = tuple[dict, dict, list]
+
+
+def cmd_knot(data: dict) -> Computed:
     knot = SeifertMatrix(data["seifert"])
     order = data.get("spectrum_order", 2)
     delta = alexander_polynomial(knot)
@@ -190,49 +230,36 @@ def cmd_knot(data: dict) -> tuple[InvariantReport, int]:
     arf = arf_invariant(knot)
     spectrum = signature_spectrum(knot, order)
     delta_minus_one = delta(-1)
-    murasugi = 1 if (arf == 0) == (delta_minus_one % 8 in (1, 7)) else 0
-    half_d2 = 1 if (d2 // 2) % 2 == arf % 2 else 0
-    report = InvariantReport(
-        command="knot",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants={
-            "genus": knot.genus,
-            "alexander": str(delta),
-            "alexander_coeffs": [[e, c] for e, c in delta.items()],
-            "alexander_at_minus_one": delta_minus_one,
-            "delta_second_derivative": d2,
-            "arf": arf,
-            "spectrum_order": order,
-            "spectrum": list(spectrum.values),
-        },
-        congruences={
-            "murasugi_mod8": murasugi,
-            "half_d2_equals_arf_mod2": half_d2,
-        },
-    )
-    return report, report.exit_code()
+    invariants = {
+        "genus": knot.genus,
+        "alexander": str(delta),
+        "alexander_coeffs": [[e, c] for e, c in delta.items()],
+        "alexander_at_minus_one": delta_minus_one,
+        "delta_second_derivative": d2,
+        "arf": arf,
+        "spectrum_order": order,
+        "spectrum": list(spectrum.values),
+    }
+    congruences = {
+        "murasugi_mod8": (arf == 0) == (delta_minus_one % 8 in (1, 7)),
+        "half_d2_equals_arf_mod2": (d2 // 2) % 2 == arf % 2,
+    }
+    return invariants, congruences, []
 
 
-def cmd_sphere(data: dict) -> tuple[InvariantReport, int]:
+def cmd_sphere(data: dict) -> Computed:
     steps = [(resolve_knot(step["knot"]), step["q"]) for step in data["steps"]]
     presentation = SurgeryPresentation(steps)
     result = check_casson_rohlin(presentation)
-    report = InvariantReport(
-        command="sphere",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants={
-            "steps": len(presentation),
-            "casson": result.casson,
-            "rohlin": result.rohlin,
-        },
-        congruences={"casson_equals_rohlin_mod2": result.congruent},
-    )
-    return report, report.exit_code()
+    invariants = {
+        "steps": len(presentation),
+        "casson": result.casson,
+        "rohlin": result.rohlin,
+    }
+    return invariants, {"casson_equals_rohlin_mod2": result.congruent}, []
 
 
-def cmd_mapping_torus(data: dict) -> tuple[InvariantReport, int]:
+def cmd_mapping_torus(data: dict) -> Computed:
     n = data["n"]
     if data["type"] == "branched":
         if "branch_knot" in data:
@@ -248,115 +275,66 @@ def cmd_mapping_torus(data: dict) -> tuple[InvariantReport, int]:
             n, data["q"], data["quotient_casson"], resolve_knot(data["branch_knot"])
         )
     lam = furuta_ohta_mapping_torus(quotient)
-    integral = 1 if lam.denominator == 1 else 0
     invariants = {"lambda_fo": _frac_json(lam)}
-    congruences = {"integral": integral}
+    congruences = {"integral": lam.denominator == 1}
+    if lam.denominator != 1:
+        return invariants, congruences, ["non-integral invariant: input is not geometric"]
     certificates = []
-    if not integral:
-        report = InvariantReport(
-            command="mapping-torus",
-            name=data.get("name"),
-            input_digest=input_digest(data),
-            invariants=invariants,
-            congruences=congruences,
-            certificates=["non-integral invariant: input is not geometric"],
-        )
-        return report, 1
-    lam_int = int(lam)
-    invariants["lefschetz"] = 2 * lam_int
+    lef = invariants["lefschetz"] = 2 * int(lam)
     if "rho_cover" in data:
-        rho = data["rho_cover"]
-        invariants["rho"] = rho
-        congruences["lambda_fo_equals_rho_mod2"] = 1 if lam_int % 2 == rho else 0
+        invariants["rho"] = data["rho_cover"]
+        congruences["lambda_fo_equals_rho_mod2"] = _congruent_mod2(lam, data["rho_cover"])
     if "floer_ranks" in data:
-        pattern = deduce_sign_pattern(data["floer_ranks"], 2 * lam_int)
-        signs = sorted(pattern.values())
-        if signs and all(s == -1 for s in signs):
-            label = "minus-identity"
-        elif signs and all(s == 1 for s in signs):
-            label = "identity"
-        else:
-            label = "mixed"
-        invariants["sign_pattern"] = {str(k): v for k, v in sorted(pattern.items())}
-        invariants["pattern"] = label
+        pattern = _sign_pattern(data["floer_ranks"], lef)
+        signs = set(pattern.values())
+        invariants["sign_pattern"] = pattern
+        invariants["pattern"] = (
+            "minus-identity" if signs == {-1} else "identity" if signs == {1} else "mixed"
+        )
         certificates.append(
             "sign pattern forced by Lefschetz number on rank-one gradings"
         )
-    report = InvariantReport(
-        command="mapping-torus",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants=invariants,
-        congruences=congruences,
-        certificates=certificates,
-    )
-    return report, report.exit_code()
+    return invariants, congruences, certificates
 
 
-def cmd_floer(data: dict) -> tuple[InvariantReport, int]:
-    maps = data.get("maps")
-    if maps is not None:
-        maps = tuple(
-            m if isinstance(m, str) else [[_rational(x) for x in row] for row in m]
-            for m in maps
-        )
-    fixture = FloerData(data["ranks"], maps)
+def cmd_floer(data: dict) -> Computed:
+    fixture = FloerData(data["ranks"], data.get("maps"))
     lef = lefschetz(fixture)
     even = check_evenness(fixture)
     invariants = {"lefschetz": _frac_json(lef), "even": even}
-    congruences = {}
-    if data.get("geometric", True):
-        congruences["evenness"] = even
+    congruences = {"evenness": even} if data.get("geometric", True) else {}
     if even:
         invariants["lambda_fo"] = _frac_json(Fraction(lef, 2))
     if "target_lef" in data:
-        pattern = deduce_sign_pattern(data["ranks"], data["target_lef"])
-        invariants["sign_pattern"] = {str(k): v for k, v in sorted(pattern.items())}
-    report = InvariantReport(
-        command="floer",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants=invariants,
-        congruences=congruences,
-    )
-    return report, report.exit_code()
+        invariants["sign_pattern"] = _sign_pattern(data["ranks"], data["target_lef"])
+    return invariants, congruences, []
 
 
-def _ring_from_input(data: dict) -> CupRing:
+def cmd_torus4(data: dict) -> Computed:
     if "three_form" in data:
-        return product_ring(ThreeTorusForm(data["three_form"]))
-    if data.get("preset") == "T4":
-        return torus4_ring()
-    cup2 = [
-        [sum((bit & 1) << k for k, bit in enumerate(vec)) for vec in row]
-        for row in data["cup2"]
-    ]
-    return CupRing(cup2, data["pairing"], data["eval_top"])
-
-
-def cmd_torus4(data: dict) -> tuple[InvariantReport, int]:
-    ring = _ring_from_input(data)
+        ring = product_ring(ThreeTorusForm(data["three_form"]))
+    elif data.get("preset") == "T4":
+        ring = torus4_ring()
+    else:
+        cup2 = [[as_h2(vec) for vec in row] for row in data["cup2"]]
+        ring = CupRing(cup2, data["pairing"], data["eval_top"])
     determinant = det4(ring)
     invariants = {"det4": determinant}
     congruences = {}
     certificates = []
     if "three_form" in data:
         invariants["det3"] = data["three_form"]
-        congruences["det4_equals_det3"] = 1 if determinant == data["three_form"] else 0
+        congruences["det4_equals_det3"] = determinant == data["three_form"]
     if "w" in data:
-        w = data["w"]
-        if isinstance(w, list):
-            w = sum((bit & 1) << k for k, bit in enumerate(w))
+        w = as_h2(data["w"])
         invariants["w"] = w
         xi_ok = admissible(ring, w)
         p1_ok = bundle_exists(ring, w)
-        invariants["admissible"] = 1 if xi_ok else 0
-        invariants["bundle_exists"] = 1 if p1_ok else 0
-        count = four_orbit_count(ring, w)
-        invariants["four_orbit_count"] = count
-        census = orbit_order_census(ring, w)
+        invariants["admissible"] = int(xi_ok)
+        invariants["bundle_exists"] = int(p1_ok)
+        invariants["four_orbit_count"] = four_orbit_count(ring, w)
         invariants["orbit_census"] = {
-            "4": census.four,
+            "4": orbit_order_census(ring, w).four,
             "8": "unknown (gauge-theoretic)",
             "16": "unknown (gauge-theoretic)",
         }
@@ -364,65 +342,42 @@ def cmd_torus4(data: dict) -> tuple[InvariantReport, int]:
         if xi_ok and p1_ok:
             quarter = donaldson_mod2(ring, w)
             invariants["donaldson_mod2"] = quarter
-            congruences["quarter_count_equals_det4_mod2"] = (
-                1 if quarter == determinant else 0
-            )
+            congruences["quarter_count_equals_det4_mod2"] = quarter == determinant
         else:
             certificates.append(
                 "degree-zero count undefined for this w (hypothesis fails); "
                 "orbit counts reported without the parity check"
             )
-    report = InvariantReport(
-        command="torus4",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants=invariants,
-        congruences=congruences,
-        certificates=certificates,
-    )
-    return report, report.exit_code()
+    return invariants, congruences, certificates
 
 
-def cmd_circle_bundle(data: dict) -> tuple[InvariantReport, int]:
+def cmd_circle_bundle(data: dict) -> Computed:
     bundle = CircleBundleData(resolve_knot(data["knot"]), data["euler"])
     result = circle_bundle_report(bundle)
-    report = InvariantReport(
-        command="circle-bundle",
-        name=data.get("name"),
-        input_digest=input_digest(data),
-        invariants={
-            "rho": result.rho,
-            "furuta_ohta": result.furuta_ohta,
-            "arf": result.arf,
-            "delta_second_derivative": result.second_derivative,
-        },
-        congruences={"lambda_fo_equals_rho_mod2": result.congruent},
-        certificates=list(result.certificate),
-    )
-    return report, report.exit_code()
+    invariants = {
+        "rho": result.rho,
+        "furuta_ohta": result.furuta_ohta,
+        "arf": result.arf,
+        "delta_second_derivative": result.second_derivative,
+    }
+    congruences = {"lambda_fo_equals_rho_mod2": result.congruent}
+    return invariants, congruences, list(result.certificate)
 
 
 # --- sweeps ---
 
 def _parse_range(spec: str | None) -> dict:
+    """{key: [ints]} from "key=int[,int...][;key=int[,int...]...]"."""
     out: dict = {}
-    if not spec:
-        return out
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise SchemaError(f"range entries look like key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        parsed = []
-        for item in items:
-            try:
-                parsed.append(int(item))
-            except ValueError:
-                parsed.append(item)
-        out[key.strip()] = parsed
+    for part in filter(None, (p.strip() for p in (spec or "").split(";"))):
+        key, sep, value = part.partition("=")
+        try:
+            items = [int(v) for v in value.split(",") if v.strip()]
+        except ValueError:
+            items = []
+        if not sep or not items:
+            raise SchemaError(f"range entries look like key=int[,int...], got {part!r}")
+        out[key.strip()] = items
     return out
 
 
@@ -456,12 +411,12 @@ def _sweep_torus_knot_covers(params: dict) -> list[dict]:
                 "instance": f"double cover over T({q},{r})",
                 "q": q,
                 "r": r,
-                "cover_is_homology_sphere": 1 if determinant == 1 else 0,
+                "cover_is_homology_sphere": int(determinant == 1),
                 "lambda_fo": _frac_json(lam),
                 "mubar": _frac_json(mubar),
                 "rho": rho,
-                "congruent": 1 if lam.denominator == 1 and int(lam) % 2 == rho else 0,
-                "mubar_agrees": 1 if mubar == lam else 0,
+                "congruent": _congruent_mod2(lam, rho),
+                "mubar_agrees": int(mubar == lam),
             }
         )
     return instances
@@ -496,9 +451,7 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
                     "q": q,
                     "lambda_fo": _frac_json(lam),
                     "rho": rho,
-                    "congruent": (
-                        1 if lam.denominator == 1 and int(lam) % 2 == rho else 0
-                    ),
+                    "congruent": _congruent_mod2(lam, rho),
                     "cover_relation": relation,
                 }
             )
@@ -562,7 +515,7 @@ def _sweep_three_forms(params: dict) -> list[dict]:
                 "det4": determinant,
                 "admissible_w": admissible_count,
                 "parity_failures": failures,
-                "congruent": 1 if failures == 0 else 0,
+                "congruent": int(failures == 0),
             }
         )
     return instances
@@ -601,19 +554,27 @@ def cmd_sweep(family: str, range_spec: str | None) -> tuple[dict, int]:
     return payload, (2 if failed else 0)
 
 
-def _render_sweep_human(payload: dict) -> str:
-    lines = [f"sweep: {payload['family']}"]
-    for inst in payload["instances"]:
-        status = "ok" if inst.get("congruent", 1) == 1 else "CONGRUENCE FAIL"
-        fields = ", ".join(
-            f"{k}={v}" for k, v in inst.items() if k not in ("instance", "congruent")
+@dataclass
+class SweepReport:
+    payload: dict
+
+    def render_json(self) -> str:
+        return json.dumps(self.payload, sort_keys=True, indent=2)
+
+    def render_human(self) -> str:
+        payload = self.payload
+        lines = [f"sweep: {payload['family']}"]
+        for inst in payload["instances"]:
+            status = "ok" if inst.get("congruent", 1) == 1 else "CONGRUENCE FAIL"
+            fields = ", ".join(
+                f"{k}={v}" for k, v in inst.items() if k not in ("instance", "congruent")
+            )
+            lines.append(f"  {inst['instance']}: {fields} [{status}]")
+        summary = payload["summary"]
+        lines.append(
+            f"summary: {summary['congruence_passes']}/{summary['instances']} congruences hold"
         )
-        lines.append(f"  {inst['instance']}: {fields} [{status}]")
-    summary = payload["summary"]
-    lines.append(
-        f"summary: {summary['congruence_passes']}/{summary['instances']} congruences hold"
-    )
-    return "\n".join(lines)
+        return "\n".join(lines)
 
 
 # --- entry point ---
@@ -653,14 +614,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             payload, code = cmd_sweep(args.family, args.range)
-            if args.format == "json":
-                print(json.dumps(payload, sort_keys=True, indent=2))
-            else:
-                print(_render_sweep_human(payload))
-            return code
-        schema_name, handler = _COMMANDS[args.command]
-        data = load_input(args.input, schema_name)
-        report, code = handler(data)
+            report = SweepReport(payload)
+        else:
+            data = load_input(args.input, _COMMANDS[args.command][0])
+            report, code = build_report(args.command, data)
         print(report.render_json() if args.format == "json" else report.render_human())
         return code
     except (Casson4Error, ValueError, KeyError) as exc:

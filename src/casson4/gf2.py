@@ -177,10 +177,3 @@ def symplectic_basis(form_rows: Sequence[int], dim: int) -> list[tuple[int, int]
         pairs.append((a, b))
     return pairs
 
-
-def random_gl4(rng) -> F2Matrix:
-    """Uniformly-flavored random invertible 4x4 matrix over GF(2)."""
-    while True:
-        rows = [rng.randrange(1, 16) for _ in range(4)]
-        if bitrows_rank(list(rows)) == 4:
-            return F2Matrix.from_bitrows(rows, 4)

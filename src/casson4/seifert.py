@@ -215,9 +215,11 @@ def _tl_orbit_cached(
         pivots = hermitian_pivots(H, field)
     values = [None] * k
     for m in range(k):
-        if gcd(m, k) == 1:
+        if gcd(m, k) == 1 and values[m] is None:
+            # sigma_(-m) is sigma_m followed by conjugation, which fixes
+            # the real pivots: one certification serves m and -m
             n_plus, n_minus = count_pivot_signs([p.galois(m) for p in pivots])
-            values[m] = n_plus - n_minus
+            values[m] = values[-m % k] = n_plus - n_minus
     return tuple(values), d - len(pivots)
 
 
@@ -353,8 +355,6 @@ def torus_knot_seifert(p: int, q: int) -> SeifertMatrix:
     """
     if p < 2 or q < 2:
         raise ValueError("torus knot parameters must be at least 2")
-    from math import gcd
-
     if gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")
     size = (p - 1) * (q - 1)

@@ -260,14 +260,15 @@ def four_orbit_count(r: CupRing, w: int) -> int:
     space with second Stiefel-Whitney class w; computed by exhausting all
     35 planes.
     """
-    w = _as_h2(w)
+    w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
     r.validate()
     return sum(1 for plane in ALL_PLANES if r.plane_cup(plane) == w)
 
 
-def _as_h2(w) -> int:
+def as_h2(w) -> int:
+    """An H^2 class as a 6-bit int, given as an int or as a list of bits."""
     if isinstance(w, int):
         if not 0 <= w < 64:
             raise ValueError("H^2 classes are 6-bit")
@@ -281,7 +282,7 @@ def admissible(r: CupRing, w) -> bool:
     Nonvanishing in H^3 is tested against all of H^1 through the top
     pairing, by full enumeration.
     """
-    w = _as_h2(w)
+    w = as_h2(w)
     return any(
         r.pair(w, r.cup(xi, eta))
         for xi in range(1, 16)
@@ -299,7 +300,7 @@ def bundle_exists(r: CupRing, w) -> bool:
     classes lift to integral classes of square divisible by 4 (true for
     the hyperbolic bases these rings use).
     """
-    w = _as_h2(w)
+    w = as_h2(w)
     bits = [i for i in range(H2_DIM) if (w >> i) & 1]
     total = 0
     for a in range(len(bits)):
@@ -317,7 +318,7 @@ def donaldson_mod2(r: CupRing, w, xi_hypothesis: bool = True) -> int:
     bundle realizing w must exist (Pontryagin square of w vanishes).
     Under both, the value equals det4 of the ring.
     """
-    w = _as_h2(w)
+    w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
     if not xi_hypothesis:
@@ -357,7 +358,7 @@ def orbit_order_census(r: CupRing, w) -> OrbitCensus:
     absent from this stratum; that absence is asserted, and the 8/16
     counts are left unknown.
     """
-    w = _as_h2(w)
+    w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
     count = 0

@@ -16,6 +16,7 @@ from casson4 import (
     preset_knot,
     torus_knot_seifert,
 )
+from casson4.gf2 import F2Matrix, bitrows_rank
 
 
 def random_unimodular(rng, n, ops=None):
@@ -221,3 +222,11 @@ def tl_form(s: SeifertMatrix, n: int, m: int):
         for i in range(d)
     ]
     return H, field
+
+
+def random_gl4(rng) -> F2Matrix:
+    """Uniformly-flavored random invertible 4x4 matrix over GF(2)."""
+    while True:
+        rows = [rng.randrange(1, 16) for _ in range(4)]
+        if bitrows_rank(list(rows)) == 4:
+            return F2Matrix.from_bitrows(rows, 4)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from casson4.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -207,6 +209,26 @@ def test_sweep_empty_family_range(capsys):
     assert payload["summary"]["instances"] == 0
 
 
+@pytest.mark.parametrize(
+    "family,spec",
+    [
+        ("torus-knot-covers", "q=x"),
+        ("torus-knot-covers", "q=3;r=x"),
+        ("torus-knot-covers", "q=3;r="),
+        ("surgery-chains", "count=x"),
+        ("surgery-chains", "steps=x"),
+        ("free-quotients", "q=x"),
+        ("free-quotients", "q="),
+        ("free-quotients", "q"),
+    ],
+)
+def test_sweep_range_takes_integer_lists_only(family, spec, capsys):
+    code, out, err = run_cli(["sweep", "--family", family, "--range", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_sweep_unknown_family_exits_1(capsys):
     code, out, err = run_cli(["sweep", "--family", "nonsense"], capsys)
     assert code == 1
@@ -234,6 +256,40 @@ def test_report_exit_code_logic():
     assert ok.exit_code() == 0
     bad = InvariantReport("x", "sha256:0", {}, congruences={"a": 1, "b": 0})
     assert bad.exit_code() == 2
+    refused = InvariantReport("x", "sha256:0", {}, congruences={"integral": 0})
+    assert refused.exit_code() == 1
+
+
+def test_build_report_makes_bits_name_digest_and_exit_code(monkeypatch):
+    from casson4 import cli
+
+    data = json.loads((FIXTURES / "free_nonintegral.json").read_text())
+    report, code = cli.build_report("mapping-torus", data)
+    assert code == 1
+    assert report.name == data["name"]
+    assert report.input_digest == cli.input_digest(data)
+    assert report.congruences == {"integral": 0}
+
+    monkeypatch.setitem(
+        cli._COMMANDS, "knot", ("knot", lambda data: ({"x": 1}, {"c": False}, []))
+    )
+    report, code = cli.build_report("knot", {"schema": 1})
+    assert code == 2
+    assert report.name is None
+    assert report.congruences == {"c": 0}
+
+
+def test_subcommand_congruence_failure_exits_2(monkeypatch, capsys):
+    from casson4 import cli
+
+    monkeypatch.setitem(
+        cli._COMMANDS, "sphere", ("sphere", lambda data: ({}, {"broken": False}, []))
+    )
+    code, out, _ = run_cli(
+        ["sphere", "--input", str(FIXTURES / "empty_sphere.json")], capsys
+    )
+    assert code == 2
+    assert "broken: FAIL" in out
 
 
 def test_torus4_reports_unsupported_w_without_parity_check(capsys, tmp_path):

@@ -24,9 +24,8 @@ from casson4 import (
     torus4_ring,
     ThreeTorusForm,
 )
-from casson4.gf2 import random_gl4
 from casson4.seifert import alexander_at_root_of_unity
-from helpers import corpus_knots, random_seifert
+from helpers import corpus_knots, random_gl4, random_seifert
 
 
 def test_spectrum_even_where_alexander_nonzero():

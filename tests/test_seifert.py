@@ -122,6 +122,7 @@ def test_galois_orbit_spectrum_matches_direct_eliminations(n):
             assert n_zero == s.size - rank, (s, n, m)
             assert spectrum.values[m] == n_plus - n_minus, (s, n, m)
             assert tl_signature(s, Fraction(m, n)) == n_plus - n_minus
+            assert tl_signature(s, Fraction(n - m, n)) == n_plus - n_minus
             assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
 
 

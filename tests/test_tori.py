@@ -18,7 +18,7 @@ from casson4 import (
     torus4_ring,
 )
 from casson4.errors import HypothesisFails, InconsistentRing, NonBinary, ZeroW2
-from casson4.gf2 import random_gl4
+from helpers import random_gl4
 
 T4 = torus4_ring()
 EVEN = product_ring(ThreeTorusForm(0))
