@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadEuler, NonTrivialAlexander
+from .errors import BadEuler, InternalError, NonTrivialAlexander
 from .laurent import LaurentPolynomial, second_derivative_at_one
 from .seifert import SeifertMatrix, alexander_polynomial, arf_invariant
 
@@ -46,7 +46,7 @@ def circle_bundle_rho(d: CircleBundleData) -> int:
     _validate(d)
     arf = arf_invariant(d.knot)
     if arf != 0:
-        raise AssertionError(
+        raise InternalError(
             "arf = 1 with trivial Alexander polynomial contradicts the "
             "mod-8 determinant congruence"
         )
@@ -63,7 +63,7 @@ def circle_bundle_furuta_ohta(d: CircleBundleData) -> int:
     delta = _validate(d)
     d2 = second_derivative_at_one(delta)
     if d2 != 0:
-        raise AssertionError("Delta''(1) != 0 for the constant polynomial 1")
+        raise InternalError("Delta''(1) != 0 for the constant polynomial 1")
     return 0
 
 

@@ -4,8 +4,9 @@ Subcommands take a JSON input file conforming to the schemas shipped in
 casson4/schemas, compute invariants, and emit a report either as a
 human-readable table or as canonical JSON.  Exit codes: 0 on success, 1
 on bad input, 2 when a mandated congruence fails (a regression alarm, so
-CI can distinguish it from input trouble).  A failed input check (a
-non-integral mapping-torus invariant) still prints its report, with
+CI can distinguish it from input trouble), 3 when an internal invariant
+fails (a defect in casson4, reported in one line).  A failed input check
+(a non-integral mapping-torus invariant) still prints its report, with
 exit code 1.
 
 Each subcommand is a row of ``_COMMANDS``: its schema name and a handler
@@ -45,7 +46,7 @@ from .equivariant import (
     furuta_ohta_mapping_torus,
     matched_cover_data,
 )
-from .errors import Casson4Error, ParseError, SchemaError
+from .errors import Casson4Error, InternalError, ParseError, SchemaError
 from .floer import FloerData, check_evenness, deduce_sign_pattern, lefschetz
 from .laurent import second_derivative_at_one
 from .seifert import (
@@ -83,7 +84,8 @@ SCHEMA_VERSION = 1
 # --- input plumbing ---
 
 @lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
+def _validator(name: str):
+    """The validator of schema ``name``, checked and built on first use."""
     files = resources.files("casson4.schemas")
     text = files.joinpath(f"{name}.json").read_text()
     # inline the shared definitions so no resolver configuration is needed
@@ -91,7 +93,9 @@ def _schema(name: str) -> dict:
     doc = json.loads(text)
     defs = json.loads(files.joinpath("defs.json").read_text())
     doc.setdefault("definitions", {}).update(defs["definitions"])
-    return doc
+    cls = jsonschema.validators.validator_for(doc)
+    cls.check_schema(doc)
+    return cls(doc)
 
 
 def load_input(path: str, schema_name: str) -> dict:
@@ -104,10 +108,10 @@ def load_input(path: str, schema_name: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(data, _schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{path}: {exc.message}") from None
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(data))
+    if error is not None:
+        raise SchemaError(f"{path}: {error.message}")
     return data
 
 
@@ -521,11 +525,12 @@ def _sweep_three_forms(params: dict) -> list[dict]:
     return instances
 
 
+# family -> (instance generator, the --range keys it reads)
 _FAMILIES = {
-    "torus-knot-covers": _sweep_torus_knot_covers,
-    "free-quotients": _sweep_free_quotients,
-    "surgery-chains": _sweep_surgery_chains,
-    "three-forms": _sweep_three_forms,
+    "torus-knot-covers": (_sweep_torus_knot_covers, ("q", "r")),
+    "free-quotients": (_sweep_free_quotients, ("q",)),
+    "surgery-chains": (_sweep_surgery_chains, ("count", "steps", "seed")),
+    "three-forms": (_sweep_three_forms, ()),
 }
 
 
@@ -534,8 +539,15 @@ def cmd_sweep(family: str, range_spec: str | None) -> tuple[dict, int]:
         raise SchemaError(
             f"unknown family {family!r}; available: {sorted(_FAMILIES)}"
         )
+    sweep, keys = _FAMILIES[family]
     params = _parse_range(range_spec)
-    instances = _FAMILIES[family](params)
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise SchemaError(
+            f"family {family!r} reads no range key {', '.join(unknown)}; "
+            f"its keys: {', '.join(keys) or 'none'}"
+        )
+    instances = sweep(params)
     passed = sum(1 for inst in instances if inst.get("congruent", 1) == 1)
     failed = len(instances) - passed
     payload = {
@@ -623,6 +635,9 @@ def main(argv=None) -> int:
     except (Casson4Error, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

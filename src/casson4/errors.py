@@ -5,6 +5,14 @@ class Casson4Error(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(Exception):
+    """An internal invariant failed: a defect in casson4, not bad input.
+
+    Deliberately outside the Casson4Error tree, so that no handler for
+    bad input catches it; the CLI reports it with exit code 3.
+    """
+
+
 # --- Laurent polynomials ---
 
 class NotSymmetrizable(Casson4Error):

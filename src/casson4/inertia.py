@@ -24,7 +24,7 @@ from typing import Sequence, Union
 from mpmath import libmp
 
 from .cyclotomic import CycElt, CyclotomicField
-from .errors import NotHermitian
+from .errors import InternalError, NotHermitian
 
 _START_PREC = 64
 _MAX_PREC = 1 << 16
@@ -90,7 +90,7 @@ def certified_sign(x, start_prec: int = _START_PREC) -> CertifiedSign:
         if hi < 0:
             return CertifiedSign(-1, IntervalWitness(lo, hi, prec))
         prec *= 2
-    raise RuntimeError("interval refinement failed to separate a nonzero value from 0")
+    raise InternalError("interval refinement failed to separate a nonzero value from 0")
 
 
 # --- exact eliminations ---
@@ -226,5 +226,5 @@ def count_pivot_signs(pivots) -> tuple[int, int]:
         elif s.value < 0:
             n_minus += 1
         else:
-            raise AssertionError("elimination produced an exactly-zero pivot")
+            raise InternalError("elimination produced an exactly-zero pivot")
     return (n_plus, n_minus)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import CyclotomicField, evaluate_laurent
-from .errors import DegeneratePolarization, InvalidSeifertMatrix, NotCoprime
+from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
 from .inertia import count_pivot_signs, hermitian_pivots
 from .laurent import LaurentPolynomial, laurent_normalize_symmetric
@@ -138,39 +139,124 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 # --- Alexander polynomial ---
 
+def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
+    """B >= |c| for every coefficient c of det(t S - S^T), in integers only.
+
+    On |t| = 1 row i of t S - S^T has norm at most |S_i.| + |S_.i|, so
+    Hadamard's inequality bounds the determinant there by the product of
+    those sums, and Cauchy's bound carries that to every coefficient.
+    Each norm is rounded up by an integer square root.
+    """
+
+    def ceil_norm(vector) -> int:
+        square = sum(x * x for x in vector)
+        return isqrt(square - 1) + 1 if square else 0
+
+    bound = 1
+    for row, column in zip(entries, zip(*entries)):
+        bound *= ceil_norm(row) + ceil_norm(column)
+    return bound
+
+
+def _proth_prime(bits: int) -> int:
+    """A prime k 2^bits + 1 with odd k < 2^bits, proven prime by Proth's theorem.
+
+    Proth: such an N is prime if a^((N-1)/2) = -1 mod N for some a.  A
+    prime N gives +-1 for every a prime to it, so any other value shows
+    that N is composite and the search moves on.
+    """
+    for k in range(1, 1 << bits, 2):
+        candidate = (k << bits) + 1
+        for a in (3, 5, 7, 11, 13):
+            power = pow(a, candidate >> 1, candidate)
+            if power == candidate - 1:
+                return candidate
+            if power != 1:
+                break
+    raise InternalError(f"no Proth prime k 2^{bits} + 1 with k < 2^{bits} found")
+
+
+def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:
+    """A^-1 B mod the prime p by Gauss-Jordan elimination; A is invertible mod p."""
+    n = len(a_rows)
+    rows = [[x % p for x in a] + [x % p for x in b] for a, b in zip(a_rows, b_rows)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inverse = pow(rows[c][c], -1, p)
+        top = rows[c] = [x * inverse % p for x in rows[c]]
+        for i in range(n):
+            factor = rows[i][c]
+            if i != c and factor:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], top)]
+    return [row[n:] for row in rows]
+
+
+def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
+    """Coefficients, constant first, of det(x I - H) mod the prime p.
+
+    H is reduced in place to upper Hessenberg form by similarity, then
+    the characteristic polynomials of its leading blocks follow by the
+    usual recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
+    """
+    n = len(H)
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if pivot is None:
+            continue
+        H[m], H[pivot] = H[pivot], H[m]
+        for row in H:
+            row[m], row[pivot] = row[pivot], row[m]
+        inverse = pow(H[m][m - 1], -1, p)
+        top = H[m]
+        # row i -= u_i row m for every i > m, then column m += sum u_i column i:
+        # the row moves commute, so this is one similarity
+        factors = [H[i][m - 1] * inverse % p for i in range(m + 1, n)]
+        for i, u in enumerate(factors, m + 1):
+            if u:
+                H[i] = [(x - u * y) % p for x, y in zip(H[i], top)]
+        if any(factors):
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, factors, row[m + 1:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        last = polys[k]
+        poly = [0] + last
+        poly[: k + 1] = [x - H[k][k] * y for x, y in zip(poly, last)]
+        subdiagonal = 1
+        for i in range(k - 1, -1, -1):
+            subdiagonal = subdiagonal * H[i + 1][i] % p
+            if not subdiagonal:
+                break
+            c = H[i][k] * subdiagonal % p
+            if c:
+                poly[: i + 1] = [x - c * y for x, y in zip(poly, polys[i])]
+        polys.append([x % p for x in poly])
+    return polys[n]
+
+
 @lru_cache(maxsize=None)
 def _alexander_cached(entries: tuple[tuple[int, ...], ...]) -> LaurentPolynomial:
     n = len(entries)
-    g = n // 2
     if n == 0:
         return LaurentPolynomial.one()
-    # det(t S - S^T) is a degree <= n integer polynomial; recover it by
-    # interpolation at n+1 integer points, then shift by t^-g
-    points = range(n + 1)
-    values = [
-        integer_determinant(
-            [[t * entries[i][j] - entries[j][i] for j in range(n)] for i in range(n)]
+    # A = S - S^T is skew and unimodular, so det A = Pf(A)^2 = 1 and
+    # det(t S - S^T) = det(A) det(I + (t - 1) M) with M = A^-1 S.  With
+    # N = -M = (S^T - S)^-1 S and det(x I - N) = sum_k c_k x^k this is
+    # sum_k c_k (t - 1)^(n - k).  Everything runs mod a prime p > 2B,
+    # whose residues nearest zero are then the integer coefficients.
+    p = _proth_prime((2 * _coefficient_bound(entries)).bit_length())
+    skew = [[entries[j][i] - entries[i][j] for j in range(n)] for i in range(n)]
+    coeffs = _charpoly_mod(_solve_mod(skew, entries, p), p)[::-1]
+    for i in range(n):  # Taylor shift: substitute u = t - 1
+        for j in range(n - 1, i - 1, -1):
+            coeffs[j] = (coeffs[j] - coeffs[j + 1]) % p
+    coeffs = [c - p if c > p // 2 else c for c in coeffs]
+    if sum(coeffs) != 1:
+        raise InternalError(
+            f"det(t S - S^T) at t = 1 came out {sum(coeffs)}, not det(S - S^T) = 1"
         )
-        for t in points
-    ]
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if i == j:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] += c
-                new[k] -= c * xj
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(values[i], 1) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    assert all(c.denominator == 1 for c in coeffs)
-    poly = LaurentPolynomial({e - g: int(c) for e, c in enumerate(coeffs)})
+    poly = LaurentPolynomial({e - n // 2: c for e, c in enumerate(coeffs)})
     return laurent_normalize_symmetric(poly)
 
 

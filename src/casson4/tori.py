@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import HypothesisFails, InconsistentRing, NonBinary, ZeroW2
+from .errors import HypothesisFails, InconsistentRing, InternalError, NonBinary, ZeroW2
 
 H1_DIM = 4
 H2_DIM = 6
@@ -367,6 +367,6 @@ def orbit_order_census(r: CupRing, w) -> OrbitCensus:
             continue
         stabilizer = {0, *plane}
         if len(stabilizer) != 4:
-            raise AssertionError("a 2-plane must have exactly 4 elements")
+            raise InternalError("a 2-plane must have exactly 4 elements")
         count += 1
     return OrbitCensus(four=count, eight=None, sixteen=None, small_orbits_absent=True)

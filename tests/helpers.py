@@ -17,6 +17,7 @@ from casson4 import (
     torus_knot_seifert,
 )
 from casson4.gf2 import F2Matrix, bitrows_rank
+from casson4.seifert import integer_determinant
 
 
 def random_unimodular(rng, n, ops=None):
@@ -95,6 +96,44 @@ def sympy_alexander(s: SeifertMatrix):
     poly = sympy.Poly(det, t)
     coeffs = {exp: int(c) for (exp,), c in poly.terms()}
     raw = LaurentPolynomial({e - n // 2: c for e, c in coeffs.items()})
+    return laurent_normalize_symmetric(raw)
+
+
+def alexander_by_interpolation(s: SeifertMatrix) -> LaurentPolynomial:
+    """Bareiss-plus-Lagrange oracle for the normalized Alexander polynomial.
+
+    det(t S - S^T) has degree <= n, so n+1 Bareiss determinants at
+    t = 0..n fix it; Lagrange interpolation over Fraction recovers it.
+    """
+    entries = s.entries
+    n = len(entries)
+    if n == 0:
+        return LaurentPolynomial.one()
+    points = range(n + 1)
+    values = [
+        integer_determinant(
+            [[t * entries[i][j] - entries[j][i] for j in range(n)] for i in range(n)]
+        )
+        for t in points
+    ]
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, xi in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(points):
+            if i == j:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k + 1] += c
+                new[k] -= c * xj
+            basis = new
+            denom *= xi - xj
+        scale = Fraction(values[i], 1) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += c * scale
+    assert all(c.denominator == 1 for c in coeffs)
+    raw = LaurentPolynomial({e - n // 2: int(c) for e, c in enumerate(coeffs)})
     return laurent_normalize_symmetric(raw)
 
 

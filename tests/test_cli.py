@@ -229,6 +229,22 @@ def test_sweep_range_takes_integer_lists_only(family, spec, capsys):
     assert err.startswith("error:")
 
 
+def test_sweep_range_refuses_keys_the_family_does_not_read(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--family", "surgery-chains", "--range", "cout=2"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "cout" in err and "count, steps, seed" in err
+
+    code, out, err = run_cli(
+        ["sweep", "--family", "three-forms", "--range", "q=3"], capsys
+    )
+    assert code == 1
+    assert "none" in err
+
+
 def test_sweep_unknown_family_exits_1(capsys):
     code, out, err = run_cli(["sweep", "--family", "nonsense"], capsys)
     assert code == 1
@@ -242,7 +258,7 @@ def test_congruence_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(
         cli._FAMILIES,
         "stub",
-        lambda params: [{"instance": "broken", "congruent": 0}],
+        (lambda params: [{"instance": "broken", "congruent": 0}], ()),
     )
     code, payload, _ = run_json(["sweep", "--family", "stub"], capsys)
     assert code == 2
@@ -310,7 +326,7 @@ def test_human_format_mentions_failures(monkeypatch, capsys):
     monkeypatch.setitem(
         cli._FAMILIES,
         "stub",
-        lambda params: [{"instance": "broken", "congruent": 0}],
+        (lambda params: [{"instance": "broken", "congruent": 0}], ()),
     )
     code, out, _ = run_cli(["sweep", "--family", "stub"], capsys)
     assert code == 2
@@ -345,3 +361,52 @@ def test_floer_zero_denominator_is_refused_without_traceback(tmp_path):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "schema_name,data",
+    [
+        ("knot", {"schema": 1, "name": "x"}),
+        ("knot", {"schema": 1, "name": "x", "seifert": [[1, "a"], [0, 1]]}),
+        ("knot", {"schema": 2, "name": "x", "seifert": [], "extra": 0}),
+        ("knot", []),
+        ("sphere", {"schema": 1, "steps": [{"knot": "unknot"}]}),
+        ("mapping_torus", {"schema": 1, "type": "free", "n": 0, "quotient_casson": 0}),
+        ("mapping_torus", {"schema": 1, "type": "branched", "n": 2, "quotient_casson": 0}),
+        ("floer", {"schema": 1, "ranks": [1, 2]}),
+        ("floer", {"schema": 1, "ranks": [0] * 8, "maps": [[["1/0"]]] * 8}),
+        ("torus4", {"schema": 1, "w": "x"}),
+        ("circle_bundle", {"schema": 1, "knot": "unknot", "euler": "one"}),
+    ],
+)
+def test_schema_errors_match_jsonschema_validate(schema_name, data, tmp_path):
+    import jsonschema
+
+    from casson4 import cli
+    from casson4.errors import SchemaError
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(data, cli._validator(schema_name).schema)
+    with pytest.raises(SchemaError) as got:
+        cli.load_input(str(path), schema_name)
+    assert str(got.value) == f"{path}: {expected.value.message}"
+
+
+def test_internal_error_exits_3_in_one_line(monkeypatch, capsys):
+    from casson4 import cli
+    from casson4.errors import Casson4Error, InternalError
+
+    assert not issubclass(InternalError, Casson4Error)
+
+    def broken(data):
+        raise InternalError("pivot vanished")
+
+    monkeypatch.setitem(cli._COMMANDS, "knot", ("knot", broken))
+    code, out, err = run_cli(
+        ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: pivot vanished\n"

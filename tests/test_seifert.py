@@ -19,9 +19,11 @@ from casson4 import (
     tl_signature,
     torus_knot_seifert,
 )
-from casson4.errors import InvalidSeifertMatrix, NotCoprime
+from casson4 import seifert
+from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
 from casson4.seifert import alexander_at_root_of_unity
 from helpers import (
+    alexander_by_interpolation,
     brute_force_arf,
     corpus_knots,
     numpy_inertia,
@@ -156,10 +158,64 @@ def test_arf_examples_and_oracle():
 
 
 def test_torus_knot_alexander_closed_form():
-    for p, q in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (3, 7)]:
+    for p, q in [
+        (2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (3, 7), (9, 11), (11, 13)
+    ]:
         s = torus_knot_seifert(p, q)
         assert s.size == (p - 1) * (q - 1)
         assert alexander_polynomial(s) == torus_alexander_closed_form(p, q)
+
+
+def _alexander_oracle_knots() -> list[SeifertMatrix]:
+    """Corpus, torus knots to T(7,9) on two bases, 42 seeded random matrices."""
+    rng = random.Random(2024)
+    knots = [s for _, s in corpus_knots()]
+    for p, q in [(2, 3), (3, 4), (3, 5), (5, 7), (7, 9)]:
+        fiber = torus_knot_seifert(p, q)
+        knots += [fiber, fiber.congruent(random_unimodular(rng, fiber.size))]
+    knots += [random_seifert(rng) for _ in range(30)]
+    large = []
+    while len(large) < 12:
+        # many more moves than random_seifert makes: entries in the hundreds
+        s = random_seifert(rng)
+        if s.size:
+            large.append(s.congruent(random_unimodular(rng, s.size, 12 * s.size)))
+    return knots + large
+
+
+def test_alexander_matches_interpolation_oracle_within_the_bound():
+    import sympy
+
+    knots = _alexander_oracle_knots()
+    assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
+    for s in knots:
+        expected = alexander_by_interpolation(s)
+        assert alexander_polynomial(s) == expected
+        if not s.size:
+            continue
+        bound = seifert._coefficient_bound(s.entries)
+        # normalizing multiplies by +-t^m, so these are the raw coefficients
+        assert max(abs(c) for _, c in expected.items()) <= bound
+        bits = (2 * bound).bit_length()
+        p = seifert._proth_prime(bits)
+        assert p > 2 * bound
+        k, rest = divmod(p - 1, 1 << bits)
+        assert rest == 0 and k % 2 == 1 and k < 1 << bits
+        assert sympy.isprime(p)
+
+
+def test_alexander_post_check_raises_internal_error(monkeypatch):
+    # with a modulus far below the coefficients the lift goes wrong; the
+    # value at t = 1 then misses det(S - S^T) = 1
+    granny = connected_sum(TREFOIL, TREFOIL)
+    assert max(abs(c) for _, c in alexander_polynomial(granny).items()) > 2
+    monkeypatch.setattr(seifert, "_coefficient_bound", lambda entries: 1)
+    seifert._alexander_cached.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            alexander_polynomial(granny)
+    finally:
+        seifert._alexander_cached.cache_clear()
 
 
 def test_torus_knot_examples():
