@@ -18,34 +18,34 @@ from .seifert import SeifertMatrix, alexander_polynomial, arf_invariant
 
 @dataclass(frozen=True)
 class CircleBundleData:
-    """Knot presenting the base (by 0-surgery) and the Euler number."""
+    """Knot presenting the base (by 0-surgery) and the Euler number.
+
+    Construction raises BadEuler unless the Euler number is 1, then
+    NonTrivialAlexander unless the knot has Alexander polynomial 1.
+    """
 
     knot: SeifertMatrix
     euler: int
 
-
-def _validate(d: CircleBundleData) -> LaurentPolynomial:
-    if d.euler != 1:
-        raise BadEuler(f"only Euler number 1 is supported, got {d.euler}")
-    delta = alexander_polynomial(d.knot)
-    if delta != LaurentPolynomial.one():
-        raise NonTrivialAlexander(
-            f"Alexander polynomial is {delta}, not 1; the total space is not "
-            "a homology S^1 x S^3 over its abelian cover"
-        )
-    return delta
+    def __post_init__(self):
+        if self.euler != 1:
+            raise BadEuler(f"only Euler number 1 is supported, got {self.euler}")
+        delta = alexander_polynomial(self.knot)
+        if delta != LaurentPolynomial.one():
+            raise NonTrivialAlexander(
+                f"Alexander polynomial is {delta}, not 1; the total space is not "
+                "a homology S^1 x S^3 over its abelian cover"
+            )
 
 
 def circle_bundle_rho(d: CircleBundleData) -> int:
-    """Rohlin invariant of the bundle: always 0 once the input is valid.
+    """Rohlin invariant of the bundle: always 0.
 
     The invariant reduces to the Arf invariant of the induced spin
     surface, which trivial Alexander polynomial forces to vanish; the
     Arf value is recomputed here rather than assumed.
     """
-    _validate(d)
-    arf = arf_invariant(d.knot)
-    if arf != 0:
+    if arf_invariant(d.knot) != 0:
         raise InternalError(
             "arf = 1 with trivial Alexander polynomial contradicts the "
             "mod-8 determinant congruence"
@@ -54,15 +54,13 @@ def circle_bundle_rho(d: CircleBundleData) -> int:
 
 
 def circle_bundle_furuta_ohta(d: CircleBundleData) -> int:
-    """Instanton count of the bundle: always 0 once the input is valid.
+    """Instanton count of the bundle: always 0.
 
     Both Stiefel-Whitney sectors of the count reduce to Delta''(1),
     which vanishes identically for trivial Alexander polynomial; the
     derivative is recomputed here rather than assumed.
     """
-    delta = _validate(d)
-    d2 = second_derivative_at_one(delta)
-    if d2 != 0:
+    if second_derivative_at_one(alexander_polynomial(d.knot)) != 0:
         raise InternalError("Delta''(1) != 0 for the constant polynomial 1")
     return 0
 
@@ -87,8 +85,8 @@ def circle_bundle_report(d: CircleBundleData) -> BundleVanishingReport:
     """
     rho = circle_bundle_rho(d)
     lam = circle_bundle_furuta_ohta(d)
-    arf = arf_invariant(d.knot)
-    d2 = second_derivative_at_one(alexander_polynomial(d.knot))
+    # each call raises unless the value that certifies it is 0
+    arf = d2 = 0
     return BundleVanishingReport(
         rho=rho,
         furuta_ohta=lam,

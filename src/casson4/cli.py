@@ -601,7 +601,9 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="casson4",
         description="exact Casson-type invariants and congruence checks",

@@ -113,14 +113,6 @@ class CyclotomicField:
         red = self._zeta_powers[power % self.n]
         return CycElt(self, tuple(Fraction(c) for c in red))
 
-    def contains_i(self) -> bool:
-        return self.n % 4 == 0
-
-    def i(self) -> "CycElt":
-        if not self.contains_i():
-            raise ValueError(f"Q(zeta_{self.n}) does not contain i")
-        return self.zeta(self.n // 4)
-
     def embed(self, elt: "CycElt") -> "CycElt":
         """Embed an element of a subfield Q(zeta_m), m | n."""
         m = elt.field.n

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
-from .cyclotomic import CyclotomicField, evaluate_laurent
+from .cyclotomic import CyclotomicField
 from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
 from .inertia import count_pivot_signs, hermitian_pivots
@@ -266,11 +266,6 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPolynomial:
     Normalized so that Delta(1) = 1 and Delta(t) = Delta(1/t).
     """
     return _alexander_cached(s.entries)
-
-
-def alexander_at_root_of_unity(s: SeifertMatrix, n: int, m: int = 1):
-    """Exact value Delta(zeta_n^m) in the cyclotomic field of order n."""
-    return evaluate_laurent(alexander_polynomial(s), CyclotomicField(n), m)
 
 
 # --- Tristram-Levine signatures ---

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import HypothesisFails, InconsistentRing, InternalError, NonBinary, ZeroW2
+from .gf2 import bitrows_rank
 
 H1_DIM = 4
 H2_DIM = 6
@@ -28,7 +29,8 @@ ALL_PLANES: tuple[tuple[int, int, int], ...] = tuple(
         if a ^ b > b
     )
 )
-assert len(ALL_PLANES) == 35
+if len(ALL_PLANES) != 35 or any(len({0, *plane}) != 4 for plane in ALL_PLANES):
+    raise InternalError("H^1 must have 35 two-planes of 4 elements each")
 
 
 def _parity(x: int) -> int:
@@ -41,6 +43,8 @@ class CupRing:
 
     cup2[i][j] is the product a_i cup a_j as a 6-bit vector in H^2;
     pairing[u] is row u of the Gram matrix of the H^2 x H^2 form.
+    Construction raises InconsistentRing unless the data presents a
+    genuine ring, so every CupRing is one.
     """
 
     cup2: tuple[tuple[int, ...], ...]          # 4x4 table of 6-bit ints
@@ -67,6 +71,42 @@ class CupRing:
         object.__setattr__(self, "cup2", cup_table)
         object.__setattr__(self, "pairing", tuple(rows))
         object.__setattr__(self, "eval_top", int(eval_top) & 1)
+        # the data must present a genuine ring
+        for i in range(H1_DIM):
+            if cup_table[i][i]:
+                raise InconsistentRing(f"cup2[{i}][{i}] must vanish (odd square)")
+            for j in range(H1_DIM):
+                if cup_table[i][j] != cup_table[j][i]:
+                    raise InconsistentRing("cup2 table must be symmetric")
+        for i in range(H2_DIM):
+            for j in range(H2_DIM):
+                if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
+                    raise InconsistentRing("H^2 pairing must be symmetric")
+        if bitrows_rank(list(rows)) != H2_DIM:
+            raise InconsistentRing("H^2 pairing must be nondegenerate (rank 6)")
+        # mod 2, "alternating" means: invariant under permutations and
+        # vanishing whenever two arguments coincide; checking it on all
+        # basis quadruples extends to arbitrary vectors by multilinearity.
+        # On basis vectors the top form is pair(cup2[i][j], cup2[k][l]).
+        for i, j, k, l in product(range(H1_DIM), repeat=4):
+            value = self.pair(cup_table[i][j], cup_table[k][l])
+            if len({i, j, k, l}) < 4:
+                if value:
+                    raise InconsistentRing(
+                        "top form must vanish on repeated arguments"
+                    )
+                continue
+            a, b, c, d = sorted((i, j, k, l))
+            if value != self.pair(cup_table[a][b], cup_table[c][d]):
+                raise InconsistentRing(
+                    "top form is not symmetric under argument permutations"
+                )
+        top = self.pair(cup_table[0][1], cup_table[2][3])
+        if top != self.eval_top:
+            raise InconsistentRing(
+                f"declared top value {self.eval_top} does not match the "
+                f"pairing evaluation {top}"
+            )
 
     # --- ring operations ---
 
@@ -102,51 +142,8 @@ class CupRing:
         a, b, _ = plane
         return self.cup(a, b)
 
-    # --- validation ---
-
-    def validate(self) -> None:
-        """Raise InconsistentRing unless the data presents a genuine ring."""
-        for i in range(H1_DIM):
-            if self.cup2[i][i]:
-                raise InconsistentRing(f"cup2[{i}][{i}] must vanish (odd square)")
-            for j in range(H1_DIM):
-                if self.cup2[i][j] != self.cup2[j][i]:
-                    raise InconsistentRing("cup2 table must be symmetric")
-        for i in range(H2_DIM):
-            for j in range(H2_DIM):
-                if (self.pairing[i] >> j) & 1 != (self.pairing[j] >> i) & 1:
-                    raise InconsistentRing("H^2 pairing must be symmetric")
-        from .gf2 import bitrows_rank
-
-        if bitrows_rank(list(self.pairing)) != H2_DIM:
-            raise InconsistentRing("H^2 pairing must be nondegenerate (rank 6)")
-        basis = (1, 2, 4, 8)
-        # mod 2, "alternating" means: invariant under permutations and
-        # vanishing whenever two arguments coincide; checking it on all
-        # basis quadruples extends to arbitrary vectors by multilinearity
-        for quad in product(range(H1_DIM), repeat=4):
-            value = self.eval4(*(basis[q] for q in quad))
-            if len(set(quad)) < 4:
-                if value:
-                    raise InconsistentRing(
-                        "top form must vanish on repeated arguments"
-                    )
-                continue
-            canonical = self.eval4(*(basis[q] for q in sorted(quad)))
-            if value != canonical:
-                raise InconsistentRing(
-                    "top form is not symmetric under argument permutations"
-                )
-        if self.eval4(*basis) != self.eval_top:
-            raise InconsistentRing(
-                f"declared top value {self.eval_top} does not match the "
-                f"pairing evaluation {self.eval4(*basis)}"
-            )
-
     def change_basis(self, rows: Sequence[int]) -> "CupRing":
         """Ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible)."""
-        from .gf2 import bitrows_rank
-
         P = [int(r) & 0xF for r in rows]
         if len(P) != H1_DIM or bitrows_rank(list(P)) != H1_DIM:
             raise ValueError("basis change must be an invertible 4x4 matrix")
@@ -175,8 +172,7 @@ def det3(f: ThreeTorusForm) -> int:
 
 def det4(r: CupRing) -> int:
     """Determinant of the 4-torus: (a0 a1 a2 a3)[X], basis independent."""
-    r.validate()
-    return r.eval4(1, 2, 4, 8)
+    return r.eval_top
 
 
 def product_ring(f: ThreeTorusForm) -> CupRing:
@@ -263,7 +259,6 @@ def four_orbit_count(r: CupRing, w: int) -> int:
     w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
-    r.validate()
     return sum(1 for plane in ALL_PLANES if r.plane_cup(plane) == w)
 
 
@@ -309,7 +304,7 @@ def bundle_exists(r: CupRing, w) -> bool:
     return total == 0
 
 
-def donaldson_mod2(r: CupRing, w, xi_hypothesis: bool = True) -> int:
+def donaldson_mod2(r: CupRing, w) -> int:
     """Mod-2 quarter count of the degree-zero instanton invariant.
 
     Two hypotheses are verified by enumeration, and the operation refuses
@@ -321,8 +316,6 @@ def donaldson_mod2(r: CupRing, w, xi_hypothesis: bool = True) -> int:
     w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
-    if not xi_hypothesis:
-        raise HypothesisFails("caller declined the xi hypothesis")
     if not admissible(r, w):
         raise HypothesisFails(
             f"no xi in H^1 has w cup xi != 0 for w = {w:#08b}"
@@ -354,19 +347,10 @@ def orbit_order_census(r: CupRing, w) -> OrbitCensus:
     """Census of orbit sizes over the plane stratum with class w.
 
     Every enumerated class has stabilizer exactly the plane itself
-    (order 4 in the 16-element group), so orbits of order one or two are
-    absent from this stratum; that absence is asserted, and the 8/16
-    counts are left unknown.
+    (order 4 in the 16-element group; ALL_PLANES is checked for that at
+    import), so orbits of order one or two are absent from this stratum,
+    and the 8/16 counts are left unknown.
     """
-    w = as_h2(w)
-    if w == 0:
-        raise ZeroW2("w_2 must be nonzero")
-    count = 0
-    for plane in ALL_PLANES:
-        if r.plane_cup(plane) != w:
-            continue
-        stabilizer = {0, *plane}
-        if len(stabilizer) != 4:
-            raise InternalError("a 2-plane must have exactly 4 elements")
-        count += 1
-    return OrbitCensus(four=count, eight=None, sixteen=None, small_orbits_absent=True)
+    return OrbitCensus(
+        four=four_orbit_count(r, w), eight=None, sixteen=None, small_orbits_absent=True
+    )

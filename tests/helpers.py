@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from casson4 import (
@@ -10,8 +11,10 @@ from casson4 import (
     CyclotomicField,
     LaurentPolynomial,
     SeifertMatrix,
+    alexander_polynomial,
     certified_signature,
     connected_sum,
+    evaluate_laurent,
     laurent_normalize_symmetric,
     preset_knot,
     torus_knot_seifert,
@@ -227,7 +230,7 @@ def doubled_signature(h, field: CyclotomicField):
     if n == 0:
         return (0, 0, 0)
     big = CyclotomicField(lcm(4, field.n))
-    eye = big.i()
+    eye = field_i(big)
     half = Fraction(1, 2)
     re = [[None] * n for _ in range(n)]
     im = [[None] * n for _ in range(n)]
@@ -269,3 +272,67 @@ def random_gl4(rng) -> F2Matrix:
         rows = [rng.randrange(1, 16) for _ in range(4)]
         if bitrows_rank(list(rows)) == 4:
             return F2Matrix.from_bitrows(rows, 4)
+
+
+def field_i(field: CyclotomicField) -> CycElt:
+    """The square root zeta_n^(n/4) of -1 in Q(zeta_n), for 4 | n."""
+    if field.n % 4:
+        raise ValueError(f"Q(zeta_{field.n}) does not contain i")
+    return field.zeta(field.n // 4)
+
+
+def alexander_at_root_of_unity(s: SeifertMatrix, n: int, m: int = 1) -> CycElt:
+    """Exact value Delta(zeta_n^m) in the cyclotomic field of order n."""
+    return evaluate_laurent(alexander_polynomial(s), CyclotomicField(n), m)
+
+
+def ring_defect(cup2, pairing, eval_top) -> str | None:
+    """Why (cup2, pairing, eval_top) is not a cup ring, or None if it is.
+
+    Oracle for the checks in CupRing's constructor: the checks in the
+    same order with the same messages, but every top value is taken
+    through the bilinear cup expansion of the four basis vectors.
+    Arguments are normalized: 6-bit ints, pairing rows as ints, one bit.
+    """
+
+    def cup(x, y):
+        out = 0
+        for i in range(4):
+            for j in range(4):
+                if (x >> i) & 1 and (y >> j) & 1:
+                    out ^= cup2[i][j]
+        return out
+
+    def pair(u, v):
+        return sum((pairing[i] & v).bit_count() for i in range(6) if (u >> i) & 1) & 1
+
+    def eval4(x, y, z, w):
+        return pair(cup(x, y), cup(z, w))
+
+    for i in range(4):
+        if cup2[i][i]:
+            return f"cup2[{i}][{i}] must vanish (odd square)"
+        for j in range(4):
+            if cup2[i][j] != cup2[j][i]:
+                return "cup2 table must be symmetric"
+    for i in range(6):
+        for j in range(6):
+            if (pairing[i] >> j) & 1 != (pairing[j] >> i) & 1:
+                return "H^2 pairing must be symmetric"
+    if bitrows_rank(list(pairing)) != 6:
+        return "H^2 pairing must be nondegenerate (rank 6)"
+    basis = (1, 2, 4, 8)
+    for quad in product(range(4), repeat=4):
+        value = eval4(*(basis[q] for q in quad))
+        if len(set(quad)) < 4:
+            if value:
+                return "top form must vanish on repeated arguments"
+            continue
+        if value != eval4(*(basis[q] for q in sorted(quad))):
+            return "top form is not symmetric under argument permutations"
+    if eval4(*basis) != eval_top:
+        return (
+            f"declared top value {eval_top} does not match the "
+            f"pairing evaluation {eval4(*basis)}"
+        )
+    return None

@@ -78,3 +78,13 @@ def test_bad_euler_rejected():
     for e in (-1, 0, 2, 5):
         with pytest.raises(BadEuler):
             circle_bundle_rho(CircleBundleData(unknot, e))
+
+
+def test_bundle_data_is_checked_at_construction():
+    with pytest.raises(BadEuler, match="got 2"):
+        CircleBundleData(preset_knot("unknot"), 2)
+    with pytest.raises(NonTrivialAlexander, match="not 1"):
+        CircleBundleData(preset_knot("right_trefoil"), 1)
+    # the Euler number is checked first
+    with pytest.raises(BadEuler):
+        CircleBundleData(preset_knot("right_trefoil"), 0)

@@ -118,6 +118,30 @@ def test_torus4_presets(capsys):
     assert report["invariants"]["det4"] == 1
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["eval_top"], 0, "declared top value 0 does not match the pairing evaluation 1"),
+        (["cup2", 0, 1, 4], 1, "cup2 table must be symmetric"),
+        (["cup2", 3, 3, 0], 1, "cup2[3][3] must vanish (odd square)"),
+        (["pairing", 0, 1], 1, "H^2 pairing must be symmetric"),
+        (["pairing", 0, 0], 1, "top form must vanish on repeated arguments"),
+    ],
+)
+def test_torus4_broken_explicit_ring_exits_1(path, value, message, capsys, tmp_path):
+    data = json.loads((FIXTURES / "t4_explicit.json").read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    code, out, err = run_cli(["torus4", "--input", str(broken)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_circle_bundle(capsys):
     for fixture in ("whitehead_bundle.json", "unknot_bundle.json"):
         code, report, _ = run_json(

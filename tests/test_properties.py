@@ -24,8 +24,7 @@ from casson4 import (
     torus4_ring,
     ThreeTorusForm,
 )
-from casson4.seifert import alexander_at_root_of_unity
-from helpers import corpus_knots, random_gl4, random_seifert
+from helpers import alexander_at_root_of_unity, corpus_knots, random_gl4, random_seifert
 
 
 def test_spectrum_even_where_alexander_nonzero():

@@ -21,8 +21,8 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
-from casson4.seifert import alexander_at_root_of_unity
 from helpers import (
+    alexander_at_root_of_unity,
     alexander_by_interpolation,
     brute_force_arf,
     corpus_knots,

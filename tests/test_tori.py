@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 import pytest
 
@@ -18,7 +19,7 @@ from casson4 import (
     torus4_ring,
 )
 from casson4.errors import HypothesisFails, InconsistentRing, NonBinary, ZeroW2
-from helpers import random_gl4
+from helpers import random_gl4, ring_defect
 
 T4 = torus4_ring()
 EVEN = product_ring(ThreeTorusForm(0))
@@ -129,8 +130,6 @@ def test_hypothesis_failures():
     assert not bundle_exists(T4, 1 | (1 << 5))
     with pytest.raises(HypothesisFails):
         donaldson_mod2(T4, 1 | (1 << 5))
-    with pytest.raises(HypothesisFails):
-        donaldson_mod2(T4, 1, xi_hypothesis=False)
 
 
 def test_census_shape():
@@ -144,22 +143,84 @@ def test_inconsistent_ring_detected():
     # break symmetry of the cup table
     cup2 = [list(row) for row in T4.cup2]
     cup2[0][1] ^= 1 << 4
-    bad = CupRing(cup2, T4.pairing, T4.eval_top)
     with pytest.raises(InconsistentRing):
-        det4(bad)
+        CupRing(cup2, T4.pairing, T4.eval_top)
     # degenerate pairing
-    bad2 = CupRing(T4.cup2, [0] * 6, T4.eval_top)
     with pytest.raises(InconsistentRing):
-        det4(bad2)
+        CupRing(T4.cup2, [0] * 6, T4.eval_top)
     # wrong declared top value
-    bad3 = CupRing(T4.cup2, T4.pairing, 0)
     with pytest.raises(InconsistentRing):
-        det4(bad3)
+        CupRing(T4.cup2, T4.pairing, 0)
     # diagonal cup entry breaks the odd-square rule
     cup3 = [list(row) for row in T4.cup2]
     cup3[2][2] = 1
     with pytest.raises(InconsistentRing):
-        det4(CupRing(cup3, T4.pairing, T4.eval_top))
+        CupRing(cup3, T4.pairing, T4.eval_top)
+
+
+def _perturbed(rng, ring):
+    """Ring data with 1-3 random flips: cup2 bits (paired or lone),
+    pairing bits (paired or lone), or the declared top value."""
+    cup2 = [list(row) for row in ring.cup2]
+    pairing = list(ring.pairing)
+    top = ring.eval_top
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        if kind < 2:
+            i, j = rng.randrange(4), rng.randrange(4)
+            bit = 1 << rng.randrange(6)
+            cup2[i][j] ^= bit
+            if kind == 0 and i != j:
+                cup2[j][i] ^= bit
+        elif kind < 4:
+            i, j = rng.randrange(6), rng.randrange(6)
+            pairing[i] ^= 1 << j
+            if kind == 2 and i != j:
+                pairing[j] ^= 1 << i
+        else:
+            top ^= 1
+    return cup2, pairing, top
+
+
+def test_constructor_matches_the_ring_oracle():
+    # CupRing(...) raises exactly when the 256-quadruple oracle finds a
+    # defect, with the oracle's message
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(2400):
+        ring = rng.choice(ALL_RINGS)[1]
+        if rng.random() < 0.5:
+            ring = ring.change_basis(random_gl4(rng).bitrows)
+        cup2, pairing, top = _perturbed(rng, ring)
+        expected = ring_defect(cup2, pairing, top)
+        try:
+            made = CupRing(cup2, pairing, top)
+        except InconsistentRing as exc:
+            assert str(exc) == expected
+            seen.add(re.sub(r"\d", "#", expected))
+        else:
+            assert expected is None
+            assert det4(made) == made.eval4(1, 2, 4, 8) == top
+            seen.add(None)
+    # every check fired, and some perturbations still give a ring
+    assert seen == {
+        None,
+        "cup#[#][#] must vanish (odd square)",
+        "cup# table must be symmetric",
+        "H^# pairing must be symmetric",
+        "H^# pairing must be nondegenerate (rank #)",
+        "top form must vanish on repeated arguments",
+        "top form is not symmetric under argument permutations",
+        "declared top value # does not match the pairing evaluation #",
+    }
+
+
+def test_inconsistent_ring_never_reaches_its_consumers():
+    cup2 = [list(row) for row in T4.cup2]
+    cup2[0][1] ^= 1 << 4
+    for consumer in (admissible, bundle_exists, orbit_order_census):
+        with pytest.raises(InconsistentRing, match="symmetric"):
+            consumer(CupRing(cup2, T4.pairing, T4.eval_top), 1)
 
 
 def test_rho_bar():
