@@ -17,7 +17,7 @@ from .bundles import (
     circle_bundle_report,
     circle_bundle_rho,
 )
-from .cyclotomic import CycElt, CyclotomicField, evaluate_laurent
+from .cyclotomic import CycElt, CyclotomicField
 from .equivariant import (
     BranchedQuotientData,
     FreeQuotientData,
@@ -98,7 +98,6 @@ __all__ = [
     "symplectic_basis",
     "CyclotomicField",
     "CycElt",
-    "evaluate_laurent",
     "CertifiedSign",
     "certified_sign",
     "certified_signature",

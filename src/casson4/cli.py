@@ -73,7 +73,6 @@ from .tori import (
     det4,
     donaldson_mod2,
     four_orbit_count,
-    orbit_order_census,
     product_ring,
     torus4_ring,
 )
@@ -336,9 +335,10 @@ def cmd_torus4(data: dict) -> Computed:
         p1_ok = bundle_exists(ring, w)
         invariants["admissible"] = int(xi_ok)
         invariants["bundle_exists"] = int(p1_ok)
-        invariants["four_orbit_count"] = four_orbit_count(ring, w)
+        four = four_orbit_count(ring, w)
+        invariants["four_orbit_count"] = four
         invariants["orbit_census"] = {
-            "4": orbit_order_census(ring, w).four,
+            "4": four,
             "8": "unknown (gauge-theoretic)",
             "16": "unknown (gauge-theoretic)",
         }

@@ -113,21 +113,6 @@ class CyclotomicField:
         red = self._zeta_powers[power % self.n]
         return CycElt(self, tuple(Fraction(c) for c in red))
 
-    def embed(self, elt: "CycElt") -> "CycElt":
-        """Embed an element of a subfield Q(zeta_m), m | n."""
-        m = elt.field.n
-        if self.n % m != 0:
-            raise ValueError(f"Q(zeta_{m}) is not a subfield of Q(zeta_{self.n})")
-        step = self.n // m
-        out = self.zero()
-        for j, c in enumerate(elt.coeffs):
-            if c:
-                out = out + CycElt(
-                    self,
-                    tuple(c * Fraction(x) for x in self._zeta_powers[(j * step) % self.n]),
-                )
-        return out
-
     def __repr__(self):
         return f"CyclotomicField({self.n})"
 
@@ -189,12 +174,8 @@ class CycElt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElt(self.field, tuple(a / q for a in self.coeffs))
-        other = self._check(other)
-        return self * other.inverse()
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def inverse(self) -> "CycElt":
         if self.is_zero():
@@ -235,6 +216,9 @@ class CycElt:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -318,10 +302,3 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         out[i] -= x
     return out
 
-
-def evaluate_laurent(poly, field: CyclotomicField, power: int = 1) -> CycElt:
-    """Evaluate an integer Laurent polynomial at zeta_n^power, exactly."""
-    total = field.zero()
-    for e, c in poly.items():
-        total = total + field.zeta((power * e) % field.n) * c
-    return total

@@ -18,7 +18,7 @@ from .cyclotomic import CyclotomicField
 from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
 from .inertia import count_pivot_signs, hermitian_pivots
-from .laurent import LaurentPolynomial, laurent_normalize_symmetric
+from .laurent import LaurentPolynomial
 
 
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -256,8 +256,12 @@ def _alexander_cached(entries: tuple[tuple[int, ...], ...]) -> LaurentPolynomial
         raise InternalError(
             f"det(t S - S^T) at t = 1 came out {sum(coeffs)}, not det(S - S^T) = 1"
         )
+    # n is even and f(t) = det(t S - S^T) has f(1/t) = t^-n f(t), so
+    # t^(-n/2) f(t) is already centred and palindromic, with value 1 at 1
     poly = LaurentPolynomial({e - n // 2: c for e, c in enumerate(coeffs)})
-    return laurent_normalize_symmetric(poly)
+    if not poly.is_palindromic():
+        raise InternalError(f"t^(-n/2) det(t S - S^T) came out {poly}, not palindromic")
+    return poly
 
 
 def alexander_polynomial(s: SeifertMatrix) -> LaurentPolynomial:
@@ -286,20 +290,24 @@ def _tl_orbit_cached(
     d = len(entries)
     pivots = []
     if k > 1 and d:  # else H is the zero form: a = 0, or the unknot
-        field = CyclotomicField(k)
-        u = field.one() - field.zeta()
-        ubar = u.conjugate()
+        if k == 2:  # zeta_2 = -1, so H = 2 (S + S^T) has integer entries
+            u = ubar = 2
+        else:
+            field = CyclotomicField(k)
+            u = field.one() - field.zeta()
+            ubar = u.conjugate()
         H = [
             [u * entries[i][j] + ubar * entries[j][i] for j in range(d)]
             for i in range(d)
         ]
-        pivots = hermitian_pivots(H, field)
+        pivots = hermitian_pivots(H)
     values = [None] * k
     for m in range(k):
         if gcd(m, k) == 1 and values[m] is None:
             # sigma_(-m) is sigma_m followed by conjugation, which fixes
             # the real pivots: one certification serves m and -m
-            n_plus, n_minus = count_pivot_signs([p.galois(m) for p in pivots])
+            images = pivots if m == 1 else [p.galois(m) for p in pivots]
+            n_plus, n_minus = count_pivot_signs(images)
             values[m] = values[-m % k] = n_plus - n_minus
     return tuple(values), d - len(pivots)
 

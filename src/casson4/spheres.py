@@ -73,16 +73,12 @@ class SphereInvariants:
 def casson(p: SurgeryPresentation) -> int:
     """Casson invariant: sum of (q/2) * Delta''(1) over the chain.
 
-    Delta''(1) of a symmetric normalized Alexander polynomial is always
-    even, so the result is an exact integer.
+    Delta''(1) = sum_e c_e e (e - 1) and every e (e - 1) is even, so the
+    halving is exact and the result is an integer.
     """
     total = 0
     for step in p.steps:
         d2 = second_derivative_at_one(alexander_polynomial(step.knot))
-        if d2 % 2:
-            raise NonIntegral(
-                f"Delta''(1) = {d2} is odd; the symmetric normalization failed"
-            )
         total += step.q * (d2 // 2)
     return total
 

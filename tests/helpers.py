@@ -14,11 +14,11 @@ from casson4 import (
     alexander_polynomial,
     certified_signature,
     connected_sum,
-    evaluate_laurent,
     laurent_normalize_symmetric,
     preset_knot,
     torus_knot_seifert,
 )
+from casson4 import seifert
 from casson4.gf2 import F2Matrix, bitrows_rank
 from casson4.seifert import integer_determinant
 
@@ -237,7 +237,7 @@ def doubled_signature(h, field: CyclotomicField):
     for i in range(n):
         for j in range(n):
             entry = h[i][j]
-            z = big.embed(entry) if isinstance(entry, CycElt) else big.rational(entry)
+            z = embed(big, entry) if isinstance(entry, CycElt) else big.rational(entry)
             zbar = z.conjugate()
             re[i][j] = (z + zbar) * half
             im[i][j] = (z - zbar) * (-eye) * half
@@ -248,7 +248,7 @@ def doubled_signature(h, field: CyclotomicField):
         [im[i][j] for j in range(n)] + [re[i][j] for j in range(n)]
         for i in range(n)
     ]
-    inertia = certified_signature(doubled, big)
+    inertia = certified_signature(doubled)
     assert all(x % 2 == 0 for x in inertia), "doubled inertia is not even"
     return tuple(x // 2 for x in inertia)
 
@@ -266,6 +266,24 @@ def tl_form(s: SeifertMatrix, n: int, m: int):
     return H, field
 
 
+def skew_alexander_charpoly(monkeypatch):
+    """Make the Alexander route return t^2 for the trefoil.
+
+    Adding 1 to the x^1 coefficient of det(x I - N) adds (t - 1)^(n - 1)
+    to det(t S - S^T): the value at t = 1 stays 1, but for the trefoil
+    the result is t^2, which no shift makes palindromic.  Callers clear
+    seifert._alexander_cached around the patched calls.
+    """
+    charpoly = seifert._charpoly_mod
+
+    def skewed(H, p):
+        coeffs = charpoly(H, p)
+        coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(seifert, "_charpoly_mod", skewed)
+
+
 def random_gl4(rng) -> F2Matrix:
     """Uniformly-flavored random invertible 4x4 matrix over GF(2)."""
     while True:
@@ -279,6 +297,27 @@ def field_i(field: CyclotomicField) -> CycElt:
     if field.n % 4:
         raise ValueError(f"Q(zeta_{field.n}) does not contain i")
     return field.zeta(field.n // 4)
+
+
+def embed(field: CyclotomicField, elt: CycElt) -> CycElt:
+    """Image of an element of a subfield Q(zeta_m), m | n, in Q(zeta_n)."""
+    m = elt.field.n
+    if field.n % m != 0:
+        raise ValueError(f"Q(zeta_{m}) is not a subfield of Q(zeta_{field.n})")
+    step = field.n // m
+    out = field.zero()
+    for j, c in enumerate(elt.coeffs):
+        if c:
+            out = out + field.zeta(j * step) * c
+    return out
+
+
+def evaluate_laurent(poly, field: CyclotomicField, power: int = 1) -> CycElt:
+    """Evaluate an integer Laurent polynomial at zeta_n^power, exactly."""
+    total = field.zero()
+    for e, c in poly.items():
+        total = total + field.zeta((power * e) % field.n) * c
+    return total
 
 
 def alexander_at_root_of_unity(s: SeifertMatrix, n: int, m: int = 1) -> CycElt:

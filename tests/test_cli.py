@@ -434,3 +434,32 @@ def test_internal_error_exits_3_in_one_line(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal error: pivot vanished\n"
+
+
+def test_alexander_defect_exits_3_in_one_line(monkeypatch, capsys):
+    from casson4 import seifert
+    from helpers import skew_alexander_charpoly
+
+    skew_alexander_charpoly(monkeypatch)
+    seifert._alexander_cached.cache_clear()
+    try:
+        code, out, err = run_cli(
+            ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
+        )
+    finally:
+        seifert._alexander_cached.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
+    data = json.loads((FIXTURES / "cork.json").read_text())
+    data["n"] = 65
+    path = tmp_path / "n65.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["mapping-torus", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "64" in err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from casson4 import CyclotomicField, certified_sign, certified_signature
 from casson4.errors import NotHermitian
-from casson4.inertia import IntervalWitness, ZeroWitness
+from casson4.inertia import IntervalWitness, ZeroWitness, hermitian_pivots
 from helpers import doubled_signature, numpy_inertia
 
 
@@ -30,7 +30,23 @@ def test_not_hermitian_rejected():
     field = CyclotomicField(5)
     z = field.zeta()
     with pytest.raises(NotHermitian):
-        certified_signature([[field.one(), z], [z, field.one()]], field)
+        certified_signature([[field.one(), z], [z, field.one()]])
+
+
+def test_rational_input_is_eliminated_over_the_rationals():
+    pivots = hermitian_pivots([[2, 1], [1, 2]])
+    assert pivots == [2, Fraction(3, 2)]
+    assert all(type(p) in (int, Fraction) for p in pivots)
+
+
+def test_boundary_refuses_non_square_and_mixed_fields():
+    with pytest.raises(ValueError):
+        certified_signature([[1, 0], [0]])
+    f3, f5 = CyclotomicField(3), CyclotomicField(5)
+    with pytest.raises(ValueError):
+        certified_signature([[f3.one(), 0], [0, f5.one()]])
+    with pytest.raises(TypeError):
+        certified_signature([[0.5]])
 
 
 def test_inertia_sums_to_dimension_and_matches_numpy():
@@ -81,7 +97,7 @@ def test_complex_hermitian_matches_numpy_and_doubling():
                 [raw[i][j] + raw[j][i].conjugate() for j in range(dim)]
                 for i in range(dim)
             ]
-            inertia = certified_signature(h, field)
+            inertia = certified_signature(h)
             assert inertia == doubled_signature(h, field)
             import cmath
 
@@ -105,7 +121,7 @@ def test_exact_zero_detection_in_cyclotomic_field():
     z = field.zeta()
     one = field.one()
     h = [[field.rational(-1), one - z], [one - z.conjugate(), field.rational(-1)]]
-    assert certified_signature(h, field) == (0, 1, 1)
+    assert certified_signature(h) == (0, 1, 1)
 
 
 def test_certified_sign_witnesses():

@@ -30,6 +30,7 @@ from helpers import (
     random_seifert,
     random_unimodular,
     rank_over_field,
+    skew_alexander_charpoly,
     sympy_alexander,
     tl_form,
     torus_alexander_closed_form,
@@ -119,13 +120,19 @@ def test_galois_orbit_spectrum_matches_direct_eliminations(n):
         spectrum = signature_spectrum(s, n)
         for m in range(1, n // 2 + 1):
             H, field = tl_form(s, n, m)
-            n_plus, n_minus, n_zero = certified_signature(H, field)
+            n_plus, n_minus, n_zero = certified_signature(H)
             rank = rank_over_field(H, lambda x: x.is_zero(), lambda x: x.inverse())
             assert n_zero == s.size - rank, (s, n, m)
             assert spectrum.values[m] == n_plus - n_minus, (s, n, m)
             assert tl_signature(s, Fraction(m, n)) == n_plus - n_minus
             assert tl_signature(s, Fraction(n - m, n)) == n_plus - n_minus
             assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
+
+
+def test_unknot_signature_builds_no_field():
+    before = set(CyclotomicField._instances)
+    assert tl_signature(UNKNOT, Fraction(1, 997)) == 0
+    assert set(CyclotomicField._instances) == before  # no order 997
 
 
 def test_float_circle_points_rejected_before_any_field():
@@ -214,6 +221,16 @@ def test_alexander_post_check_raises_internal_error(monkeypatch):
     try:
         with pytest.raises(InternalError):
             alexander_polynomial(granny)
+    finally:
+        seifert._alexander_cached.cache_clear()
+
+
+def test_alexander_palindrome_check_raises_internal_error(monkeypatch):
+    skew_alexander_charpoly(monkeypatch)
+    seifert._alexander_cached.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="not palindromic"):
+            alexander_polynomial(TREFOIL)
     finally:
         seifert._alexander_cached.cache_clear()
 
