@@ -1,23 +1,36 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Cyclotomic polynomials, certified cosines, and the fields Q(zeta_n).
 
-Elements are vectors of rationals over the power basis 1, zeta, ...,
-zeta^(d-1), reduced modulo the n-th cyclotomic polynomial (d = deg Phi_n).
-This gives exact zero tests, inversion and the Galois automorphisms
-zeta -> zeta^m (conjugation is m = -1); certified numeric enclosures are
-produced on demand with mpmath interval arithmetic.
+Signature spectra need only the first two: the exact zero test
+Phi_n | f of an integer polynomial, and the values 2 cos(2 pi j / n) as
+fixed-point integers within 1 of the truth, read from one bounded table
+of interval enclosures.  They build no field.
+
+The fields remain for Hermitian matrices given over Q(zeta_n)
+(certified_signature).  Elements are vectors of rationals over the power
+basis 1, zeta, ..., zeta^(d-1), reduced modulo the n-th cyclotomic
+polynomial (d = deg Phi_n).  This gives exact zero tests, inversion and
+the Galois automorphisms zeta -> zeta^m (conjugation is m = -1);
+certified numeric enclosures are produced on demand from the same
+cosine table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import floor, gcd
 from typing import Sequence
 
+from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
+
+from .errors import InternalError
 
 # private interval context: enclosures set its precision, never mpmath.iv's
 _IV = MPIntervalContext()
+# extra bits in the enclosures behind a fixed-point table: the roundings of
+# an interval cosine at precision prec + 8 leave it far narrower than 2^-(prec+1)
+_GUARD_BITS = 8
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +43,59 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+def phi_divides(n: int, poly: Sequence[int]) -> bool:
+    """Whether Phi_n divides the integer polynomial ``poly`` (constant first).
+
+    The remainder is taken in integers: first modulo t^n - 1, which Phi_n
+    divides, then modulo the monic Phi_n itself.
+    """
+    folded = [0] * n
+    for e, c in enumerate(poly):
+        folded[e % n] += c
+    phi = cyclotomic_polynomial(n)
+    degree = len(phi) - 1
+    for top in range(n - 1, degree - 1, -1):
+        c = folded[top]
+        if c:
+            for j, pj in enumerate(phi):
+                folded[top - degree + j] -= c * pj
+    return not any(folded)
+
+
+@lru_cache(maxsize=256)
+def cosine_enclosures(n: int, prec: int) -> tuple:
+    """Intervals around cos(2 pi j / n) for j = 0 .. n-1, at binary precision prec.
+
+    The one table of cosines: CycElt.real_enclosure and
+    fixed_point_cosines both read it.
+    """
+    iv = _IV
+    iv.prec = prec
+    two_pi = 2 * iv.pi
+    return tuple(iv.cos(two_pi * iv.mpf(j) / n) for j in range(n))
+
+
+@lru_cache(maxsize=256)
+def fixed_point_cosines(n: int, prec: int) -> tuple[int, ...]:
+    """Integers C_j with |C_j - 2^prec 2 cos(2 pi j / n)| <= 1, j = 0 .. n-1.
+
+    C_j = floor(2^(prec+1) hi) for an enclosure [lo, hi] of cos(2 pi j/n)
+    of width below 2^-(prec+1): both the cosine and C_j then lie in
+    (2^(prec+1) hi - 1, 2^(prec+1) hi].  A wider enclosure is an internal
+    error, and no table is built from it.
+    """
+    scale = 1 << (prec + 1)
+    table = []
+    for interval in cosine_enclosures(n, prec + _GUARD_BITS):
+        lo, hi = (Fraction(*libmp.to_rational(x)) for x in interval._mpi_)
+        if (hi - lo) * scale >= 1:
+            raise InternalError(
+                f"enclosure of cos(2 pi {len(table)}/{n}) is too wide for {prec} bits"
+            )
+        table.append(floor(hi * scale))
+    return tuple(table)
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -248,15 +314,14 @@ class CycElt:
 
     def real_enclosure(self, prec: int):
         """Interval containing the real part, at the given binary precision."""
+        cosines = cosine_enclosures(self.field.n, prec)
         iv = _IV
         iv.prec = prec
         total = iv.mpf(0)
-        n = self.field.n
-        two_pi = 2 * iv.pi
         for j, c in enumerate(self.coeffs):
             if c:
                 coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                total += coeff * iv.cos(two_pi * iv.mpf(j) / n)
+                total += coeff * cosines[j]
         return total
 
 

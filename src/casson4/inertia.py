@@ -1,6 +1,15 @@
-"""Certified inertia of Hermitian matrices over Q or one cyclotomic field.
+"""Certified inertia of Hermitian matrices.
 
-One Hermitian congruence (LDL-style) elimination on the entries as
+Two routes.  Tristram-Levine forms at roots of unity of order >= 3 take
+Descartes' rule of signs: the characteristic polynomial of a Hermitian
+matrix has only real roots, so the signs of its coefficients give the
+inertia exactly (descartes_inertia).  Each coefficient is an integer
+combination of cosines 2 cos(2 pi j / n); its sign is certified with
+fixed-point integer cosines and an error budget (cosine_sum_sign), after
+an exact zero test the caller makes.  No field is built on this route.
+
+Matrices with entries in Q or one cyclotomic field take elimination.  One
+Hermitian congruence (LDL-style) elimination on the entries as
 given gives exact, exactly nonzero, real pivots.  Their number is the
 rank, so the zero eigenvalue count is the dimension minus the number of
 pivots.  The positive/negative counts are the pivot signs, each
@@ -22,7 +31,7 @@ from typing import Sequence, Union
 
 from mpmath import libmp
 
-from .cyclotomic import CycElt
+from .cyclotomic import CycElt, fixed_point_cosines
 from .errors import InternalError, NotHermitian
 
 _START_PREC = 64
@@ -85,6 +94,57 @@ def certified_sign(x, start_prec: int = _START_PREC) -> CertifiedSign:
             return CertifiedSign(-1, IntervalWitness(lo, hi, prec))
         prec *= 2
     raise InternalError("interval refinement failed to separate a nonzero value from 0")
+
+
+def cosine_sum_sign(a: Sequence[int], n: int, m: int) -> CertifiedSign:
+    """Sign of the nonzero real a_0 + sum_(j>0) a_j 2 cos(2 pi j m / n).
+
+    With the integer cosines C of fixed_point_cosines(n, prec),
+    W = a_0 2^prec + sum_j a_j C_(jm mod n) lies within
+    budget = sum_(j>0) |a_j| of 2^prec times the value, so |W| > budget
+    certifies the sign, with the dyadic interval (W -+ budget) / 2^prec as
+    witness; otherwise the precision doubles.  The caller has shown the
+    value nonzero by an exact test, so the refinement ends.
+    """
+    head, tail = a[0], a[1:]
+    budget = sum(map(abs, tail))
+    prec = _START_PREC
+    while prec <= _MAX_PREC:
+        cosines = fixed_point_cosines(n, prec)
+        w = (head << prec) + sum(
+            x * cosines[j * m % n] for j, x in enumerate(tail, 1) if x
+        )
+        if abs(w) > budget:
+            witness = IntervalWitness(
+                Fraction(w - budget, 1 << prec), Fraction(w + budget, 1 << prec), prec
+            )
+            return CertifiedSign(1 if w > 0 else -1, witness)
+        prec *= 2
+    raise InternalError("fixed-point refinement failed to separate a nonzero value from 0")
+
+
+def descartes_inertia(signs: Sequence[int]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a Hermitian matrix of size n.
+
+    signs[r] is the sign of e_r, the r-th elementary symmetric function of
+    the eigenvalues, for r = 0 .. n, so det(x I - H) = sum_r (-1)^r e_r
+    x^(n - r).  That polynomial has only real roots, which makes
+    Descartes' rule of signs exact for it (Basu, Pollack & Roy, ch. 2):
+    n_plus is the number of sign changes of ((-1)^r e_r), n_minus that of
+    (e_r), and 0 is a root of multiplicity n - rank, where rank is the
+    last r with e_r != 0.  Sign changes that do not add up to the rank
+    mean the signs cannot come from a Hermitian matrix: an internal error.
+    """
+    nonzero = [(r, s) for r, s in enumerate(signs) if s]
+    pairs = list(zip(nonzero, nonzero[1:]))
+    n_minus = sum(1 for (_, s), (_, t) in pairs if s * t < 0)
+    n_plus = sum(1 for (r, s), (q, t) in pairs if s * t * (-1) ** (q - r) < 0)
+    rank = nonzero[-1][0]
+    if n_plus + n_minus != rank:
+        raise InternalError(
+            f"{n_plus} + {n_minus} sign changes, but the rank is {rank}"
+        )
+    return n_plus, n_minus, len(signs) - 1 - rank
 
 
 # --- exact elimination ---

@@ -4,20 +4,34 @@ Everything is computed exactly from an integer Seifert matrix: the
 symmetric Alexander polynomial, Tristram-Levine signatures at rational
 points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
+
+Signatures at roots of unity of order k >= 3 come from Descartes' rule:
+the sums g_r(t) = e_r(t S - S^T) of principal minors are interpolated
+once per matrix, modulo one proven prime, and at each order the signs of
+the coefficients of det(x I - H(zeta_k^m)) follow from an exact
+cyclotomic zero test and fixed-point integer cosines.  No cyclotomic
+field is built.  Orders k <= 2 eliminate the integer form instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Sequence
 
-from .cyclotomic import CyclotomicField
+from .cyclotomic import phi_divides
 from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
-from .inertia import count_pivot_signs, hermitian_pivots
+from .inertia import (
+    CertifiedSign,
+    ZeroWitness,
+    cosine_sum_sign,
+    count_pivot_signs,
+    descartes_inertia,
+    hermitian_pivots,
+)
 from .laurent import LaurentPolynomial
 
 
@@ -139,23 +153,35 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 # --- Alexander polynomial ---
 
-def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
-    """B >= |c| for every coefficient c of det(t S - S^T), in integers only.
-
-    On |t| = 1 row i of t S - S^T has norm at most |S_i.| + |S_.i|, so
-    Hadamard's inequality bounds the determinant there by the product of
-    those sums, and Cauchy's bound carries that to every coefficient.
-    Each norm is rounded up by an integer square root.
-    """
+def _row_column_norms(entries: tuple[tuple[int, ...], ...]) -> list[int]:
+    """rho_i = ceil|S_i.| + ceil|S_.i|, in integers: on |t| = 1 row i of
+    t S - S^T has norm at most rho_i.  Each norm is rounded up by an
+    integer square root."""
 
     def ceil_norm(vector) -> int:
         square = sum(x * x for x in vector)
         return isqrt(square - 1) + 1 if square else 0
 
-    bound = 1
-    for row, column in zip(entries, zip(*entries)):
-        bound *= ceil_norm(row) + ceil_norm(column)
-    return bound
+    return [ceil_norm(row) + ceil_norm(col) for row, col in zip(entries, zip(*entries))]
+
+
+def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
+    """B >= |c| for every coefficient c of det(t S - S^T), in integers only.
+
+    Hadamard's inequality bounds the determinant on |t| = 1 by the product
+    of the rho_i, and Cauchy's bound carries that to every coefficient.
+    """
+    return prod(_row_column_norms(entries))
+
+
+def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
+    """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d.
+
+    On |t| = 1 Hadamard bounds each principal minor on the index set I by
+    the product of rho_i over I, so |e_r| <= e_r(rho) <= prod_i (1 + rho_i)
+    there, and Cauchy's bound carries that to every coefficient.
+    """
+    return prod(1 + rho for rho in _row_column_norms(entries))
 
 
 def _proth_prime(bits: int) -> int:
@@ -208,13 +234,15 @@ def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
         for row in H:
             row[m], row[pivot] = row[pivot], row[m]
         inverse = pow(H[m][m - 1], -1, p)
-        top = H[m]
         # row i -= u_i row m for every i > m, then column m += sum u_i column i:
-        # the row moves commute, so this is one similarity
+        # the row moves commute, so this is one similarity.  Rows from m on
+        # are already zero left of column m - 1, so the row moves skip that.
+        top = H[m][m - 1:]
         factors = [H[i][m - 1] * inverse % p for i in range(m + 1, n)]
         for i, u in enumerate(factors, m + 1):
             if u:
-                H[i] = [(x - u * y) % p for x, y in zip(H[i], top)]
+                row = H[i]
+                row[m - 1:] = [(x - u * y) % p for x, y in zip(row[m - 1:], top)]
         if any(factors):
             for row in H:
                 row[m] = (row[m] + sum(map(mul, factors, row[m + 1:]))) % p
@@ -274,6 +302,136 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPolynomial:
 
 # --- Tristram-Levine signatures ---
 
+def _lagrange_basis_mod(nodes: list[int], p: int) -> list[list[int]]:
+    """Coefficients, constant first, of the Lagrange basis on distinct nodes, mod p."""
+    master = [1]  # prod_j (x - u_j)
+    for u in nodes:
+        master = [(a - u * b) % p for a, b in zip([0] + master, master + [0])]
+    basis = []
+    for i, u in enumerate(nodes):
+        quotient = [0] * len(nodes)  # master / (x - u), by synthetic division
+        carry = 0
+        for j in range(len(nodes), 0, -1):
+            carry = quotient[j - 1] = (master[j] + u * carry) % p
+        weight = pow(prod(u - v for k, v in enumerate(nodes) if k != i) % p, -1, p)
+        basis.append([c * weight % p for c in quotient])
+    return basis
+
+
+@lru_cache(maxsize=1024)
+def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Coefficients, constant first, of g_r(t) = e_r(t S - S^T), r = 0 .. d.
+
+    e_r is the sum of the principal r-minors, so g_r has degree <= r and
+    (-1)^r g_r(t) is the x^(d - r) coefficient of det(x I - (t S - S^T)).
+    Transposing t^-1 S - S^T gives g_r(1/t) = (-1)^r t^-r g_r(t), so with
+    u = t + 1/t and some P_r of degree <= s
+        g_r(t) = t^s P_r(u)           for r = 2s,
+        g_r(t) = (t - 1) t^s P_r(u)   for r = 2s + 1.
+    Characteristic polynomials at the d/2 + 1 points t = 2 .. d/2 + 2 fix
+    every P_r by interpolation in u, and one more at t = 0 checks the
+    result against g_r(0).  All of it runs modulo one Proth prime
+    p > 2 B (B from _minor_sum_bound), whose residues nearest zero are the
+    coefficients: no CRT, and no probabilistic test.  A residue check
+    cannot see a wrong lift, so two exact anchors follow: g_d must be
+    det(t S - S^T) from _alexander_cached, and the signs at t = -1 must
+    give the inertia of the integer form there.
+    """
+    d = len(entries)
+    half = d // 2
+    p = _proth_prime((2 * _minor_sum_bound(entries)).bit_length())
+    if (half + 2) ** 2 >= p:  # else t t' = 1 mod p could merge two nodes u
+        raise InternalError(f"prime {p} is too small for {half + 1} interpolation nodes")
+
+    columns = list(zip(*entries))
+
+    def sums_at(t: int) -> list[int]:  # g_r(t) mod p, r = 0 .. d
+        pencil = [
+            [(t * a - b) % p for a, b in zip(row, col)] for row, col in zip(entries, columns)
+        ]
+        chi = _charpoly_mod(pencil, p)
+        return [chi[d - r] if r % 2 == 0 else -chi[d - r] % p for r in range(d + 1)]
+
+    points = range(2, half + 3)
+    basis = _lagrange_basis_mod([(t + pow(t, -1, p)) % p for t in points], p)
+    samples = [sums_at(t) for t in points]
+    at_zero = sums_at(0)
+    sums = []
+    for r in range(d + 1):
+        s = r // 2
+        scales = [pow(t ** s * (t - 1 if r % 2 else 1), -1, p) for t in points]
+        values = [sample[r] * scale for sample, scale in zip(samples, scales)]
+        P = [sum(map(mul, values, column)) % p for column in zip(*basis)]
+        if any(P[s + 1:]):
+            raise InternalError(f"e_{r}(t S - S^T) interpolates to degree above {r}")
+        g = [P[s]]  # t^s P(t + 1/t), centred: exponents -k .. k after step k
+        for c in reversed(P[:s]):
+            g = [x + y for x, y in zip([0, 0] + g, g + [0, 0])]
+            g[len(g) // 2] += c
+        if r % 2:
+            g = [y - x for x, y in zip(g + [0], [0] + g)]
+        g = tuple(c % p - p if c % p > p // 2 else c % p for c in g)
+        if (g[0] - at_zero[r]) % p:
+            raise InternalError(
+                f"e_{r}(t S - S^T) at t = 0 is not the value its symmetry predicts"
+            )
+        sums.append(g)
+    if sums[0] != (1,):
+        raise InternalError(f"e_0(t S - S^T) came out {sums[0]}, not 1")
+    alexander = _alexander_cached(entries)
+    if sums[d] != tuple(alexander.coefficient(e - half) for e in range(d + 1)):
+        raise InternalError(
+            f"e_{d}(t S - S^T) = {sums[d]} differs from det(t S - S^T) = {alexander}"
+        )
+    # an exact anchor for every r: at t = -1 the form H is 2 (S + S^T) and
+    # e_r(H(-1)) = (-2)^r g_r(-1) is an integer, so Descartes' rule must
+    # give the inertia that eliminating that integer form gives
+    signs = []
+    for r, g in enumerate(sums):
+        value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
+        signs.append((value > 0) - (value < 0))
+    n_plus, n_minus, nullity = descartes_inertia(signs)
+    values, expected = _tl_orbit_cached(entries, 2)
+    if (n_plus - n_minus, nullity) != (values[1], expected):
+        raise InternalError(
+            f"e_r(t S - S^T) at t = -1 give signature {n_plus - n_minus} and "
+            f"nullity {nullity}; eliminating 2 (S + S^T) gives {values[1]} and {expected}"
+        )
+    return tuple(sums)
+
+
+def _descartes_orbit(
+    entries: tuple[tuple[int, ...], ...], k: int
+) -> tuple[tuple[int | None, ...], int]:
+    """_tl_orbit_cached for k >= 3 and d > 0, by Descartes' rule.
+
+    H(t) = (1 - t) S + (1 - 1/t) S^T = (1/t - 1)(t S - S^T), so
+    e_r(H(t)) = (1/t - 1)^r g_r(t) = a_0 + sum_(j>0) a_j (t^j + t^-j) with
+    integers a, and at t = zeta_k^m it is a_0 + sum_j a_j 2 cos(2 pi jm/k).
+    It vanishes exactly when Phi_k divides t^r e_r(H(t)) = (1 - t)^r g_r(t),
+    a test made once per r because it holds along the whole Galois orbit;
+    the other signs are certified at each m.
+    """
+    rows = []  # (a, zero sign or None) per r
+    for r, g in enumerate(_minor_sums(entries)):
+        shifted = list(g)  # t^r e_r(H(t)), constant first
+        for _ in range(r):
+            shifted = [x - y for x, y in zip(shifted + [0], [0] + shifted)]
+        zero = None
+        if phi_divides(k, shifted):
+            zero = CertifiedSign(0, ZeroWitness(f"Phi_{k} divides t^{r} e_{r}(H(t))"))
+        rows.append((shifted[r:], zero))
+    values = [None] * k
+    nullity = None
+    for m in range(1, k):
+        if gcd(m, k) == 1 and values[m] is None:
+            # zeta^m and zeta^-m give the same cosines: one sign serves both
+            signs = [zero or cosine_sum_sign(a, k, m) for a, zero in rows]
+            n_plus, n_minus, nullity = descartes_inertia([s.value for s in signs])
+            values[m] = values[-m % k] = n_plus - n_minus
+    return tuple(values), nullity
+
+
 @lru_cache(maxsize=None)
 def _tl_orbit_cached(
     entries: tuple[tuple[int, ...], ...], k: int
@@ -281,35 +439,21 @@ def _tl_orbit_cached(
     """Signatures at every primitive k-th root of unity, and their nullity.
 
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
-    gcd(m, k) = 1 and None otherwise.  H(zeta_k^m) is the image of
-    H(zeta_k) under the automorphism zeta -> zeta^m, which commutes with
-    the elimination, so one elimination gives every pivot exactly; only
-    the signs of the images are certified.  The rank, and so the nullity,
-    is the same along the orbit.
+    gcd(m, k) = 1 and None otherwise.  For k >= 3 see _descartes_orbit.
+    For k <= 2 the form has integer entries: H(1) = 0, and at zeta_2 = -1
+    it is 2 (S + S^T), eliminated once; its pivot count is the rank.
     """
     d = len(entries)
+    if k > 2 and d:
+        return _descartes_orbit(entries, k)
     pivots = []
-    if k > 1 and d:  # else H is the zero form: a = 0, or the unknot
-        if k == 2:  # zeta_2 = -1, so H = 2 (S + S^T) has integer entries
-            u = ubar = 2
-        else:
-            field = CyclotomicField(k)
-            u = field.one() - field.zeta()
-            ubar = u.conjugate()
-        H = [
-            [u * entries[i][j] + ubar * entries[j][i] for j in range(d)]
-            for i in range(d)
-        ]
-        pivots = hermitian_pivots(H)
-    values = [None] * k
-    for m in range(k):
-        if gcd(m, k) == 1 and values[m] is None:
-            # sigma_(-m) is sigma_m followed by conjugation, which fixes
-            # the real pivots: one certification serves m and -m
-            images = pivots if m == 1 else [p.galois(m) for p in pivots]
-            n_plus, n_minus = count_pivot_signs(images)
-            values[m] = values[-m % k] = n_plus - n_minus
-    return tuple(values), d - len(pivots)
+    if k == 2 and d:
+        pivots = hermitian_pivots(
+            [[2 * (entries[i][j] + entries[j][i]) for j in range(d)] for i in range(d)]
+        )
+    n_plus, n_minus = count_pivot_signs(pivots)
+    values = tuple(n_plus - n_minus if gcd(m, k) == 1 else None for m in range(k))
+    return values, d - len(pivots)
 
 
 def _circle_point(a) -> Fraction:

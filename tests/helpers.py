@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from casson4 import (
     CycElt,
@@ -20,6 +20,7 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.gf2 import F2Matrix, bitrows_rank
+from casson4.inertia import count_pivot_signs, hermitian_pivots
 from casson4.seifert import integer_determinant
 
 
@@ -100,6 +101,36 @@ def sympy_alexander(s: SeifertMatrix):
     coeffs = {exp: int(c) for (exp,), c in poly.terms()}
     raw = LaurentPolynomial({e - n // 2: c for e, c in coeffs.items()})
     return laurent_normalize_symmetric(raw)
+
+
+def sympy_minor_sums(s: SeifertMatrix) -> tuple[tuple[int, ...], ...]:
+    """Principal-minor oracle for g_r(t) = e_r(t S - S^T), r = 0 .. d.
+
+    Each g_r is the sum of the r x r principal minors of t S - S^T, each a
+    determinant taken by sympy over ZZ[t]; coefficients come constant
+    first, padded to length r + 1.
+    """
+    from itertools import combinations
+
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.symbols("t")
+    ring = sympy.ZZ[t]
+    d = s.size
+    entries = [
+        [ring.from_sympy(t * s.entries[i][j] - s.entries[j][i]) for j in range(d)]
+        for i in range(d)
+    ]
+    sums = []
+    for r in range(d + 1):
+        total = ring.zero
+        for rows in combinations(range(d), r):
+            minor = [[entries[i][j] for j in rows] for i in rows]
+            total += DomainMatrix(minor, (r, r), ring).det() if r else ring.one
+        coeffs = [int(c) for c in reversed(sympy.Poly(ring.to_sympy(total), t).all_coeffs())]
+        sums.append(tuple(coeffs + [0] * (r + 1 - len(coeffs))))
+    return tuple(sums)
 
 
 def alexander_by_interpolation(s: SeifertMatrix) -> LaurentPolynomial:
@@ -264,6 +295,60 @@ def tl_form(s: SeifertMatrix, n: int, m: int):
         for i in range(d)
     ]
     return H, field
+
+
+def tl_orbit_by_elimination(entries, k: int):
+    """Elimination oracle for seifert._tl_orbit_cached: (values, nullity).
+
+    H(zeta_k) is eliminated once over Q(zeta_k) (on integers for k <= 2).
+    H(zeta_k^m) is the image of H(zeta_k) under zeta -> zeta^m, which
+    commutes with the elimination, so the pivots' images are its pivots;
+    their signs are certified one by one.  The rank is the pivot count.
+    """
+    d = len(entries)
+    pivots = []
+    if k > 1 and d:  # else H is the zero form
+        if k == 2:
+            u = ubar = 2
+        else:
+            field = CyclotomicField(k)
+            u = field.one() - field.zeta()
+            ubar = u.conjugate()
+        H = [
+            [u * entries[i][j] + ubar * entries[j][i] for j in range(d)]
+            for i in range(d)
+        ]
+        pivots = hermitian_pivots(H)
+    values = [None] * k
+    for m in range(k):
+        if gcd(m, k) == 1 and values[m] is None:
+            images = pivots if m == 1 else [p.galois(m) for p in pivots]
+            n_plus, n_minus = count_pivot_signs(images)
+            values[m] = values[-m % k] = n_plus - n_minus
+    return tuple(values), d - len(pivots)
+
+
+def litherland_torus(p: int, q: int, a: Fraction) -> tuple[int, int]:
+    """(signature, nullity) of the right-handed T(p, q) at e^(2 pi i a).
+
+    Litherland's count over the pairs s = i/p + j/q, 0 < i < p, 0 < j < q:
+    -1 for s strictly between a and a + 1, +1 for s outside [a, a + 1];
+    the roots e^(2 pi i s) of Delta are simple, so the nullity is the
+    number of s with s - a an integer.
+    """
+    if a == 0:
+        return 0, 0
+    signature = nullity = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            if s in (a, a + 1):
+                nullity += 1
+            elif a < s < a + 1:
+                signature -= 1
+            else:
+                signature += 1
+    return signature, nullity
 
 
 def skew_alexander_charpoly(monkeypatch):

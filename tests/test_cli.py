@@ -453,6 +453,26 @@ def test_alexander_defect_exits_3_in_one_line(monkeypatch, capsys):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
+    from casson4 import seifert
+
+    data = json.loads((FIXTURES / "trefoil.json").read_text())
+    data["spectrum_order"] = 6
+    path = tmp_path / "trefoil6.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
+    seifert._minor_sums.cache_clear()
+    seifert._tl_orbit_cached.cache_clear()
+    try:
+        code, out, err = run_cli(["knot", "--input", str(path)], capsys)
+    finally:
+        seifert._minor_sums.cache_clear()
+        seifert._tl_orbit_cached.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
     data = json.loads((FIXTURES / "cork.json").read_text())
     data["n"] = 65

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from casson4 import CyclotomicField, LaurentPolynomial
-from casson4.cyclotomic import cyclotomic_polynomial
+from casson4.cyclotomic import cyclotomic_polynomial, fixed_point_cosines, phi_divides
 from helpers import embed, evaluate_laurent, field_i
 
 
@@ -119,3 +119,66 @@ def test_evaluate_laurent_exactly():
     expected = f5.zeta(2) + f5.zeta(3) - f5.one()
     assert value == expected
     assert abs(_numeric(value) - (_numeric(f5.zeta(2)) + _numeric(f5.zeta(3)) - 1)) < 1e-9
+
+
+@pytest.mark.parametrize("prec", [32, 64, 128, 256])
+def test_fixed_point_cosines_are_within_one(prec):
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = 4 * prec
+    for n in range(1, 65):
+        table = fixed_point_cosines(n, prec)
+        assert len(table) == n
+        for j, c in enumerate(table):
+            exact = ctx.ldexp(2 * ctx.cos(2 * ctx.pi * j / n), prec)
+            assert abs(c - exact) <= 1, (n, j, prec)
+
+
+def test_too_wide_enclosures_build_no_cosine_table(monkeypatch):
+    from casson4 import cyclotomic
+    from casson4.errors import InternalError
+
+    monkeypatch.setattr(cyclotomic, "_GUARD_BITS", -8)
+    fixed_point_cosines.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="too wide"):
+            fixed_point_cosines(7, 64)
+    finally:
+        fixed_point_cosines.cache_clear()
+
+
+def test_real_enclosure_reads_the_cosine_table():
+    # the enclosure is the one it was before the table: each cosine taken
+    # at the requested precision, summed in the same interval context
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    rng = random.Random(19)
+    for n in (5, 7, 12, 13):
+        field = CyclotomicField(n)
+        for _ in range(4):
+            x = field.element(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(field.degree)]
+            )
+            for prec in (64, 256):
+                iv.prec = prec
+                expected = iv.mpf(0)
+                for j, c in enumerate(x.coeffs):
+                    if c:
+                        coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                        expected += coeff * iv.cos(2 * iv.pi * iv.mpf(j) / n)
+                assert x.real_enclosure(prec)._mpi_ == expected._mpi_
+
+
+def test_phi_divides_matches_sympy():
+    t = sympy.symbols("t")
+    rng = random.Random(23)
+    for n in range(1, 30):
+        phi = sympy.cyclotomic_poly(n, t)
+        for _ in range(6):
+            other = sympy.Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 8))], t)
+            for poly in (other, other * sympy.Poly(phi, t)):
+                coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+                expected = sympy.rem(poly.as_expr(), phi, t) == 0
+                assert phi_divides(n, coeffs) == expected, (n, coeffs)

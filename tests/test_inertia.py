@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casson4 import CyclotomicField, certified_sign, certified_signature
-from casson4.errors import NotHermitian
-from casson4.inertia import IntervalWitness, ZeroWitness, hermitian_pivots
+from casson4.errors import InternalError, NotHermitian
+from casson4.inertia import (
+    IntervalWitness,
+    ZeroWitness,
+    cosine_sum_sign,
+    descartes_inertia,
+    hermitian_pivots,
+)
 from helpers import doubled_signature, numpy_inertia
 
 
@@ -165,3 +171,44 @@ def test_certified_sign_leaves_global_interval_precision_alone():
     assert s.witness.precision == 256
     # the enclosure was taken at 256 bits, not at the global 20
     assert s.witness.upper - s.witness.lower < Fraction(1, 2 ** 200)
+
+
+def test_descartes_inertia_examples():
+    # det(x I - H) = x^2 - e_1 x + e_2
+    assert descartes_inertia([1, 1, 1]) == (2, 0, 0)  # diag(1, 1)
+    assert descartes_inertia([1, -1, 1]) == (0, 2, 0)  # diag(-1, -1)
+    assert descartes_inertia([1, 0, -1]) == (1, 1, 0)  # diag(1, -1)
+    assert descartes_inertia([1, 1, 0]) == (1, 0, 1)  # diag(1, 0)
+    assert descartes_inertia([1, 0, 0, 0]) == (0, 0, 3)
+
+
+def test_descartes_inertia_refuses_signs_of_no_hermitian_matrix():
+    # x^2 + 1 has no real roots: no Hermitian matrix has e_1 = 0 < e_2
+    with pytest.raises(InternalError):
+        descartes_inertia([1, 0, 1])
+
+
+def test_cosine_sum_sign_witness_encloses_the_value():
+    import math
+
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = 512
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(3, 64)
+        m = rng.choice([k for k in range(1, n) if math.gcd(k, n) == 1])
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+        value = a[0] + sum(
+            x * 2 * ctx.cos(2 * ctx.pi * j * m / n) for j, x in enumerate(a[1:], 1)
+        )
+        if abs(value) < 1e-100:
+            continue  # exactly zero: the caller's Phi_n test handles these
+        sign = cosine_sum_sign(a, n, m)
+        witness = sign.witness
+        assert isinstance(witness, IntervalWitness)
+        lower = ctx.mpf(witness.lower.numerator) / witness.lower.denominator
+        upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
+        assert lower <= value <= upper
+        assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)

@@ -26,13 +26,16 @@ from helpers import (
     alexander_by_interpolation,
     brute_force_arf,
     corpus_knots,
+    litherland_torus,
     numpy_inertia,
     random_seifert,
     random_unimodular,
     rank_over_field,
     skew_alexander_charpoly,
     sympy_alexander,
+    sympy_minor_sums,
     tl_form,
+    tl_orbit_by_elimination,
     torus_alexander_closed_form,
 )
 
@@ -127,6 +130,121 @@ def test_galois_orbit_spectrum_matches_direct_eliminations(n):
             assert tl_signature(s, Fraction(m, n)) == n_plus - n_minus
             assert tl_signature(s, Fraction(n - m, n)) == n_plus - n_minus
             assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
+
+
+def _descartes_oracle_knots():
+    rng = random.Random(2007)
+    knots = [s for _, s in corpus_knots()] + [torus_knot_seifert(2, 9)]
+    return knots + [random_seifert(rng) for _ in range(20)]
+
+
+def test_descartes_orbit_matches_elimination_oracle():
+    # the slow path it replaced: one elimination of H(zeta_k) over Q(zeta_k)
+    # per order, Galois images of the pivots for the other roots.  The
+    # mirror -S^T has the form -conj(H): negated signatures, same nullity.
+    for s in _descartes_oracle_knots():
+        for k in range(3, 14):
+            values, nullity = tl_orbit_by_elimination(s.entries, k)
+            assert seifert._tl_orbit_cached(s.entries, k) == (values, nullity), (s, k)
+            negated = tuple(None if v is None else -v for v in values)
+            assert seifert._tl_orbit_cached(s.mirror().entries, k) == (negated, nullity)
+
+
+def _minor_sum_oracle_knots():
+    """20 matrices of size 2 to 6, every other one a 12 n-move conjugate."""
+    rng = random.Random(2031)
+    knots = []
+    while len(knots) < 20:
+        s = random_seifert(rng)
+        if not 0 < s.size <= 6:
+            continue  # 2^d principal minors each
+        if len(knots) % 2:
+            s = s.congruent(random_unimodular(rng, s.size, 12 * s.size))
+        knots.append(s)
+    return knots
+
+
+def test_minor_sums_match_principal_minors_within_the_bound():
+    import sympy
+
+    knots = _minor_sum_oracle_knots()
+    assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
+    for s in knots:
+        expected = sympy_minor_sums(s)
+        assert seifert._minor_sums(s.entries) == expected
+        bound = seifert._minor_sum_bound(s.entries)
+        assert max(abs(c) for g in expected for c in g) <= bound
+        bits = (2 * bound).bit_length()
+        p = seifert._proth_prime(bits)
+        assert p > 2 * bound
+        k, rest = divmod(p - 1, 1 << bits)
+        assert rest == 0 and k % 2 == 1 and k < 1 << bits
+        assert sympy.isprime(p)
+
+
+@pytest.mark.parametrize("bound", [1, 10])
+def test_minor_sums_with_too_small_a_prime_raise_internal_error(monkeypatch, bound):
+    # bound 1: the prime cannot keep the interpolation nodes apart;
+    # bound 10: the nodes fit, but the lift of coefficients in the
+    # hundreds goes wrong and a post-check catches it
+    rng = random.Random(2)
+    s = torus_knot_seifert(2, 5)
+    s = s.congruent(random_unimodular(rng, s.size, 12 * s.size))
+    assert max(abs(c) for g in seifert._minor_sums(s.entries) for c in g) > 100
+    monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: bound)
+    seifert._minor_sums.cache_clear()
+    seifert._tl_orbit_cached.cache_clear()
+    try:
+        with pytest.raises(InternalError):
+            signature_spectrum(s, 5)
+    finally:
+        seifert._minor_sums.cache_clear()
+        seifert._tl_orbit_cached.cache_clear()
+
+
+def test_nullity_at_alexander_roots():
+    sum_tre_fig8 = connected_sum(TREFOIL, FIG8)
+    granny = connected_sum(TREFOIL, TREFOIL)
+    cases = [
+        (TREFOIL, Fraction(1, 6), -1, 1),  # Delta(zeta_6) = 0, simple root
+        (TREFOIL, Fraction(1, 5), -2, 0),
+        (torus_knot_seifert(2, 5), Fraction(1, 10), -1, 1),
+        (torus_knot_seifert(2, 5), Fraction(3, 10), -3, 1),
+        (granny, Fraction(1, 6), -2, 2),  # double root of Delta^2
+        (sum_tre_fig8, Fraction(1, 6), -1, 1),
+        (mirror(granny), Fraction(5, 6), 2, 2),
+    ]
+    for s, a, signature, nullity in cases:
+        assert (tl_signature(s, a), tl_nullity(s, a)) == (signature, nullity), (s, a)
+
+
+def test_spectra_match_litherland_count():
+    cases = [((3, 5), [61])]
+    cases += [((2, q), range(3, 65)) for q in (3, 5, 7, 9)]
+    cases += [((3, 4), range(3, 65))]
+    for (p, q), orders in cases:
+        s = torus_knot_seifert(p, q)
+        for n in orders:
+            expected = [litherland_torus(p, q, Fraction(m, n)) for m in range(n)]
+            assert signature_spectrum(s, n).values == tuple(e[0] for e in expected)
+            for m in range(1, n):
+                assert tl_nullity(s, Fraction(m, n)) == expected[m][1], (p, q, n, m)
+
+
+def test_spectrum_builds_no_field_and_no_field_arithmetic(monkeypatch):
+    from casson4 import CycElt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cyclotomic field arithmetic on the spectrum path")
+
+    for name in ("__mul__", "__add__", "inverse", "galois", "real_enclosure"):
+        monkeypatch.setattr(CycElt, name, refuse)
+    s = torus_knot_seifert(3, 5).congruent(random_unimodular(random.Random(3), 8))
+    before = set(CyclotomicField._instances)
+    seifert._tl_orbit_cached.cache_clear()
+    assert signature_spectrum(s, 61).total() == -256
+    assert signature_spectrum(s, 12) == signature_spectrum(torus_knot_seifert(3, 5), 12)
+    assert set(CyclotomicField._instances) == before
 
 
 def test_unknot_signature_builds_no_field():
