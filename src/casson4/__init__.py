@@ -42,11 +42,7 @@ from .floer import (
 )
 from .gf2 import F2Matrix, f2_rank, symplectic_basis
 from .inertia import CertifiedSign, certified_sign, certified_signature
-from .laurent import (
-    LaurentPolynomial,
-    laurent_normalize_symmetric,
-    second_derivative_at_one,
-)
+from .laurent import LaurentPolynomial, second_derivative_at_one
 from .seifert import (
     PRESET_KNOTS,
     SeifertMatrix,
@@ -91,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Rational",
     "LaurentPolynomial",
-    "laurent_normalize_symmetric",
     "second_derivative_at_one",
     "F2Matrix",
     "f2_rank",

@@ -94,7 +94,11 @@ def _validator(name: str):
     doc.setdefault("definitions", {}).update(defs["definitions"])
     cls = jsonschema.validators.validator_for(doc)
     cls.check_schema(doc)
-    return cls(doc)
+    # "integer" means a JSON integer: 1.0 is refused here, not passed on
+    strict = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    )
+    return jsonschema.validators.extend(cls, type_checker=strict)(doc)
 
 
 def load_input(path: str, schema_name: str) -> dict:

@@ -2,16 +2,16 @@
 
 Signature spectra need only the first two: the exact zero test
 Phi_n | f of an integer polynomial, and the values 2 cos(2 pi j / n) as
-fixed-point integers within 1 of the truth, read from one bounded table
-of interval enclosures.  They build no field.
+fixed-point integers within 1 of the truth, read from one bounded table.
+They build no field.
 
 The fields remain for Hermitian matrices given over Q(zeta_n)
 (certified_signature).  Elements are vectors of rationals over the power
 basis 1, zeta, ..., zeta^(d-1), reduced modulo the n-th cyclotomic
 polynomial (d = deg Phi_n).  This gives exact zero tests, inversion and
-the Galois automorphisms zeta -> zeta^m (conjugation is m = -1);
-certified numeric enclosures are produced on demand from the same
-cosine table.
+the Galois automorphisms zeta -> zeta^m (conjugation is m = -1); the
+sign of a real element is certified from the same cosine table
+(inertia.certified_sign).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import InternalError
 
-# private interval context: enclosures set its precision, never mpmath.iv's
+# private interval context: the cosine table sets its precision, never mpmath.iv's
 _IV = MPIntervalContext()
 # extra bits in the enclosures behind a fixed-point table: the roundings of
 # an interval cosine at precision prec + 8 leave it far narrower than 2^-(prec+1)
@@ -65,19 +65,6 @@ def phi_divides(n: int, poly: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=256)
-def cosine_enclosures(n: int, prec: int) -> tuple:
-    """Intervals around cos(2 pi j / n) for j = 0 .. n-1, at binary precision prec.
-
-    The one table of cosines: CycElt.real_enclosure and
-    fixed_point_cosines both read it.
-    """
-    iv = _IV
-    iv.prec = prec
-    two_pi = 2 * iv.pi
-    return tuple(iv.cos(two_pi * iv.mpf(j) / n) for j in range(n))
-
-
-@lru_cache(maxsize=256)
 def fixed_point_cosines(n: int, prec: int) -> tuple[int, ...]:
     """Integers C_j with |C_j - 2^prec 2 cos(2 pi j / n)| <= 1, j = 0 .. n-1.
 
@@ -86,13 +73,17 @@ def fixed_point_cosines(n: int, prec: int) -> tuple[int, ...]:
     (2^(prec+1) hi - 1, 2^(prec+1) hi].  A wider enclosure is an internal
     error, and no table is built from it.
     """
+    iv = _IV
+    iv.prec = prec + _GUARD_BITS
+    two_pi = 2 * iv.pi
     scale = 1 << (prec + 1)
     table = []
-    for interval in cosine_enclosures(n, prec + _GUARD_BITS):
+    for j in range(n):
+        interval = iv.cos(two_pi * iv.mpf(j) / n)
         lo, hi = (Fraction(*libmp.to_rational(x)) for x in interval._mpi_)
         if (hi - lo) * scale >= 1:
             raise InternalError(
-                f"enclosure of cos(2 pi {len(table)}/{n}) is too wide for {prec} bits"
+                f"enclosure of cos(2 pi {j}/{n}) is too wide for {prec} bits"
             )
         table.append(floor(hi * scale))
     return tuple(table)
@@ -309,20 +300,6 @@ class CycElt:
 
     def __repr__(self):
         return f"CycElt(n={self.field.n}, {list(self.coeffs)})"
-
-    # --- certified numeric enclosures ---
-
-    def real_enclosure(self, prec: int):
-        """Interval containing the real part, at the given binary precision."""
-        cosines = cosine_enclosures(self.field.n, prec)
-        iv = _IV
-        iv.prec = prec
-        total = iv.mpf(0)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                total += coeff * cosines[j]
-        return total
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):

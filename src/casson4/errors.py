@@ -13,16 +13,6 @@ class InternalError(Exception):
     """
 
 
-# --- Laurent polynomials ---
-
-class NotSymmetrizable(Casson4Error):
-    """No unit multiple of the polynomial is palindromic."""
-
-
-class NotUnimodularAtOne(Casson4Error):
-    """The polynomial does not evaluate to +-1 at t = 1."""
-
-
 # --- exact linear algebra ---
 
 class NotHermitian(Casson4Error):

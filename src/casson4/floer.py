@@ -8,6 +8,7 @@ invariant, and deduces forced sign patterns on rank-one gradings.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -41,7 +42,7 @@ class FloerData:
     maps: tuple[MapSpec, ...]
 
     def __init__(self, ranks: Sequence[int], maps: Sequence[MapSpec] | None = None):
-        ranks = tuple(int(b) for b in ranks)
+        ranks = tuple(map(operator.index, ranks))
         if len(ranks) != 8 or any(b < 0 for b in ranks):
             raise ValueError("ranks must be 8 nonnegative integers")
         if maps is None:
@@ -128,7 +129,7 @@ def deduce_sign_pattern(ranks: Sequence[int], target_lef: int) -> dict[int, int]
     alternating sum hits target_lef; raises NoSolution when none does and
     AmbiguousSolution (carrying all candidates) when several do.
     """
-    ranks = tuple(int(b) for b in ranks)
+    ranks = tuple(map(operator.index, ranks))
     if len(ranks) != 8:
         raise ValueError("ranks must be 8 integers")
     supported = [k for k, b in enumerate(ranks) if b]

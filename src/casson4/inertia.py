@@ -13,8 +13,9 @@ Hermitian congruence (LDL-style) elimination on the entries as
 given gives exact, exactly nonzero, real pivots.  Their number is the
 rank, so the zero eigenvalue count is the dimension minus the number of
 pivots.  The positive/negative counts are the pivot signs, each
-certified either exactly (rational pivots) or by adaptive-precision
-dyadic interval refinement, doubling the working precision each round.
+certified either exactly (rational pivots) or, for a real pivot
+sum_j c_j zeta^j, as the cosine sum 2 sum_j c_j cos(2 pi j / n) by
+cosine_sum_sign, the same certifier the first route uses.
 Termination is guaranteed because every pivot is exactly nonzero.
 
 The elimination uses only field operations, conjugation and exact zero
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
-
-from mpmath import libmp
 
 from .cyclotomic import CycElt, fixed_point_cosines
 from .errors import InternalError, NotHermitian
@@ -60,17 +60,15 @@ class CertifiedSign:
     witness: Union[IntervalWitness, ZeroWitness]
 
 
-def _interval_endpoints(interval) -> tuple[Fraction, Fraction]:
-    lo, hi = interval._mpi_
-    return Fraction(*libmp.to_rational(lo)), Fraction(*libmp.to_rational(hi))
-
-
-def certified_sign(x, start_prec: int = _START_PREC) -> CertifiedSign:
+def certified_sign(x) -> CertifiedSign:
     """Sign of a real algebraic number, with a checkable witness.
 
     Zero is detected exactly (never from a small interval); nonzero signs
     carry a dyadic interval that excludes zero.  A rational CycElt is
-    read as its Fraction.
+    read as its Fraction.  Any other real x = sum_j c_j zeta^j is
+    (2 a_0 + sum_(j>0) a_j 2 cos(2 pi j / n)) / 2L with a = L c, L the
+    lcm of the denominators; cosine_sum_sign certifies the numerator, and
+    its interval divided by 2L is the witness.
     """
     if isinstance(x, CycElt) and x.is_rational():
         x = x.rational_value()
@@ -84,16 +82,13 @@ def certified_sign(x, start_prec: int = _START_PREC) -> CertifiedSign:
         raise TypeError(f"cannot certify sign of {type(x)!r}")
     if not x.is_real():
         raise ValueError("sign is only defined for real elements")
-    prec = start_prec
-    while prec <= _MAX_PREC:
-        enclosure = x.real_enclosure(prec)
-        lo, hi = _interval_endpoints(enclosure)
-        if lo > 0:
-            return CertifiedSign(1, IntervalWitness(lo, hi, prec))
-        if hi < 0:
-            return CertifiedSign(-1, IntervalWitness(lo, hi, prec))
-        prec *= 2
-    raise InternalError("interval refinement failed to separate a nonzero value from 0")
+    scale = lcm(*(c.denominator for c in x.coeffs))
+    a = [c.numerator * (scale // c.denominator) for c in x.coeffs]
+    a[0] *= 2
+    # not rational, hence nonzero: the refinement ends
+    s = cosine_sum_sign(a, x.field.n, 1)
+    w, half = s.witness, Fraction(1, 2 * scale)
+    return CertifiedSign(s.value, IntervalWitness(w.lower * half, w.upper * half, w.precision))
 
 
 def cosine_sum_sign(a: Sequence[int], n: int, m: int) -> CertifiedSign:

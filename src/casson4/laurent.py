@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotSymmetrizable, NotUnimodularAtOne
-
 
 class LaurentPolynomial:
     """An element of Z[t, t^-1]."""
@@ -141,6 +139,8 @@ class LaurentPolynomial:
 
     def __call__(self, value):
         """Evaluate at a nonzero rational (or integer) point."""
+        if isinstance(value, float):
+            raise TypeError(f"evaluation point must be exact, not float {value!r}")
         v = Fraction(value)
         if v == 0:
             raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
@@ -215,33 +215,6 @@ def _coerce(value) -> LaurentPolynomial:
     if isinstance(value, int):
         return LaurentPolynomial({0: value})
     return NotImplemented
-
-
-def laurent_normalize_symmetric(p: LaurentPolynomial) -> LaurentPolynomial:
-    """Normalize p by a unit +-t^m so the result q has q(t) = q(1/t) and q(1) = 1.
-
-    Raises NotSymmetrizable when no unit multiple is palindromic, and
-    NotUnimodularAtOne when p(1) != +-1 (checked in that order, so a
-    polynomial failing both reports the structural defect first).
-    """
-    if not isinstance(p, LaurentPolynomial):
-        p = _coerce(p)
-        if p is NotImplemented:
-            raise TypeError("expected a LaurentPolynomial")
-    if p.is_zero():
-        raise NotUnimodularAtOne("zero polynomial evaluates to 0 at t = 1")
-    lo, hi = p.min_exp, p.max_exp
-    if (lo + hi) % 2 != 0:
-        raise NotSymmetrizable(
-            f"support [{lo}, {hi}] cannot be centered by an integer shift"
-        )
-    centered = p.shifted(-(lo + hi) // 2)
-    if not centered.is_palindromic():
-        raise NotSymmetrizable("no unit multiple of the polynomial is palindromic")
-    value_at_one = centered.at_one()
-    if value_at_one not in (1, -1):
-        raise NotUnimodularAtOne(f"p(1) = {value_at_one}, expected +-1")
-    return centered if value_at_one == 1 else -centered
 
 
 def second_derivative_at_one(p: LaurentPolynomial) -> int:

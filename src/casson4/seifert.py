@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .cyclotomic import phi_divides
@@ -68,7 +68,7 @@ class SeifertMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -100,7 +100,7 @@ class SeifertMatrix:
     def congruent(self, p_rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
         """P^T S P for a unimodular integer matrix P."""
         n = self.size
-        P = [list(map(int, row)) for row in p_rows]
+        P = [list(map(index, row)) for row in p_rows]
         if len(P) != n or any(len(r) != n for r in P):
             raise ValueError("P must match the matrix size")
         if abs(integer_determinant(P)) != 1:
@@ -496,7 +496,7 @@ class SignatureSpectrum:
     def __init__(self, order: int, values: Sequence[int]):
         if order < 1:
             raise ValueError("order must be a positive integer")
-        values = tuple(int(v) for v in values)
+        values = tuple(map(index, values))
         if len(values) != order:
             raise ValueError(f"expected {order} values, got {len(values)}")
         if values and values[0] != 0:

@@ -8,6 +8,7 @@ q * arf mod 2; the two reduce to each other mod 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,6 +24,7 @@ class SurgeryStep:
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "q", operator.index(self.q))
         if self.q == 0:
             raise ValueError("surgery coefficient 1/q requires q != 0")
 
@@ -37,7 +39,7 @@ class SurgeryPresentation:
         for step in steps:
             if not isinstance(step, SurgeryStep):
                 knot, q = step
-                step = SurgeryStep(knot, int(q))
+                step = SurgeryStep(knot, q)
             out.append(step)
         self.steps = tuple(out)
 

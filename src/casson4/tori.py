@@ -10,6 +10,7 @@ from this data by exhaustive enumeration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -57,7 +58,7 @@ class CupRing:
         pairing: Sequence[int] | Sequence[Sequence[int]],
         eval_top: int,
     ):
-        cup_table = tuple(tuple(int(v) & 0x3F for v in row) for row in cup2)
+        cup_table = tuple(tuple(operator.index(v) & 0x3F for v in row) for row in cup2)
         if len(cup_table) != H1_DIM or any(len(r) != H1_DIM for r in cup_table):
             raise InconsistentRing("cup2 must be a 4x4 table")
         rows = []
@@ -65,12 +66,12 @@ class CupRing:
             if isinstance(row, int):
                 rows.append(row & 0x3F)
             else:
-                rows.append(sum((int(v) & 1) << j for j, v in enumerate(row)))
+                rows.append(sum((operator.index(v) & 1) << j for j, v in enumerate(row)))
         if len(rows) != H2_DIM:
             raise InconsistentRing("pairing must have 6 rows")
         object.__setattr__(self, "cup2", cup_table)
         object.__setattr__(self, "pairing", tuple(rows))
-        object.__setattr__(self, "eval_top", int(eval_top) & 1)
+        object.__setattr__(self, "eval_top", operator.index(eval_top) & 1)
         # the data must present a genuine ring
         for i in range(H1_DIM):
             if cup_table[i][i]:
@@ -144,7 +145,7 @@ class CupRing:
 
     def change_basis(self, rows: Sequence[int]) -> "CupRing":
         """Ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible)."""
-        P = [int(r) & 0xF for r in rows]
+        P = [operator.index(r) & 0xF for r in rows]
         if len(P) != H1_DIM or bitrows_rank(list(P)) != H1_DIM:
             raise ValueError("basis change must be an invertible 4x4 matrix")
         new_cup = tuple(
@@ -268,7 +269,7 @@ def as_h2(w) -> int:
         if not 0 <= w < 64:
             raise ValueError("H^2 classes are 6-bit")
         return w
-    return sum((int(v) & 1) << j for j, v in enumerate(w))
+    return sum((operator.index(v) & 1) << j for j, v in enumerate(w))
 
 
 def admissible(r: CupRing, w) -> bool:

@@ -14,14 +14,45 @@ from casson4 import (
     alexander_polynomial,
     certified_signature,
     connected_sum,
-    laurent_normalize_symmetric,
     preset_knot,
     torus_knot_seifert,
 )
 from casson4 import seifert
+from casson4.errors import Casson4Error
 from casson4.gf2 import F2Matrix, bitrows_rank
 from casson4.inertia import count_pivot_signs, hermitian_pivots
 from casson4.seifert import integer_determinant
+
+
+class NotSymmetrizable(Casson4Error):
+    """No unit multiple of the polynomial is palindromic."""
+
+
+class NotUnimodularAtOne(Casson4Error):
+    """The polynomial does not evaluate to +-1 at t = 1."""
+
+
+def laurent_normalize_symmetric(p: LaurentPolynomial) -> LaurentPolynomial:
+    """Normalize p by a unit +-t^m so the result q has q(t) = q(1/t) and q(1) = 1.
+
+    Raises NotSymmetrizable when no unit multiple is palindromic, and
+    NotUnimodularAtOne when p(1) != +-1 (checked in that order, so a
+    polynomial failing both reports the structural defect first).
+    """
+    if p.is_zero():
+        raise NotUnimodularAtOne("zero polynomial evaluates to 0 at t = 1")
+    lo, hi = p.min_exp, p.max_exp
+    if (lo + hi) % 2 != 0:
+        raise NotSymmetrizable(
+            f"support [{lo}, {hi}] cannot be centered by an integer shift"
+        )
+    centered = p.shifted(-(lo + hi) // 2)
+    if not centered.is_palindromic():
+        raise NotSymmetrizable("no unit multiple of the polynomial is palindromic")
+    value_at_one = centered.at_one()
+    if value_at_one not in (1, -1):
+        raise NotUnimodularAtOne(f"p(1) = {value_at_one}, expected +-1")
+    return centered if value_at_one == 1 else -centered
 
 
 def random_unimodular(rng, n, ops=None):

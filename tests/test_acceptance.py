@@ -47,7 +47,7 @@ from casson4 import (
     torus4_ring,
     torus_knot_seifert,
 )
-from casson4.cyclotomic import cosine_enclosures, fixed_point_cosines
+from casson4.cyclotomic import fixed_point_cosines
 from casson4.seifert import _alexander_cached, _arf_cached, _minor_sums, _tl_orbit_cached
 from helpers import corpus_knots, random_seifert, random_unimodular
 
@@ -57,7 +57,6 @@ def _clear_caches():
     _arf_cached.cache_clear()
     _tl_orbit_cached.cache_clear()
     _minor_sums.cache_clear()
-    cosine_enclosures.cache_clear()
     fixed_point_cosines.cache_clear()
 
 

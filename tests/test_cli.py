@@ -483,3 +483,43 @@ def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "64" in err
+
+
+def _float_first_int(node):
+    """The JSON value with its first integer leaf (other than "schema") as a float."""
+    if isinstance(node, dict):
+        keys = [k for k in node if k != "schema"]
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return None
+    for k in keys:
+        v = node[k]
+        if isinstance(v, int) and not isinstance(v, bool):
+            node[k] = float(v)
+            return node
+        if _float_first_int(v) is not None:
+            return node
+    return None
+
+
+@pytest.mark.parametrize(
+    "command,fixture",
+    [
+        ("knot", "trefoil"),
+        ("sphere", "poincare_sphere"),
+        ("floer", "floer_cork"),
+        ("torus4", "t4_explicit"),
+        ("mapping-torus", "cork"),
+        ("circle-bundle", "whitehead_bundle"),
+    ],
+)
+def test_integral_floats_are_schema_errors(command, fixture, tmp_path, capsys):
+    # JSON Schema draft 7 counts 1.0 as an integer; the library takes only
+    # ints, so the schema check refuses it with exit 1 instead of a traceback
+    data = _float_first_int(json.loads((FIXTURES / f"{fixture}.json").read_text()))
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error:") and "is not of type 'integer'" in err

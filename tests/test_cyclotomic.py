@@ -99,17 +99,6 @@ def test_reality_and_rationality_predicates():
     assert field_i(field) * field_i(field) == field.rational(-1)
 
 
-def test_real_enclosure_contains_true_value():
-    field = CyclotomicField(7)
-    z = field.zeta(3)
-    x = z + z.conjugate()  # 2 cos(6 pi / 7)
-    true = 2 * cmath.cos(6 * cmath.pi / 7).real
-    for prec in (64, 128):
-        enc = x.real_enclosure(prec)
-        assert float(enc.a) <= true <= float(enc.b)
-        assert float(enc.delta) < 2.0 ** (-prec // 2)
-
-
 def test_evaluate_laurent_exactly():
     p = LaurentPolynomial({1: 1, 0: -1, -1: 1})
     f6 = CyclotomicField(6)
@@ -146,29 +135,6 @@ def test_too_wide_enclosures_build_no_cosine_table(monkeypatch):
             fixed_point_cosines(7, 64)
     finally:
         fixed_point_cosines.cache_clear()
-
-
-def test_real_enclosure_reads_the_cosine_table():
-    # the enclosure is the one it was before the table: each cosine taken
-    # at the requested precision, summed in the same interval context
-    from mpmath.ctx_iv import MPIntervalContext
-
-    iv = MPIntervalContext()
-    rng = random.Random(19)
-    for n in (5, 7, 12, 13):
-        field = CyclotomicField(n)
-        for _ in range(4):
-            x = field.element(
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(field.degree)]
-            )
-            for prec in (64, 256):
-                iv.prec = prec
-                expected = iv.mpf(0)
-                for j, c in enumerate(x.coeffs):
-                    if c:
-                        coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                        expected += coeff * iv.cos(2 * iv.pi * iv.mpf(j) / n)
-                assert x.real_enclosure(prec)._mpi_ == expected._mpi_
 
 
 def test_phi_divides_matches_sympy():

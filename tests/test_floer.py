@@ -135,3 +135,10 @@ def test_seifert_tau_fixture_consistency():
         fixture = seifert_tau_floer_data(*b)
         assert lefschetz(fixture) == seifert_tau_lefschetz(*b)
         assert check_evenness(fixture) == (1 if sum(b) % 2 == 0 else 0)
+
+
+def test_fractional_ranks_refused_not_truncated():
+    with pytest.raises(TypeError):
+        FloerData((0, 1.5, 0, 1, 0, 1, 0, 1), ("-id",) * 8)
+    with pytest.raises(TypeError):
+        deduce_sign_pattern((0, 1.0, 0, 1, 0, 1, 0, 1), 4)

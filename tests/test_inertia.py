@@ -163,14 +163,11 @@ def test_certified_sign_leaves_global_interval_precision_alone():
     before = mpmath.iv.prec
     try:
         mpmath.iv.prec = 20
-        s = certified_sign(x, start_prec=256)
+        s = certified_sign(x)
         assert mpmath.iv.prec == 20
     finally:
         mpmath.iv.prec = before
     assert s.value == 1
-    assert s.witness.precision == 256
-    # the enclosure was taken at 256 bits, not at the global 20
-    assert s.witness.upper - s.witness.lower < Fraction(1, 2 ** 200)
 
 
 def test_descartes_inertia_examples():
@@ -212,3 +209,53 @@ def test_cosine_sum_sign_witness_encloses_the_value():
         upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
         assert lower <= value <= upper
         assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
+
+
+def test_certified_sign_of_real_cyclotomic_encloses_the_value():
+    # independent of the cosine table: the value comes from the random
+    # coefficients of y, with cosines taken by mpmath at 512 bits
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.prec = 512
+    rng = random.Random(31)
+    # Q(zeta_n) has real irrationals only when phi(n) > 2
+    orders = [n for n in range(3, 65) if n not in (3, 4, 6)]
+    checked = 0
+    while checked < 240:
+        n = rng.choice(orders)
+        field = CyclotomicField(n)
+        coeffs = [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.6 else 0
+            for _ in range(field.degree)
+        ]
+        y = field.element(coeffs)
+        value = sum(
+            2 * ctx.mpf(c.numerator) / c.denominator * ctx.cos(2 * ctx.pi * j / n)
+            for j, c in enumerate(map(Fraction, coeffs))
+        )
+        if checked % 4 == 3:
+            # near-cancellation: subtract a 100-bit dyadic approximation of the value
+            approx = Fraction(int(ctx.nint(ctx.ldexp(value, 100))), 2 ** 100)
+            y, value = y - approx / 2, value - ctx.mpf(approx.numerator) / approx.denominator
+        x = y + y.conjugate()
+        if x.is_rational():
+            continue
+        sign = certified_sign(x)
+        witness = sign.witness
+        assert isinstance(witness, IntervalWitness)
+        lower = ctx.mpf(witness.lower.numerator) / witness.lower.denominator
+        upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
+        assert lower <= value <= upper, (n, coeffs)
+        assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
+        assert sign.value == (1 if value > 0 else -1)
+        checked += 1
+    # exact zeros: the sum of all n-th roots of unity, and 2 cos(2 pi / 5),
+    # a root of x^2 + x - 1
+    zeros = [CyclotomicField(n).element([1] * n) for n in (5, 7, 12, 13, 64)]
+    field = CyclotomicField(5)
+    c = field.zeta(1) + field.zeta(4)
+    zeros.append(c * c + c - 1)
+    for x in zeros:
+        s = certified_sign(x)
+        assert s.value == 0 and isinstance(s.witness, ZeroWitness)

@@ -5,12 +5,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson4 import (
-    LaurentPolynomial,
-    laurent_normalize_symmetric,
-    second_derivative_at_one,
-)
-from casson4.errors import NotSymmetrizable, NotUnimodularAtOne
+from casson4 import LaurentPolynomial, second_derivative_at_one
+from helpers import NotSymmetrizable, NotUnimodularAtOne, laurent_normalize_symmetric
 
 L = LaurentPolynomial
 
@@ -104,6 +100,11 @@ def test_evaluation_and_reverse():
     assert p(-1) == 3 - 5
     assert p(Fraction(1, 2)) == Fraction(3, 4) + 10
     assert p.reverse() == L({-2: 3, 1: 5})
+
+
+def test_evaluation_refuses_float():
+    with pytest.raises(TypeError):
+        L({1: 1, 0: -1, -1: 1})(0.1)
 
 
 def test_no_zero_coefficients_stored():

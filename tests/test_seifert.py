@@ -237,7 +237,7 @@ def test_spectrum_builds_no_field_and_no_field_arithmetic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cyclotomic field arithmetic on the spectrum path")
 
-    for name in ("__mul__", "__add__", "inverse", "galois", "real_enclosure"):
+    for name in ("__mul__", "__add__", "inverse", "galois"):
         monkeypatch.setattr(CycElt, name, refuse)
     s = torus_knot_seifert(3, 5).congruent(random_unimodular(random.Random(3), 8))
     before = set(CyclotomicField._instances)
@@ -448,3 +448,14 @@ def test_half_second_derivative_matches_arf_mod2():
         d2 = second_derivative_at_one(alexander_polynomial(s))
         assert d2 % 2 == 0, name
         assert (d2 // 2) % 2 == arf_invariant(s), name
+
+
+def test_fractional_entries_refused_not_truncated():
+    # int() would read this as the left trefoil [[1, 0], [1, 1]]
+    with pytest.raises(TypeError):
+        SeifertMatrix([[1.7, 0.2], [1.9, 1.0]])
+    trefoil = preset_knot("left_trefoil")
+    with pytest.raises(TypeError):
+        trefoil.congruent([[1, 0.0], [0, 1]])
+    with pytest.raises(TypeError):
+        SignatureSpectrum(3, [0, -2.0, -2.0])

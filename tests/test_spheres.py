@@ -95,3 +95,15 @@ def test_congruence_across_random_chains():
             ]
         )
         assert check_casson_rohlin(chain).congruent == 1
+
+
+def test_fractional_framing_refused_not_truncated():
+    from casson4.spheres import SurgeryStep
+
+    trefoil = preset_knot("left_trefoil")
+    with pytest.raises(TypeError):
+        SurgeryStep(trefoil, 1.9)
+    with pytest.raises(TypeError):
+        SurgeryPresentation([(trefoil, 1.9)])
+    with pytest.raises(TypeError):
+        SurgeryPresentation([(trefoil, Fraction(3, 1))])

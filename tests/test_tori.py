@@ -265,3 +265,24 @@ def test_pontryagin_square_is_quadratic_refinement():
             qv = 0 if bundle_exists(ring, v) else 1
             quv = 0 if bundle_exists(ring, u ^ v) else 1
             assert quv == (qu + qv + ring.pair(u, v)) % 2
+
+
+def test_fractional_bits_refused_not_truncated():
+    from casson4.tori import as_h2
+
+    cup2 = [list(row) for row in T4.cup2]
+    cup2[0][1] = cup2[1][0] = cup2[0][1] + 0.5
+    with pytest.raises(TypeError):
+        CupRing(cup2, T4.pairing, T4.eval_top)
+    bit_rows = [[(row >> j) & 1 for j in range(6)] for row in T4.pairing]
+    assert CupRing(T4.cup2, bit_rows, T4.eval_top) == T4
+    bit_rows[0][0] = 1.0
+    with pytest.raises(TypeError):
+        CupRing(T4.cup2, bit_rows, T4.eval_top)
+    with pytest.raises(TypeError):
+        CupRing(T4.cup2, T4.pairing, 1.0)
+    with pytest.raises(TypeError):
+        T4.change_basis([1, 2, 4, 8.0])
+    assert as_h2([1, 0, 0, 0, 0, 0]) == 1
+    with pytest.raises(TypeError):
+        as_h2([1.0, 0, 0, 0, 0, 0])
