@@ -10,6 +10,7 @@ certify the quantities that force the zeros (arf = 0 and Delta''(1) = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import BadEuler, InternalError, NonTrivialAlexander
 from .laurent import LaurentPolynomial, second_derivative_at_one
@@ -28,6 +29,7 @@ class CircleBundleData:
     euler: int
 
     def __post_init__(self):
+        object.__setattr__(self, "euler", index(self.euler))
         if self.euler != 1:
             raise BadEuler(f"only Euler number 1 is supported, got {self.euler}")
         delta = alexander_polynomial(self.knot)

@@ -5,13 +5,12 @@ Phi_n | f of an integer polynomial, and the values 2 cos(2 pi j / n) as
 fixed-point integers within 1 of the truth, read from one bounded table.
 They build no field.
 
-The fields remain for Hermitian matrices given over Q(zeta_n)
-(certified_signature).  Elements are vectors of rationals over the power
-basis 1, zeta, ..., zeta^(d-1), reduced modulo the n-th cyclotomic
-polynomial (d = deg Phi_n).  This gives exact zero tests, inversion and
-the Galois automorphisms zeta -> zeta^m (conjugation is m = -1); the
-sign of a real element is certified from the same cosine table
-(inertia.certified_sign).
+The fields remain for the tests' elimination oracle and for
+certified_sign.  Elements are vectors of rationals over the power basis
+1, zeta, ..., zeta^(d-1), reduced modulo the n-th cyclotomic polynomial
+(d = deg Phi_n).  This gives exact zero tests, inversion and the Galois
+automorphisms zeta -> zeta^m (conjugation is m = -1); the sign of a real
+element is certified from the same cosine table (inertia.certified_sign).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ _IV = MPIntervalContext()
 _GUARD_BITS = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree, monic."""
     if n < 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Union
 
 from .errors import NonIntegralInvariant, NotCoprime
@@ -35,6 +36,7 @@ class BranchedQuotientData:
     branch_spectrum: SignatureSpectrum
 
     def __post_init__(self):
+        object.__setattr__(self, "quotient_casson", index(self.quotient_casson))
         if self.n < 1:
             raise ValueError("order must be a positive integer")
         if self.branch_spectrum.order != self.n:
@@ -69,6 +71,7 @@ class FreeQuotientData:
     knot: SeifertMatrix
 
     def __post_init__(self):
+        object.__setattr__(self, "base_casson", index(self.base_casson))
         if self.n < 1:
             raise ValueError("order must be a positive integer")
 
@@ -147,6 +150,7 @@ def check_rohlin_congruence(d: QuotientData, rho_sigma: int) -> MappingTorusRepo
     NonIntegralInvariant when the equivariant invariant is not an
     integer, which marks the input as non-geometric.
     """
+    rho_sigma = index(rho_sigma)
     if rho_sigma not in (0, 1):
         raise ValueError("rho must be a bit")
     lam = furuta_ohta_mapping_torus(d)

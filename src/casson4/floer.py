@@ -30,6 +30,12 @@ def _trace(spec: MapSpec, rank: int) -> Fraction:
     return sum((spec[i][i] for i in range(rank)), Fraction(0))
 
 
+def _exact(x) -> Fraction:
+    if isinstance(x, float):
+        raise TypeError(f"map entries must be exact (int, Fraction or str), not {x!r}")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class FloerData:
     """Eight graded ranks b_0..b_7 with the endomorphism of each grading.
@@ -48,7 +54,7 @@ class FloerData:
         if maps is None:
             maps = (IDENTITY,) * 8
         maps = tuple(
-            m if isinstance(m, str) else tuple(tuple(Fraction(x) for x in row) for row in m)
+            m if isinstance(m, str) else tuple(tuple(map(_exact, row)) for row in m)
             for m in maps
         )
         if len(maps) != 8:
@@ -130,6 +136,7 @@ def deduce_sign_pattern(ranks: Sequence[int], target_lef: int) -> dict[int, int]
     AmbiguousSolution (carrying all candidates) when several do.
     """
     ranks = tuple(map(operator.index, ranks))
+    target_lef = operator.index(target_lef)
     if len(ranks) != 8:
         raise ValueError("ranks must be 8 integers")
     supported = [k for k, b in enumerate(ranks) if b]
@@ -156,9 +163,9 @@ def seifert_tau_lefschetz(b1: int, b3: int, b5: int, b7: int) -> int:
     degrees and the induced map is the identity in degrees 1 mod 4 and
     minus the identity in degrees 3 mod 4, giving -b1 + b3 - b5 + b7.
     """
-    for b in (b1, b3, b5, b7):
-        if b < 0:
-            raise ValueError("ranks must be nonnegative")
+    b1, b3, b5, b7 = map(operator.index, (b1, b3, b5, b7))
+    if min(b1, b3, b5, b7) < 0:
+        raise ValueError("ranks must be nonnegative")
     return -b1 + b3 - b5 + b7
 
 

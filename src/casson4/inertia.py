@@ -1,34 +1,23 @@
-"""Certified inertia of Hermitian matrices.
+"""Certified inertia of Hermitian matrices, by Descartes' rule of signs.
 
-Two routes.  Tristram-Levine forms at roots of unity of order >= 3 take
-Descartes' rule of signs: the characteristic polynomial of a Hermitian
-matrix has only real roots, so the signs of its coefficients give the
-inertia exactly (descartes_inertia).  Each coefficient is an integer
-combination of cosines 2 cos(2 pi j / n); its sign is certified with
-fixed-point integer cosines and an error budget (cosine_sum_sign), after
-an exact zero test the caller makes.  No field is built on this route.
-
-Matrices with entries in Q or one cyclotomic field take elimination.  One
-Hermitian congruence (LDL-style) elimination on the entries as
-given gives exact, exactly nonzero, real pivots.  Their number is the
-rank, so the zero eigenvalue count is the dimension minus the number of
-pivots.  The positive/negative counts are the pivot signs, each
-certified either exactly (rational pivots) or, for a real pivot
-sum_j c_j zeta^j, as the cosine sum 2 sum_j c_j cos(2 pi j / n) by
-cosine_sum_sign, the same certifier the first route uses.
-Termination is guaranteed because every pivot is exactly nonzero.
-
-The elimination uses only field operations, conjugation and exact zero
-tests, so a Galois automorphism of the field maps the pivots of H to the
-pivots of its image; callers may certify the signs of those images
-instead of eliminating again.
+The characteristic polynomial of a Hermitian matrix has only real roots,
+so the signs of its coefficients give the inertia exactly
+(descartes_inertia).  For a Tristram-Levine form at a root of unity of
+order >= 3 each coefficient is an integer combination of cosines
+2 cos(2 pi j / n), whose sign is certified with fixed-point integer
+cosines and an error budget (cosine_sum_sign) after an exact zero test
+the caller makes; no field is built.  For a rational symmetric matrix
+the coefficients are found exactly, in integers after scaling, modulo
+one proven prime (certified_signature).  certified_sign reads the sign
+of a real cyclotomic number from the same cosines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
+from operator import mul
 from typing import Sequence, Union
 
 from .cyclotomic import CycElt, fixed_point_cosines
@@ -142,98 +131,139 @@ def descartes_inertia(signs: Sequence[int]) -> tuple[int, int, int]:
     return n_plus, n_minus, len(signs) - 1 - rank
 
 
-# --- exact elimination ---
+# --- exact characteristic polynomials ---
 
-def hermitian_pivots(matrix: Sequence[Sequence]) -> list:
-    """Pivots of one congruence diagonalization of a Hermitian matrix.
+def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    M = [list(map(int, row)) for row in rows]
+    n = len(M)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
-    The entries are eliminated as given: ints and Fractions, or CycElt
-    values of one field, through exact zero tests (``not x``), inverses
-    ``Fraction(1) / p`` and ``x.conjugate()``.  The pivots are exactly
-    nonzero and real; their number is the rank and their signs give the
-    inertia, by Sylvester's law for Hermitian forms.  The matrix is not
-    checked: certified_signature is the entry point for unchecked input.
+
+def ceil_norm(vector: Sequence[int]) -> int:
+    """The Euclidean norm of an integer vector, rounded up (by an integer square root)."""
+    square = sum(x * x for x in vector)
+    return isqrt(square - 1) + 1 if square else 0
+
+
+def _proth_prime(bits: int) -> int:
+    """A prime k 2^bits + 1 with odd k < 2^bits, proven prime by Proth's theorem.
+
+    Proth: such an N is prime if a^((N-1)/2) = -1 mod N for some a.  A
+    prime N gives +-1 for every a prime to it, so any other value shows
+    that N is composite and the search moves on.
     """
-    M = [list(row) for row in matrix]
-    active = list(range(len(M)))
-    pivots = []
-    while active:
-        k = next((i for i in active if M[i][i]), None)
-        if k is None:
-            offdiag = next(
-                (
-                    (i, j)
-                    for ai, i in enumerate(active)
-                    for j in active[ai + 1:]
-                    if M[i][j]
-                ),
-                None,
-            )
-            if offdiag is None:
-                break  # remaining block is identically zero
-            i, j = offdiag
-            # congruence by (row i += c * row j) with c = M[i][j]: the new
-            # diagonal entry is 2 |M[i][j]|^2 != 0
-            c = M[i][j]
-            cbar = c.conjugate()
-            for l in active:
-                M[i][l] = M[i][l] + c * M[j][l]
-            for l in active:
-                M[l][i] = M[l][i] + M[l][j] * cbar
+    for k in range(1, 1 << bits, 2):
+        candidate = (k << bits) + 1
+        for a in (3, 5, 7, 11, 13):
+            power = pow(a, candidate >> 1, candidate)
+            if power == candidate - 1:
+                return candidate
+            if power != 1:
+                break
+    raise InternalError(f"no Proth prime k 2^{bits} + 1 with k < 2^{bits} found")
+
+
+def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
+    """Coefficients, constant first, of det(x I - H) mod the prime p.
+
+    H is reduced in place to upper Hessenberg form by similarity, then
+    the characteristic polynomials of its leading blocks follow by the
+    usual recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
+    """
+    n = len(H)
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if pivot is None:
             continue
-        p = M[k][k]
-        pivots.append(p)
-        active.remove(k)
-        inv_p = Fraction(1) / p
-        col = {i: M[i][k] * inv_p for i in active}
-        for i in active:
-            ci = col[i]
-            if not ci:
-                continue
-            row_k = M[k]
-            row_i = M[i]
-            for j in active:
-                row_i[j] = row_i[j] - ci * row_k[j]
-    return pivots
+        H[m], H[pivot] = H[pivot], H[m]
+        for row in H:
+            row[m], row[pivot] = row[pivot], row[m]
+        inverse = pow(H[m][m - 1], -1, p)
+        # row i -= u_i row m for every i > m, then column m += sum u_i column i:
+        # the row moves commute, so this is one similarity.  Rows from m on
+        # are already zero left of column m - 1, so the row moves skip that.
+        top = H[m][m - 1:]
+        factors = [H[i][m - 1] * inverse % p for i in range(m + 1, n)]
+        for i, u in enumerate(factors, m + 1):
+            if u:
+                row = H[i]
+                row[m - 1:] = [(x - u * y) % p for x, y in zip(row[m - 1:], top)]
+        if any(factors):
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, factors, row[m + 1:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        last = polys[k]
+        poly = [0] + last
+        poly[: k + 1] = [x - H[k][k] * y for x, y in zip(poly, last)]
+        subdiagonal = 1
+        for i in range(k - 1, -1, -1):
+            subdiagonal = subdiagonal * H[i + 1][i] % p
+            if not subdiagonal:
+                break
+            c = H[i][k] * subdiagonal % p
+            if c:
+                poly[: i + 1] = [x - c * y for x, y in zip(poly, polys[i])]
+        polys.append([x % p for x in poly])
+    return polys[n]
+
+
+def _charpoly_bound(M: list[list[int]]) -> int:
+    """B >= |e_r(M)| for every r, for a symmetric integer matrix M.
+
+    Hadamard bounds each principal minor on the index set I by the
+    product of rho_i = ceil|M_i.| over I, so |e_r| <= e_r(rho) <=
+    prod_i (1 + rho_i).
+    """
+    return prod(1 + ceil_norm(row) for row in M)
 
 
 def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix.
+    """Exact inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
 
-    Entries may be ints, Fractions and CycElt values of one cyclotomic
-    field.  Raises ValueError for a matrix that is not square or mixes
-    fields, TypeError for any other kind of entry, and NotHermitian when
-    the matrix differs from its conjugate transpose.
+    Entries may be ints and Fractions.  Raises ValueError for a matrix
+    that is not square, TypeError for any other kind of entry, and
+    NotHermitian when the matrix differs from its transpose.
+
+    M = L h, with L the lcm of the denominators, has the same inertia
+    and integer e_r(M).  They are read from det(x I - M) modulo a Proth
+    prime p > 2 B (B from _charpoly_bound), as the residues nearest zero,
+    and e_n must equal det M, taken apart by Bareiss.
     """
     n = len(h)
-    fields = set()
     for row in h:
         if len(row) != n:
             raise ValueError("matrix must be square")
         for entry in row:
-            if isinstance(entry, CycElt):
-                fields.add(entry.field)
-            elif not isinstance(entry, (int, Fraction)):
+            if not isinstance(entry, (int, Fraction)):
                 raise TypeError(f"cannot take the inertia of a {type(entry)!r} entry")
-    if len(fields) > 1:
-        raise ValueError("entries come from different cyclotomic fields")
+    scale = lcm(*(x.denominator for row in h for x in row))
+    M = [[x.numerator * (scale // x.denominator) for x in row] for row in h]
     for i in range(n):
-        for j in range(i, n):
-            if h[i][j] != h[j][i].conjugate():
-                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
-    pivots = hermitian_pivots(h)
-    return count_pivot_signs(pivots) + (n - len(pivots),)
-
-
-def count_pivot_signs(pivots) -> tuple[int, int]:
-    """(n_plus, n_minus) of exactly nonzero real pivots, each sign certified."""
-    n_plus = n_minus = 0
-    for p in pivots:
-        s = certified_sign(p)
-        if s.value > 0:
-            n_plus += 1
-        elif s.value < 0:
-            n_minus += 1
-        else:
-            raise InternalError("elimination produced an exactly-zero pivot")
-    return (n_plus, n_minus)
+        for j in range(i + 1, n):
+            if M[i][j] != M[j][i]:
+                raise NotHermitian(f"entry ({i},{j}) breaks symmetry")
+    p = _proth_prime((2 * _charpoly_bound(M)).bit_length())
+    chi = _charpoly_mod([[x % p for x in row] for row in M], p)
+    # the x^(n - r) coefficient is (-1)^r e_r
+    e = [(-1) ** r * (c - p if c > p // 2 else c) for r, c in enumerate(reversed(chi))]
+    det = integer_determinant(M)
+    if e[n] != det:
+        raise InternalError(f"e_{n}(M) came out {e[n]}, not det M = {det}")
+    return descartes_inertia([(x > 0) - (x < 0) for x in e])

@@ -10,14 +10,15 @@ the sums g_r(t) = e_r(t S - S^T) of principal minors are interpolated
 once per matrix, modulo one proven prime, and at each order the signs of
 the coefficients of det(x I - H(zeta_k^m)) follow from an exact
 cyclotomic zero test and fixed-point integer cosines.  No cyclotomic
-field is built.  Orders k <= 2 eliminate the integer form instead.
+field is built.  At k = 2 the form is the integer matrix 2 (S + S^T),
+whose inertia certified_signature reads by the same rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import index, mul
 from typing import Sequence
 
@@ -27,34 +28,15 @@ from .gf2 import symplectic_basis
 from .inertia import (
     CertifiedSign,
     ZeroWitness,
+    _charpoly_mod,
+    _proth_prime,
+    ceil_norm,
+    certified_signature,
     cosine_sum_sign,
-    count_pivot_signs,
     descartes_inertia,
-    hermitian_pivots,
+    integer_determinant,
 )
 from .laurent import LaurentPolynomial
-
-
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    M = [list(map(int, row)) for row in rows]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 class SeifertMatrix:
@@ -155,13 +137,7 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 def _row_column_norms(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     """rho_i = ceil|S_i.| + ceil|S_.i|, in integers: on |t| = 1 row i of
-    t S - S^T has norm at most rho_i.  Each norm is rounded up by an
-    integer square root."""
-
-    def ceil_norm(vector) -> int:
-        square = sum(x * x for x in vector)
-        return isqrt(square - 1) + 1 if square else 0
-
+    t S - S^T has norm at most rho_i."""
     return [ceil_norm(row) + ceil_norm(col) for row, col in zip(entries, zip(*entries))]
 
 
@@ -184,24 +160,6 @@ def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     return prod(1 + rho for rho in _row_column_norms(entries))
 
 
-def _proth_prime(bits: int) -> int:
-    """A prime k 2^bits + 1 with odd k < 2^bits, proven prime by Proth's theorem.
-
-    Proth: such an N is prime if a^((N-1)/2) = -1 mod N for some a.  A
-    prime N gives +-1 for every a prime to it, so any other value shows
-    that N is composite and the search moves on.
-    """
-    for k in range(1, 1 << bits, 2):
-        candidate = (k << bits) + 1
-        for a in (3, 5, 7, 11, 13):
-            power = pow(a, candidate >> 1, candidate)
-            if power == candidate - 1:
-                return candidate
-            if power != 1:
-                break
-    raise InternalError(f"no Proth prime k 2^{bits} + 1 with k < 2^{bits} found")
-
-
 def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:
     """A^-1 B mod the prime p by Gauss-Jordan elimination; A is invertible mod p."""
     n = len(a_rows)
@@ -218,52 +176,7 @@ def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:
     return [row[n:] for row in rows]
 
 
-def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
-    """Coefficients, constant first, of det(x I - H) mod the prime p.
-
-    H is reduced in place to upper Hessenberg form by similarity, then
-    the characteristic polynomials of its leading blocks follow by the
-    usual recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
-    """
-    n = len(H)
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if H[i][m - 1]), None)
-        if pivot is None:
-            continue
-        H[m], H[pivot] = H[pivot], H[m]
-        for row in H:
-            row[m], row[pivot] = row[pivot], row[m]
-        inverse = pow(H[m][m - 1], -1, p)
-        # row i -= u_i row m for every i > m, then column m += sum u_i column i:
-        # the row moves commute, so this is one similarity.  Rows from m on
-        # are already zero left of column m - 1, so the row moves skip that.
-        top = H[m][m - 1:]
-        factors = [H[i][m - 1] * inverse % p for i in range(m + 1, n)]
-        for i, u in enumerate(factors, m + 1):
-            if u:
-                row = H[i]
-                row[m - 1:] = [(x - u * y) % p for x, y in zip(row[m - 1:], top)]
-        if any(factors):
-            for row in H:
-                row[m] = (row[m] + sum(map(mul, factors, row[m + 1:]))) % p
-    polys = [[1]]
-    for k in range(n):
-        last = polys[k]
-        poly = [0] + last
-        poly[: k + 1] = [x - H[k][k] * y for x, y in zip(poly, last)]
-        subdiagonal = 1
-        for i in range(k - 1, -1, -1):
-            subdiagonal = subdiagonal * H[i + 1][i] % p
-            if not subdiagonal:
-                break
-            c = H[i][k] * subdiagonal % p
-            if c:
-                poly[: i + 1] = [x - c * y for x, y in zip(poly, polys[i])]
-        polys.append([x % p for x in poly])
-    return polys[n]
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _alexander_cached(entries: tuple[tuple[int, ...], ...]) -> LaurentPolynomial:
     n = len(entries)
     if n == 0:
@@ -385,7 +298,8 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
         )
     # an exact anchor for every r: at t = -1 the form H is 2 (S + S^T) and
     # e_r(H(-1)) = (-2)^r g_r(-1) is an integer, so Descartes' rule must
-    # give the inertia that eliminating that integer form gives
+    # give the inertia that certified_signature finds for that form, from
+    # a characteristic polynomial taken with its own bound and prime
     signs = []
     for r, g in enumerate(sums):
         value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
@@ -395,7 +309,8 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     if (n_plus - n_minus, nullity) != (values[1], expected):
         raise InternalError(
             f"e_r(t S - S^T) at t = -1 give signature {n_plus - n_minus} and "
-            f"nullity {nullity}; eliminating 2 (S + S^T) gives {values[1]} and {expected}"
+            f"nullity {nullity}; certified_signature of S + S^T gives {values[1]} "
+            f"and {expected}"
         )
     return tuple(sums)
 
@@ -432,7 +347,7 @@ def _descartes_orbit(
     return tuple(values), nullity
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _tl_orbit_cached(
     entries: tuple[tuple[int, ...], ...], k: int
 ) -> tuple[tuple[int | None, ...], int]:
@@ -440,20 +355,21 @@ def _tl_orbit_cached(
 
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
     gcd(m, k) = 1 and None otherwise.  For k >= 3 see _descartes_orbit.
-    For k <= 2 the form has integer entries: H(1) = 0, and at zeta_2 = -1
-    it is 2 (S + S^T), eliminated once; its pivot count is the rank.
+    At zeta_2 = -1 the form is 2 (S + S^T), a positive multiple of
+    S + S^T, which has the same inertia (certified_signature); at k = 1,
+    and for d = 0, it is the zero form.
     """
     d = len(entries)
     if k > 2 and d:
         return _descartes_orbit(entries, k)
-    pivots = []
-    if k == 2 and d:
-        pivots = hermitian_pivots(
-            [[2 * (entries[i][j] + entries[j][i]) for j in range(d)] for i in range(d)]
+    n_plus = n_minus = 0
+    nullity = d
+    if k == 2:
+        n_plus, n_minus, nullity = certified_signature(
+            [[a + b for a, b in zip(row, col)] for row, col in zip(entries, zip(*entries))]
         )
-    n_plus, n_minus = count_pivot_signs(pivots)
     values = tuple(n_plus - n_minus if gcd(m, k) == 1 else None for m in range(k))
-    return values, d - len(pivots)
+    return values, nullity
 
 
 def _circle_point(a) -> Fraction:
@@ -540,7 +456,7 @@ def signature_spectrum(s: SeifertMatrix, n: int) -> SignatureSpectrum:
 
 # --- Arf invariant ---
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _arf_cached(entries: tuple[tuple[int, ...], ...]) -> int:
     d = len(entries)
     if d == 0:

@@ -162,6 +162,7 @@ class ThreeTorusForm:
     triple: int
 
     def __post_init__(self):
+        object.__setattr__(self, "triple", operator.index(self.triple))
         if self.triple not in (0, 1):
             raise ValueError("the triple form is a single bit")
 
@@ -227,7 +228,10 @@ class SpinRohlinTable:
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Sequence):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(values)
+        if any(isinstance(v, float) for v in vals):
+            raise TypeError("spin-Rohlin values must be exact (int, Fraction or str)")
+        vals = tuple(map(Fraction, vals))
         if len(vals) != 8:
             raise ValueError("a spin-Rohlin table has exactly 8 entries")
         for v in vals:

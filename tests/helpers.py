@@ -12,16 +12,15 @@ from casson4 import (
     LaurentPolynomial,
     SeifertMatrix,
     alexander_polynomial,
-    certified_signature,
+    certified_sign,
     connected_sum,
     preset_knot,
     torus_knot_seifert,
 )
 from casson4 import seifert
-from casson4.errors import Casson4Error
+from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import F2Matrix, bitrows_rank
-from casson4.inertia import count_pivot_signs, hermitian_pivots
-from casson4.seifert import integer_determinant
+from casson4.inertia import integer_determinant
 
 
 class NotSymmetrizable(Casson4Error):
@@ -281,6 +280,104 @@ def rank_over_field(rows: list[list], is_zero, inverse) -> int:
     return rank
 
 
+def hermitian_pivots(matrix) -> list:
+    """Pivots of one congruence diagonalization of a Hermitian matrix.
+
+    The entries are eliminated as given: ints and Fractions, or CycElt
+    values of one field, through exact zero tests (``not x``), inverses
+    ``Fraction(1) / p`` and ``x.conjugate()``.  The pivots are exactly
+    nonzero and real; their number is the rank and their signs give the
+    inertia, by Sylvester's law for Hermitian forms.  The matrix is not
+    checked: pivot_signature is the entry point for unchecked input.
+    """
+    M = [list(row) for row in matrix]
+    active = list(range(len(M)))
+    pivots = []
+    while active:
+        k = next((i for i in active if M[i][i]), None)
+        if k is None:
+            offdiag = next(
+                (
+                    (i, j)
+                    for ai, i in enumerate(active)
+                    for j in active[ai + 1:]
+                    if M[i][j]
+                ),
+                None,
+            )
+            if offdiag is None:
+                break  # remaining block is identically zero
+            i, j = offdiag
+            # congruence by (row i += c * row j) with c = M[i][j]: the new
+            # diagonal entry is 2 |M[i][j]|^2 != 0
+            c = M[i][j]
+            cbar = c.conjugate()
+            for l in active:
+                M[i][l] = M[i][l] + c * M[j][l]
+            for l in active:
+                M[l][i] = M[l][i] + M[l][j] * cbar
+            continue
+        p = M[k][k]
+        pivots.append(p)
+        active.remove(k)
+        inv_p = Fraction(1) / p
+        col = {i: M[i][k] * inv_p for i in active}
+        for i in active:
+            ci = col[i]
+            if not ci:
+                continue
+            row_k = M[k]
+            row_i = M[i]
+            for j in active:
+                row_i[j] = row_i[j] - ci * row_k[j]
+    return pivots
+
+
+def count_pivot_signs(pivots) -> tuple[int, int]:
+    """(n_plus, n_minus) of exactly nonzero real pivots, each sign certified."""
+    n_plus = n_minus = 0
+    for p in pivots:
+        s = certified_sign(p)
+        if s.value > 0:
+            n_plus += 1
+        elif s.value < 0:
+            n_minus += 1
+        else:
+            raise InternalError("elimination produced an exactly-zero pivot")
+    return (n_plus, n_minus)
+
+
+def pivot_signature(h) -> tuple[int, int, int]:
+    """Elimination oracle for certified_signature, over Q or one Q(zeta_n).
+
+    Exact inertia (n_plus, n_minus, n_zero) of a Hermitian matrix by one
+    congruence elimination (hermitian_pivots): the pivot count is the
+    rank and the certified pivot signs give n_plus and n_minus.  Entries
+    may be ints, Fractions and CycElt values of one cyclotomic field.
+    Raises ValueError for a matrix that is not square or mixes fields,
+    TypeError for any other kind of entry, and NotHermitian when the
+    matrix differs from its conjugate transpose.
+    """
+    n = len(h)
+    fields = set()
+    for row in h:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for entry in row:
+            if isinstance(entry, CycElt):
+                fields.add(entry.field)
+            elif not isinstance(entry, (int, Fraction)):
+                raise TypeError(f"cannot take the inertia of a {type(entry)!r} entry")
+    if len(fields) > 1:
+        raise ValueError("entries come from different cyclotomic fields")
+    for i in range(n):
+        for j in range(i, n):
+            if h[i][j] != h[j][i].conjugate():
+                raise NotHermitian(f"entry ({i},{j}) breaks conjugate symmetry")
+    pivots = hermitian_pivots(h)
+    return count_pivot_signs(pivots) + (n - len(pivots),)
+
+
 def doubled_signature(h, field: CyclotomicField):
     """Inertia via the real symmetric doubling [[Re, -Im], [Im, Re]].
 
@@ -310,7 +407,7 @@ def doubled_signature(h, field: CyclotomicField):
         [im[i][j] for j in range(n)] + [re[i][j] for j in range(n)]
         for i in range(n)
     ]
-    inertia = certified_signature(doubled)
+    inertia = pivot_signature(doubled)
     assert all(x % 2 == 0 for x in inertia), "doubled inertia is not even"
     return tuple(x // 2 for x in inertia)
 

@@ -26,3 +26,20 @@ def test_only_cyclotomic_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.add(path.name)
     assert importers == {"cyclotomic.py"}
+
+
+def test_every_cache_keyed_by_caller_input_is_bounded():
+    # only caches whose keys the code fixes may grow without a bound
+    import importlib
+    import pkgutil
+
+    unbounded = set()
+    for info in pkgutil.iter_modules(casson4.__path__):
+        module = importlib.import_module(f"casson4.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else [value]
+            for fn in members:
+                parameters = getattr(fn, "cache_parameters", None)
+                if parameters and parameters()["maxsize"] is None:
+                    unbounded.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert unbounded == {"casson4.cli._validator", "casson4.cli.build_parser"}

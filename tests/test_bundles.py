@@ -88,3 +88,8 @@ def test_bundle_data_is_checked_at_construction():
     # the Euler number is checked first
     with pytest.raises(BadEuler):
         CircleBundleData(preset_knot("right_trefoil"), 0)
+
+
+def test_float_euler_number_refused():
+    with pytest.raises(TypeError):
+        CircleBundleData(preset_knot("unknot"), 1.0)

@@ -473,6 +473,24 @@ def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
+    from casson4 import inertia, seifert
+
+    monkeypatch.setattr(inertia, "_charpoly_bound", lambda M: 1)
+    seifert._minor_sums.cache_clear()
+    seifert._tl_orbit_cached.cache_clear()
+    try:
+        code, out, err = run_cli(
+            ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
+        )
+    finally:
+        seifert._minor_sums.cache_clear()
+        seifert._tl_orbit_cached.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
 def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
     data = json.loads((FIXTURES / "cork.json").read_text())
     data["n"] = 65

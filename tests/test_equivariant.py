@@ -157,3 +157,16 @@ def test_folded_sum_equals_full_sum():
             else:
                 folded += 2 * sum(spec.values[m] for m in range(1, (n + 1) // 2))
             assert full == folded
+
+
+def test_float_invariants_refused_not_computed():
+    # float quotient data once gave lambda_FO = 0.75 and 0.8
+    spectrum = SignatureSpectrum(2, [0, -2])
+    with pytest.raises(TypeError):
+        BranchedQuotientData(2, 0.5, spectrum)
+    with pytest.raises(TypeError):
+        FreeQuotientData(3, 1, 0.1, FIG8)
+    cork = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 16]))
+    assert check_rohlin_congruence(cork, 0).congruent == 1
+    with pytest.raises(TypeError):
+        check_rohlin_congruence(cork, 0.0)

@@ -142,3 +142,18 @@ def test_fractional_ranks_refused_not_truncated():
         FloerData((0, 1.5, 0, 1, 0, 1, 0, 1), ("-id",) * 8)
     with pytest.raises(TypeError):
         deduce_sign_pattern((0, 1.0, 0, 1, 0, 1, 0, 1), 4)
+
+
+def test_float_map_entries_and_targets_refused():
+    with pytest.raises(TypeError):
+        seifert_tau_lefschetz(1.5, 0, 0, 0)
+    with pytest.raises(TypeError):
+        deduce_sign_pattern(CORK.ranks, -4.0)
+    maps = ["id"] * 8
+    maps[1] = [[0.1]]
+    with pytest.raises(TypeError):
+        FloerData((0, 1, 0, 0, 0, 0, 0, 0), maps)
+    maps[1] = [["1/10"]]
+    assert lefschetz(FloerData((0, 1, 0, 0, 0, 0, 0, 0), maps)) == Fraction(-1, 10)
+    maps[1] = [[Fraction(1, 10)]]
+    assert lefschetz(FloerData((0, 1, 0, 0, 0, 0, 0, 0), maps)) == Fraction(-1, 10)

@@ -10,11 +10,17 @@ from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
     IntervalWitness,
     ZeroWitness,
+    _charpoly_bound,
+    _proth_prime,
     cosine_sum_sign,
     descartes_inertia,
-    hermitian_pivots,
 )
-from helpers import doubled_signature, numpy_inertia
+from helpers import (
+    doubled_signature,
+    hermitian_pivots,
+    numpy_inertia,
+    pivot_signature,
+)
 
 
 def test_zero_matrix_any_size():
@@ -36,7 +42,7 @@ def test_not_hermitian_rejected():
     field = CyclotomicField(5)
     z = field.zeta()
     with pytest.raises(NotHermitian):
-        certified_signature([[field.one(), z], [z, field.one()]])
+        pivot_signature([[field.one(), z], [z, field.one()]])
 
 
 def test_rational_input_is_eliminated_over_the_rationals():
@@ -50,9 +56,12 @@ def test_boundary_refuses_non_square_and_mixed_fields():
         certified_signature([[1, 0], [0]])
     f3, f5 = CyclotomicField(3), CyclotomicField(5)
     with pytest.raises(ValueError):
-        certified_signature([[f3.one(), 0], [0, f5.one()]])
+        pivot_signature([[f3.one(), 0], [0, f5.one()]])
     with pytest.raises(TypeError):
         certified_signature([[0.5]])
+    # cyclotomic entries are the elimination oracle's, not certified_signature's
+    with pytest.raises(TypeError):
+        certified_signature([[f3.one(), 0], [0, f3.one()]])
 
 
 def test_inertia_sums_to_dimension_and_matches_numpy():
@@ -103,7 +112,7 @@ def test_complex_hermitian_matches_numpy_and_doubling():
                 [raw[i][j] + raw[j][i].conjugate() for j in range(dim)]
                 for i in range(dim)
             ]
-            inertia = certified_signature(h)
+            inertia = pivot_signature(h)
             assert inertia == doubled_signature(h, field)
             import cmath
 
@@ -127,7 +136,7 @@ def test_exact_zero_detection_in_cyclotomic_field():
     z = field.zeta()
     one = field.one()
     h = [[field.rational(-1), one - z], [one - z.conjugate(), field.rational(-1)]]
-    assert certified_signature(h) == (0, 1, 1)
+    assert pivot_signature(h) == (0, 1, 1)
 
 
 def test_certified_sign_witnesses():
@@ -259,3 +268,68 @@ def test_certified_sign_of_real_cyclotomic_encloses_the_value():
     for x in zeros:
         s = certified_sign(x)
         assert s.value == 0 and isinstance(s.witness, ZeroWitness)
+
+
+def _rational_symmetric(rng, n):
+    """A seeded rational symmetric matrix of size n, often rank-deficient.
+
+    Kinds: zero; entrywise random; B^T D B with B of k < n rows and D
+    diagonal (rank <= k); and a rational multiple of an integer one.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [[0] * n for _ in range(n)]
+
+    def q():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+
+    if kind == 1:
+        a = [[q() for _ in range(n)] for _ in range(n)]
+        return [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    if kind == 2:
+        k = rng.randint(0, max(n - 1, 0))
+        b = [[q() for _ in range(n)] for _ in range(k)]
+        d = [q() for _ in range(k)]
+        return [
+            [sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)]
+            for i in range(n)
+        ]
+    c = q() or Fraction(1, 7)
+    a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    return [[c * (a[i][j] + a[j][i]) for j in range(n)] for i in range(n)]
+
+
+def test_certified_signature_matches_elimination_oracle():
+    rng = random.Random(1013)
+    deficient = 0
+    for _ in range(1200):
+        h = _rational_symmetric(rng, rng.randint(0, 8))
+        inertia = certified_signature(h)
+        assert inertia == pivot_signature(h), h
+        deficient += inertia[2] > 0
+    assert deficient >= 300
+
+
+def test_charpoly_bound_and_prime_hold_the_coefficients():
+    import sympy
+
+    rng = random.Random(1019)
+    for _ in range(24):
+        n = rng.randint(1, 7)
+        a = [[rng.randint(-200, 200) for _ in range(n)] for _ in range(n)]
+        M = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        coeffs = sympy.Matrix(M).charpoly().all_coeffs()
+        bound = _charpoly_bound(M)
+        assert max(abs(int(c)) for c in coeffs) <= bound
+        bits = (2 * bound).bit_length()
+        p = _proth_prime(bits)
+        assert p > 2 * bound
+        k, rest = divmod(p - 1, 1 << bits)
+        assert rest == 0 and k % 2 == 1 and k < 1 << bits
+        assert sympy.isprime(p)
+
+
+def test_too_small_a_prime_fails_the_determinant_check(monkeypatch):
+    monkeypatch.setattr("casson4.inertia._charpoly_bound", lambda M: 1)
+    with pytest.raises(InternalError):
+        certified_signature([[-2, 1], [1, -2]])  # det 3 lifts to -2 mod 5

@@ -10,7 +10,6 @@ from casson4 import (
     CyclotomicField,
     alexander_polynomial,
     arf_invariant,
-    certified_signature,
     connected_sum,
     mirror,
     preset_knot,
@@ -28,6 +27,7 @@ from helpers import (
     corpus_knots,
     litherland_torus,
     numpy_inertia,
+    pivot_signature,
     random_seifert,
     random_unimodular,
     rank_over_field,
@@ -123,13 +123,27 @@ def test_galois_orbit_spectrum_matches_direct_eliminations(n):
         spectrum = signature_spectrum(s, n)
         for m in range(1, n // 2 + 1):
             H, field = tl_form(s, n, m)
-            n_plus, n_minus, n_zero = certified_signature(H)
+            n_plus, n_minus, n_zero = pivot_signature(H)
             rank = rank_over_field(H, lambda x: x.is_zero(), lambda x: x.inverse())
             assert n_zero == s.size - rank, (s, n, m)
             assert spectrum.values[m] == n_plus - n_minus, (s, n, m)
             assert tl_signature(s, Fraction(m, n)) == n_plus - n_minus
             assert tl_signature(s, Fraction(n - m, n)) == n_plus - n_minus
             assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
+
+
+def test_half_signature_matches_elimination_oracle():
+    # the slow path it replaced: one elimination of H(-1) = 2 (S + S^T);
+    # the mirror -S^T has the negated form
+    rng = random.Random(2011)
+    knots = [s for _, s in corpus_knots()] + [random_seifert(rng) for _ in range(200)]
+    for s in knots:
+        for t in (s, s.mirror()):
+            d = t.size
+            H = [[2 * (t.entries[i][j] + t.entries[j][i]) for j in range(d)] for i in range(d)]
+            n_plus, n_minus, n_zero = pivot_signature(H)
+            assert tl_signature(t, Fraction(1, 2)) == n_plus - n_minus, t
+            assert tl_nullity(t, Fraction(1, 2)) == n_zero, t
 
 
 def _descartes_oracle_knots():

@@ -286,3 +286,12 @@ def test_fractional_bits_refused_not_truncated():
     assert as_h2([1, 0, 0, 0, 0, 0]) == 1
     with pytest.raises(TypeError):
         as_h2([1.0, 0, 0, 0, 0, 0])
+
+
+def test_float_forms_and_tables_refused():
+    with pytest.raises(TypeError):
+        ThreeTorusForm(1.0)
+    with pytest.raises(TypeError):
+        SpinRohlinTable([0.25] * 8)
+    table = SpinRohlinTable([Fraction(1, 4)] * 4 + ["1/4"] * 4)
+    assert rho_bar(table) == 0
