@@ -128,7 +128,7 @@ def resolve_knot(ref) -> SeifertMatrix:
         try:
             return preset_knot(ref)
         except KeyError as exc:
-            raise SchemaError(str(exc)) from None
+            raise SchemaError(exc.args[0]) from None
     if isinstance(ref, list):
         return SeifertMatrix(ref)
     if isinstance(ref, dict):
@@ -529,12 +529,17 @@ def _sweep_three_forms(params: dict) -> list[dict]:
     return instances
 
 
-# family -> (instance generator, the --range keys it reads)
+# family -> (instance generator, {--range key: (most values, allowed values or None)})
 _FAMILIES = {
-    "torus-knot-covers": (_sweep_torus_knot_covers, ("q", "r")),
-    "free-quotients": (_sweep_free_quotients, ("q",)),
-    "surgery-chains": (_sweep_surgery_chains, ("count", "steps", "seed")),
-    "three-forms": (_sweep_three_forms, ()),
+    "torus-knot-covers": (
+        _sweep_torus_knot_covers, {"q": (16, range(3, 14)), "r": (16, range(3, 16))}
+    ),
+    "free-quotients": (_sweep_free_quotients, {"q": (16, None)}),
+    "surgery-chains": (
+        _sweep_surgery_chains,
+        {"count": (1, range(10_001)), "steps": (1, range(65)), "seed": (1, None)},
+    ),
+    "three-forms": (_sweep_three_forms, {}),
 }
 
 
@@ -551,6 +556,11 @@ def cmd_sweep(family: str, range_spec: str | None) -> tuple[dict, int]:
             f"family {family!r} reads no range key {', '.join(unknown)}; "
             f"its keys: {', '.join(keys) or 'none'}"
         )
+    for key, items in params.items():
+        most, allowed = keys[key]
+        if len(items) > most or any(allowed is not None and v not in allowed for v in items):
+            limits = "" if allowed is None else f" in {allowed.start}..{allowed.stop - 1}"
+            raise SchemaError(f"range key {key}: at most {most} value(s){limits}, got {items}")
     instances = sweep(params)
     passed = sum(1 for inst in instances if inst.get("congruent", 1) == 1)
     failed = len(instances) - passed

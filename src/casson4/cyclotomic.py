@@ -1,9 +1,9 @@
 """Cyclotomic polynomials, certified cosines, and the fields Q(zeta_n).
 
-Signature spectra need only the first two: the exact zero test
-Phi_n | f of an integer polynomial, and the values 2 cos(2 pi j / n) as
-fixed-point integers within 1 of the truth, read from one bounded table.
-They build no field.
+Signature spectra need only the values 2 cos(2 pi j / n) as fixed-point
+integers within 1 of the truth, read from one bounded table: their zero
+tests are exact in integer coordinates, so they use no Phi_n and build
+no field.
 
 The fields remain for the tests' elimination oracle and for
 certified_sign.  Elements are vectors of rationals over the power basis
@@ -42,25 +42,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
-
-
-def phi_divides(n: int, poly: Sequence[int]) -> bool:
-    """Whether Phi_n divides the integer polynomial ``poly`` (constant first).
-
-    The remainder is taken in integers: first modulo t^n - 1, which Phi_n
-    divides, then modulo the monic Phi_n itself.
-    """
-    folded = [0] * n
-    for e, c in enumerate(poly):
-        folded[e % n] += c
-    phi = cyclotomic_polynomial(n)
-    degree = len(phi) - 1
-    for top in range(n - 1, degree - 1, -1):
-        c = folded[top]
-        if c:
-            for j, pj in enumerate(phi):
-                folded[top - degree + j] -= c * pj
-    return not any(folded)
 
 
 @lru_cache(maxsize=256)

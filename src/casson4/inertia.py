@@ -3,10 +3,11 @@
 The characteristic polynomial of a Hermitian matrix has only real roots,
 so the signs of its coefficients give the inertia exactly
 (descartes_inertia).  For a Tristram-Levine form at a root of unity of
-order >= 3 each coefficient is an integer combination of cosines
-2 cos(2 pi j / n), whose sign is certified with fixed-point integer
-cosines and an error budget (cosine_sum_sign) after an exact zero test
-the caller makes; no field is built.  For a rational symmetric matrix
+order n >= 3 each coefficient is c_0 + sum_j c_j 2 cos(2 pi j / n), with
+integer coordinates c in a basis of the real cyclotomic integers: it is
+zero exactly when c = 0, and any other sign is certified with
+fixed-point integer cosines and an error budget (cosine_sum_sign); no
+field is built.  For a rational symmetric matrix
 the coefficients are found exactly, in integers after scaling, modulo
 one proven prime (certified_signature).  certified_sign reads the sign
 of a real cyclotomic number from the same cosines.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence, Union
@@ -161,22 +164,26 @@ def ceil_norm(vector: Sequence[int]) -> int:
     return isqrt(square - 1) + 1 if square else 0
 
 
-def _proth_prime(bits: int) -> int:
-    """A prime k 2^bits + 1 with odd k < 2^bits, proven prime by Proth's theorem.
+@lru_cache(maxsize=1024)
+def _proth_prime(bits: int, order: int = 1) -> int:
+    """A prime c 2^b + 1 with b >= bits and odd c < 2^b, proven prime by Proth's theorem.
 
     Proth: such an N is prime if a^((N-1)/2) = -1 mod N for some a.  A
     prime N gives +-1 for every a prime to it, so any other value shows
-    that N is composite and the search moves on.
+    that N is composite and the search moves on, to the next b once no c
+    is left.  Every c is a multiple of the odd part of order, and
+    2^b >= its even part, so order divides N - 1.
     """
-    for k in range(1, 1 << bits, 2):
-        candidate = (k << bits) + 1
-        for a in (3, 5, 7, 11, 13):
-            power = pow(a, candidate >> 1, candidate)
-            if power == candidate - 1:
-                return candidate
-            if power != 1:
-                break
-    raise InternalError(f"no Proth prime k 2^{bits} + 1 with k < 2^{bits} found")
+    odd = order // (order & -order)
+    for b in count(max(bits, (order & -order).bit_length() - 1)):
+        for c in range(odd, 1 << b, 2 * odd):
+            candidate = (c << b) + 1
+            for a in (3, 5, 7, 11, 13):
+                power = pow(a, candidate >> 1, candidate)
+                if power == candidate - 1:
+                    return candidate
+                if power != 1:
+                    break
 
 
 def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:

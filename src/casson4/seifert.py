@@ -6,28 +6,27 @@ points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
 
 Signatures at roots of unity of order k >= 3 come from Descartes' rule:
-the sums g_r(t) = e_r(t S - S^T) of principal minors are interpolated
-once per matrix, modulo one proven prime, and at each order the signs of
-the coefficients of det(x I - H(zeta_k^m)) follow from an exact
-cyclotomic zero test and fixed-point integer cosines.  No cyclotomic
-field is built.  At k = 2 the form is the integer matrix 2 (S + S^T),
-whose inertia certified_signature reads by the same rule.
+modulo one proven prime p = 1 mod k, one characteristic polynomial per
+conjugate pair gives each coefficient of det(x I - H(zeta_k^m)) as
+integer coordinates over 1, 2 cos(2 pi j/k), j < phi(k)/2.  A
+coefficient is zero exactly when its coordinates are, and fixed-point
+integer cosines sign the others.  No cyclotomic field is built.  At
+k = 2 the form is the integer matrix 2 (S + S^T), whose inertia
+certified_signature reads by the same rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
-from operator import index, mul
+from itertools import count
+from math import gcd, isqrt, prod
+from operator import index
 from typing import Sequence
 
-from .cyclotomic import phi_divides
 from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import symplectic_basis
 from .inertia import (
-    CertifiedSign,
-    ZeroWitness,
     _charpoly_mod,
     _proth_prime,
     ceil_norm,
@@ -150,6 +149,7 @@ def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     return prod(_row_column_norms(entries))
 
 
+@lru_cache(maxsize=1024)
 def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d.
 
@@ -215,135 +215,93 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPolynomial:
 
 # --- Tristram-Levine signatures ---
 
-def _lagrange_basis_mod(nodes: list[int], p: int) -> list[list[int]]:
-    """Coefficients, constant first, of the Lagrange basis on distinct nodes, mod p."""
-    master = [1]  # prod_j (x - u_j)
-    for u in nodes:
-        master = [(a - u * b) % p for a, b in zip([0] + master, master + [0])]
-    basis = []
-    for i, u in enumerate(nodes):
-        quotient = [0] * len(nodes)  # master / (x - u), by synthetic division
-        carry = 0
-        for j in range(len(nodes), 0, -1):
-            carry = quotient[j - 1] = (master[j] + u * carry) % p
-        weight = pow(prod(u - v for k, v in enumerate(nodes) if k != i) % p, -1, p)
-        basis.append([c * weight % p for c in quotient])
-    return basis
+@lru_cache(maxsize=1024)
+def _root_of_unity(p: int, k: int) -> int:
+    """omega = g^((p-1)/k) of exact order k mod the prime p = 1 mod k: the
+    first g with omega^(k/q) != 1 for every divisor q > 1 of k."""
+    for g in count(2):
+        omega = pow(g, (p - 1) // k, p)
+        if all(pow(omega, k // q, p) != 1 for q in range(2, k + 1) if k % q == 0):
+            return omega
+
+
+def _principal_sums(entries: tuple[tuple[int, ...], ...], t: int, p: int) -> list[int]:
+    """g_r(t) = e_r(t S - S^T) mod p, r = 0 .. d, the sums of principal
+    r-minors: (-1)^r g_r(t) is the x^(d - r) coefficient of det(x I - (t S - S^T))."""
+    pencil = [[(t * a - b) % p for a, b in zip(r, c)] for r, c in zip(entries, zip(*entries))]
+    chi = _charpoly_mod(pencil, p)[::-1]
+    return [(-1) ** r * c % p for r, c in enumerate(chi)]
 
 
 @lru_cache(maxsize=1024)
-def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Coefficients, constant first, of g_r(t) = e_r(t S - S^T), r = 0 .. d.
+def _minus_one_anchor(entries: tuple[tuple[int, ...], ...]) -> None:
+    """The exact anchor of _conjugate_orbit, checked once per matrix.
 
-    e_r is the sum of the principal r-minors, so g_r has degree <= r and
-    (-1)^r g_r(t) is the x^(d - r) coefficient of det(x I - (t S - S^T)).
-    Transposing t^-1 S - S^T gives g_r(1/t) = (-1)^r t^-r g_r(t), so with
-    u = t + 1/t and some P_r of degree <= s
-        g_r(t) = t^s P_r(u)           for r = 2s,
-        g_r(t) = (t - 1) t^s P_r(u)   for r = 2s + 1.
-    Characteristic polynomials at the d/2 + 1 points t = 2 .. d/2 + 2 fix
-    every P_r by interpolation in u, and one more at t = 0 checks the
-    result against g_r(0).  All of it runs modulo one Proth prime
-    p > 2 B (B from _minor_sum_bound), whose residues nearest zero are the
-    coefficients: no CRT, and no probabilistic test.  A residue check
-    cannot see a wrong lift, so two exact anchors follow: g_d must be
-    det(t S - S^T) from _alexander_cached, and the signs at t = -1 must
-    give the inertia of the integer form there.
+    At t = -1, H = 2 (S + S^T) and |e_r(H)| = |(-2)^r g_r(-1)| <= 2^d B, so
+    modulo a prime above 2^(d+1) B Descartes' rule must give the inertia
+    certified_signature finds for S + S^T, with its own bound and prime.
     """
-    d = len(entries)
-    half = d // 2
-    p = _proth_prime((2 * _minor_sum_bound(entries)).bit_length())
-    if (half + 2) ** 2 >= p:  # else t t' = 1 mod p could merge two nodes u
-        raise InternalError(f"prime {p} is too small for {half + 1} interpolation nodes")
-
-    columns = list(zip(*entries))
-
-    def sums_at(t: int) -> list[int]:  # g_r(t) mod p, r = 0 .. d
-        pencil = [
-            [(t * a - b) % p for a, b in zip(row, col)] for row, col in zip(entries, columns)
-        ]
-        chi = _charpoly_mod(pencil, p)
-        return [chi[d - r] if r % 2 == 0 else -chi[d - r] % p for r in range(d + 1)]
-
-    points = range(2, half + 3)
-    basis = _lagrange_basis_mod([(t + pow(t, -1, p)) % p for t in points], p)
-    samples = [sums_at(t) for t in points]
-    at_zero = sums_at(0)
-    sums = []
-    for r in range(d + 1):
-        s = r // 2
-        scales = [pow(t ** s * (t - 1 if r % 2 else 1), -1, p) for t in points]
-        values = [sample[r] * scale for sample, scale in zip(samples, scales)]
-        P = [sum(map(mul, values, column)) % p for column in zip(*basis)]
-        if any(P[s + 1:]):
-            raise InternalError(f"e_{r}(t S - S^T) interpolates to degree above {r}")
-        g = [P[s]]  # t^s P(t + 1/t), centred: exponents -k .. k after step k
-        for c in reversed(P[:s]):
-            g = [x + y for x, y in zip([0, 0] + g, g + [0, 0])]
-            g[len(g) // 2] += c
-        if r % 2:
-            g = [y - x for x, y in zip(g + [0], [0] + g)]
-        g = tuple(c % p - p if c % p > p // 2 else c % p for c in g)
-        if (g[0] - at_zero[r]) % p:
-            raise InternalError(
-                f"e_{r}(t S - S^T) at t = 0 is not the value its symmetry predicts"
-            )
-        sums.append(g)
-    if sums[0] != (1,):
-        raise InternalError(f"e_0(t S - S^T) came out {sums[0]}, not 1")
-    alexander = _alexander_cached(entries)
-    if sums[d] != tuple(alexander.coefficient(e - half) for e in range(d + 1)):
-        raise InternalError(
-            f"e_{d}(t S - S^T) = {sums[d]} differs from det(t S - S^T) = {alexander}"
-        )
-    # an exact anchor for every r: at t = -1 the form H is 2 (S + S^T) and
-    # e_r(H(-1)) = (-2)^r g_r(-1) is an integer, so Descartes' rule must
-    # give the inertia that certified_signature finds for that form, from
-    # a characteristic polynomial taken with its own bound and prime
-    signs = []
-    for r, g in enumerate(sums):
-        value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
-        signs.append((value > 0) - (value < 0))
-    n_plus, n_minus, nullity = descartes_inertia(signs)
+    p = _proth_prime((2 ** (len(entries) + 1) * _minor_sum_bound(entries)).bit_length())
+    e = [(-2) ** r * g % p for r, g in enumerate(_principal_sums(entries, -1, p))]
+    n_plus, n_minus, nullity = descartes_inertia([(0 < x <= p // 2) - (x > p // 2) for x in e])
     values, expected = _tl_orbit_cached(entries, 2)
     if (n_plus - n_minus, nullity) != (values[1], expected):
         raise InternalError(
-            f"e_r(t S - S^T) at t = -1 give signature {n_plus - n_minus} and "
-            f"nullity {nullity}; certified_signature of S + S^T gives {values[1]} "
-            f"and {expected}"
+            f"at t = -1 Descartes' rule gives signature {n_plus - n_minus}, nullity {nullity}; "
+            f"certified_signature of S + S^T gives {values[1]}, {expected}"
         )
-    return tuple(sums)
 
 
-def _descartes_orbit(
+def _conjugate_orbit(
     entries: tuple[tuple[int, ...], ...], k: int
 ) -> tuple[tuple[int | None, ...], int]:
     """_tl_orbit_cached for k >= 3 and d > 0, by Descartes' rule.
 
-    H(t) = (1 - t) S + (1 - 1/t) S^T = (1/t - 1)(t S - S^T), so
-    e_r(H(t)) = (1/t - 1)^r g_r(t) = a_0 + sum_(j>0) a_j (t^j + t^-j) with
-    integers a, and at t = zeta_k^m it is a_0 + sum_j a_j 2 cos(2 pi jm/k).
-    It vanishes exactly when Phi_k divides t^r e_r(H(t)) = (1 - t)^r g_r(t),
-    a test made once per r because it holds along the whole Galois orbit;
-    the other signs are certified at each m.
+    H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t), an
+    integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
+    has integer coordinates c over the basis 1, u_1, .., u_(h-1) of
+    Z[zeta + 1/zeta], h = phi(k)/2, and value c_0 + sum_j c_j 2 cos(2 pi jm/k)
+    at zeta^m: zero exactly when c = 0, else signed by cosine_sum_sign.
+    Modulo a Proth prime p = 1 mod k, zeta becomes omega, and one
+    characteristic polynomial per class m in [1, k/2] prime to k gives
+    every g_r(omega^m).  On the first n = min(d + 1, h) classes c solves
+    V c = v, V_(m,0) = 1 and V_(m,j) = omega^(jm) + omega^(-jm): a
+    unit-triangular change from the Vandermonde matrix in
+    omega^m + omega^-m, which are distinct mod p and over R.  For
+    d + 1 <= h, c holds the Laurent coefficients, at most 2^d B in size (B
+    from _minor_sum_bound); else det V^2 is the nonzero discriminant of
+    the basis, and Cramer and Hadamard give |c_j| <= ceil(sqrt h)^h
+    2^(d+h-1) B.  p exceeds twice the bound, so c is the residues nearest 0.
     """
-    rows = []  # (a, zero sign or None) per r
-    for r, g in enumerate(_minor_sums(entries)):
-        shifted = list(g)  # t^r e_r(H(t)), constant first
-        for _ in range(r):
-            shifted = [x - y for x, y in zip(shifted + [0], [0] + shifted)]
-        zero = None
-        if phi_divides(k, shifted):
-            zero = CertifiedSign(0, ZeroWitness(f"Phi_{k} divides t^{r} e_{r}(H(t))"))
-        rows.append((shifted[r:], zero))
+    d = len(entries)
+    classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
+    n = min(d + 1, len(classes))
+    bound = 2**d * _minor_sum_bound(entries)
+    if n < d + 1:
+        bound *= (isqrt(n - 1) + 1) ** n * 2 ** (n - 1)
+    p = _proth_prime((2 * bound).bit_length(), k)
+    omega = _root_of_unity(p, k)
+    alexander = _alexander_cached(entries).items()
+    rows, V = [], []  # e_r(H(omega^m)) mod p, r = 0 .. d, and V, per class used
+    for m in classes[:n]:
+        w, inverse = pow(omega, m, p), pow(omega, -m, p)
+        up, down = ([pow(x, j, p) for j in range(d + 1)] for x in (w, inverse))
+        g = _principal_sums(entries, w, p)
+        if (g[d] - sum(c * up[e + d // 2] for e, c in alexander)) % p:
+            raise InternalError(f"g_{d}(omega^{m}) is not det(t S - S^T) there, mod {p}")
+        rows.append([x * pow(inverse - 1, r, p) % p for r, x in enumerate(g)])
+        V.append([1] + [x + y for x, y in zip(up[1:n], down[1:n])])
+    coords = [tuple(x - p if x > p // 2 else x for x in c) for c in zip(*_solve_mod(V, rows, p))]
+    if coords[0] != (1,) + (0,) * (n - 1):
+        raise InternalError(f"e_0(H) has coordinates {coords[0]}, not 1")
+    if any(abs(x) > bound for c in coords for x in c):
+        raise InternalError(f"a coordinate of some e_r(H) exceeds the bound {bound}")
+    _minus_one_anchor(entries)
     values = [None] * k
-    nullity = None
-    for m in range(1, k):
-        if gcd(m, k) == 1 and values[m] is None:
-            # zeta^m and zeta^-m give the same cosines: one sign serves both
-            signs = [zero or cosine_sum_sign(a, k, m) for a, zero in rows]
-            n_plus, n_minus, nullity = descartes_inertia([s.value for s in signs])
-            values[m] = values[-m % k] = n_plus - n_minus
+    for m in classes:
+        signs = [cosine_sum_sign(c, k, m).value if any(c) else 0 for c in coords]
+        n_plus, n_minus, nullity = descartes_inertia(signs)
+        values[m] = values[k - m] = n_plus - n_minus
     return tuple(values), nullity
 
 
@@ -354,14 +312,16 @@ def _tl_orbit_cached(
     """Signatures at every primitive k-th root of unity, and their nullity.
 
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
-    gcd(m, k) = 1 and None otherwise.  For k >= 3 see _descartes_orbit.
-    At zeta_2 = -1 the form is 2 (S + S^T), a positive multiple of
-    S + S^T, which has the same inertia (certified_signature); at k = 1,
-    and for d = 0, it is the zero form.
+    gcd(m, k) = 1 and None otherwise.  For k >= 3 see _conjugate_orbit:
+    one characteristic polynomial per conjugate pair modulo a prime
+    p = 1 mod k, and a t = -1 anchor checked once per matrix.  At
+    zeta_2 = -1 the form is 2 (S + S^T), a positive multiple of S + S^T,
+    which has the same inertia (certified_signature); at k = 1, and for
+    d = 0, it is the zero form.
     """
     d = len(entries)
     if k > 2 and d:
-        return _descartes_orbit(entries, k)
+        return _conjugate_orbit(entries, k)
     n_plus = n_minus = 0
     nullity = d
     if k == 2:

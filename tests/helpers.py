@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Sequence
 
 from casson4 import (
     CycElt,
@@ -18,9 +21,19 @@ from casson4 import (
     torus_knot_seifert,
 )
 from casson4 import seifert
+from casson4.cyclotomic import cyclotomic_polynomial
 from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import F2Matrix, bitrows_rank
-from casson4.inertia import integer_determinant
+from casson4.inertia import (
+    CertifiedSign,
+    ZeroWitness,
+    _charpoly_mod,
+    _proth_prime,
+    cosine_sum_sign,
+    descartes_inertia,
+    integer_determinant,
+)
+from casson4.seifert import _alexander_cached, _minor_sum_bound, _tl_orbit_cached
 
 
 class NotSymmetrizable(Casson4Error):
@@ -454,6 +467,162 @@ def tl_orbit_by_elimination(entries, k: int):
             n_plus, n_minus = count_pivot_signs(images)
             values[m] = values[-m % k] = n_plus - n_minus
     return tuple(values), d - len(pivots)
+
+
+# --- the interpolation route for orders k >= 3, kept as an oracle ---
+#
+# Moved here verbatim from casson4: g_r(t) = e_r(t S - S^T) interpolated
+# once per matrix, and the zero tests by Phi_k divisibility.
+
+def phi_divides(n: int, poly: Sequence[int]) -> bool:
+    """Whether Phi_n divides the integer polynomial ``poly`` (constant first).
+
+    The remainder is taken in integers: first modulo t^n - 1, which Phi_n
+    divides, then modulo the monic Phi_n itself.
+    """
+    folded = [0] * n
+    for e, c in enumerate(poly):
+        folded[e % n] += c
+    phi = cyclotomic_polynomial(n)
+    degree = len(phi) - 1
+    for top in range(n - 1, degree - 1, -1):
+        c = folded[top]
+        if c:
+            for j, pj in enumerate(phi):
+                folded[top - degree + j] -= c * pj
+    return not any(folded)
+
+
+def _lagrange_basis_mod(nodes: list[int], p: int) -> list[list[int]]:
+    """Coefficients, constant first, of the Lagrange basis on distinct nodes, mod p."""
+    master = [1]  # prod_j (x - u_j)
+    for u in nodes:
+        master = [(a - u * b) % p for a, b in zip([0] + master, master + [0])]
+    basis = []
+    for i, u in enumerate(nodes):
+        quotient = [0] * len(nodes)  # master / (x - u), by synthetic division
+        carry = 0
+        for j in range(len(nodes), 0, -1):
+            carry = quotient[j - 1] = (master[j] + u * carry) % p
+        weight = pow(prod(u - v for k, v in enumerate(nodes) if k != i) % p, -1, p)
+        basis.append([c * weight % p for c in quotient])
+    return basis
+
+
+@lru_cache(maxsize=1024)
+def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Coefficients, constant first, of g_r(t) = e_r(t S - S^T), r = 0 .. d.
+
+    e_r is the sum of the principal r-minors, so g_r has degree <= r and
+    (-1)^r g_r(t) is the x^(d - r) coefficient of det(x I - (t S - S^T)).
+    Transposing t^-1 S - S^T gives g_r(1/t) = (-1)^r t^-r g_r(t), so with
+    u = t + 1/t and some P_r of degree <= s
+        g_r(t) = t^s P_r(u)           for r = 2s,
+        g_r(t) = (t - 1) t^s P_r(u)   for r = 2s + 1.
+    Characteristic polynomials at the d/2 + 1 points t = 2 .. d/2 + 2 fix
+    every P_r by interpolation in u, and one more at t = 0 checks the
+    result against g_r(0).  All of it runs modulo one Proth prime
+    p > 2 B (B from _minor_sum_bound), whose residues nearest zero are the
+    coefficients: no CRT, and no probabilistic test.  A residue check
+    cannot see a wrong lift, so two exact anchors follow: g_d must be
+    det(t S - S^T) from _alexander_cached, and the signs at t = -1 must
+    give the inertia of the integer form there.
+    """
+    d = len(entries)
+    half = d // 2
+    p = _proth_prime((2 * _minor_sum_bound(entries)).bit_length())
+    if (half + 2) ** 2 >= p:  # else t t' = 1 mod p could merge two nodes u
+        raise InternalError(f"prime {p} is too small for {half + 1} interpolation nodes")
+
+    columns = list(zip(*entries))
+
+    def sums_at(t: int) -> list[int]:  # g_r(t) mod p, r = 0 .. d
+        pencil = [
+            [(t * a - b) % p for a, b in zip(row, col)] for row, col in zip(entries, columns)
+        ]
+        chi = _charpoly_mod(pencil, p)
+        return [chi[d - r] if r % 2 == 0 else -chi[d - r] % p for r in range(d + 1)]
+
+    points = range(2, half + 3)
+    basis = _lagrange_basis_mod([(t + pow(t, -1, p)) % p for t in points], p)
+    samples = [sums_at(t) for t in points]
+    at_zero = sums_at(0)
+    sums = []
+    for r in range(d + 1):
+        s = r // 2
+        scales = [pow(t ** s * (t - 1 if r % 2 else 1), -1, p) for t in points]
+        values = [sample[r] * scale for sample, scale in zip(samples, scales)]
+        P = [sum(map(mul, values, column)) % p for column in zip(*basis)]
+        if any(P[s + 1:]):
+            raise InternalError(f"e_{r}(t S - S^T) interpolates to degree above {r}")
+        g = [P[s]]  # t^s P(t + 1/t), centred: exponents -k .. k after step k
+        for c in reversed(P[:s]):
+            g = [x + y for x, y in zip([0, 0] + g, g + [0, 0])]
+            g[len(g) // 2] += c
+        if r % 2:
+            g = [y - x for x, y in zip(g + [0], [0] + g)]
+        g = tuple(c % p - p if c % p > p // 2 else c % p for c in g)
+        if (g[0] - at_zero[r]) % p:
+            raise InternalError(
+                f"e_{r}(t S - S^T) at t = 0 is not the value its symmetry predicts"
+            )
+        sums.append(g)
+    if sums[0] != (1,):
+        raise InternalError(f"e_0(t S - S^T) came out {sums[0]}, not 1")
+    alexander = _alexander_cached(entries)
+    if sums[d] != tuple(alexander.coefficient(e - half) for e in range(d + 1)):
+        raise InternalError(
+            f"e_{d}(t S - S^T) = {sums[d]} differs from det(t S - S^T) = {alexander}"
+        )
+    # an exact anchor for every r: at t = -1 the form H is 2 (S + S^T) and
+    # e_r(H(-1)) = (-2)^r g_r(-1) is an integer, so Descartes' rule must
+    # give the inertia that certified_signature finds for that form, from
+    # a characteristic polynomial taken with its own bound and prime
+    signs = []
+    for r, g in enumerate(sums):
+        value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
+        signs.append((value > 0) - (value < 0))
+    n_plus, n_minus, nullity = descartes_inertia(signs)
+    values, expected = _tl_orbit_cached(entries, 2)
+    if (n_plus - n_minus, nullity) != (values[1], expected):
+        raise InternalError(
+            f"e_r(t S - S^T) at t = -1 give signature {n_plus - n_minus} and "
+            f"nullity {nullity}; certified_signature of S + S^T gives {values[1]} "
+            f"and {expected}"
+        )
+    return tuple(sums)
+
+
+def _descartes_orbit(
+    entries: tuple[tuple[int, ...], ...], k: int
+) -> tuple[tuple[int | None, ...], int]:
+    """_tl_orbit_cached for k >= 3 and d > 0, by Descartes' rule.
+
+    H(t) = (1 - t) S + (1 - 1/t) S^T = (1/t - 1)(t S - S^T), so
+    e_r(H(t)) = (1/t - 1)^r g_r(t) = a_0 + sum_(j>0) a_j (t^j + t^-j) with
+    integers a, and at t = zeta_k^m it is a_0 + sum_j a_j 2 cos(2 pi jm/k).
+    It vanishes exactly when Phi_k divides t^r e_r(H(t)) = (1 - t)^r g_r(t),
+    a test made once per r because it holds along the whole Galois orbit;
+    the other signs are certified at each m.
+    """
+    rows = []  # (a, zero sign or None) per r
+    for r, g in enumerate(_minor_sums(entries)):
+        shifted = list(g)  # t^r e_r(H(t)), constant first
+        for _ in range(r):
+            shifted = [x - y for x, y in zip(shifted + [0], [0] + shifted)]
+        zero = None
+        if phi_divides(k, shifted):
+            zero = CertifiedSign(0, ZeroWitness(f"Phi_{k} divides t^{r} e_{r}(H(t))"))
+        rows.append((shifted[r:], zero))
+    values = [None] * k
+    nullity = None
+    for m in range(1, k):
+        if gcd(m, k) == 1 and values[m] is None:
+            # zeta^m and zeta^-m give the same cosines: one sign serves both
+            signs = [zero or cosine_sum_sign(a, k, m) for a, zero in rows]
+            n_plus, n_minus, nullity = descartes_inertia([s.value for s in signs])
+            values[m] = values[-m % k] = n_plus - n_minus
+    return tuple(values), nullity
 
 
 def litherland_torus(p: int, q: int, a: Fraction) -> tuple[int, int]:

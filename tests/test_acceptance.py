@@ -48,7 +48,15 @@ from casson4 import (
     torus_knot_seifert,
 )
 from casson4.cyclotomic import fixed_point_cosines
-from casson4.seifert import _alexander_cached, _arf_cached, _minor_sums, _tl_orbit_cached
+from casson4.inertia import _proth_prime
+from casson4.seifert import (
+    _alexander_cached,
+    _arf_cached,
+    _minor_sum_bound,
+    _minus_one_anchor,
+    _root_of_unity,
+    _tl_orbit_cached,
+)
 from helpers import corpus_knots, random_seifert, random_unimodular
 
 
@@ -56,7 +64,10 @@ def _clear_caches():
     _alexander_cached.cache_clear()
     _arf_cached.cache_clear()
     _tl_orbit_cached.cache_clear()
-    _minor_sums.cache_clear()
+    _minus_one_anchor.cache_clear()
+    _minor_sum_bound.cache_clear()
+    _root_of_unity.cache_clear()
+    _proth_prime.cache_clear()
     fixed_point_cosines.cache_clear()
 
 

@@ -274,6 +274,36 @@ def test_sweep_unknown_family_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "family,spec,message",
+    [
+        ("surgery-chains", "count=-3", "count: at most 1 value(s) in 0..10000, got [-3]"),
+        ("surgery-chains", "count=1,2", "count: at most 1 value(s) in 0..10000, got [1, 2]"),
+        ("surgery-chains", "seed=5,6", "seed: at most 1 value(s), got [5, 6]"),
+        ("surgery-chains", "steps=-1", "steps: at most 1 value(s) in 0..64, got [-1]"),
+        ("torus-knot-covers", "q=15", "q: at most 16 value(s) in 3..13, got [15]"),
+        ("torus-knot-covers", "q=3;r=17", "r: at most 16 value(s) in 3..15, got [17]"),
+        ("torus-knot-covers", "q=" + ",".join(["3"] * 17), "q: at most 16 value(s) in 3..13, got "),
+        ("free-quotients", "q=" + ",".join(["1"] * 17), "q: at most 16 value(s), got "),
+    ],
+)
+def test_sweep_range_limits_exit_1(family, spec, message, capsys):
+    code, out, err = run_cli(["sweep", "--family", family, "--range", spec], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: range key {message}") and err.count("\n") == 1
+
+
+def test_unknown_preset_message_has_no_stray_quotes(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    path.write_text(json.dumps({"schema": 1, "name": "x", "steps": [{"knot": "nope", "q": -1}]}))
+    code, out, err = run_cli(["sphere", "--input", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: unknown preset knot 'nope'; available: ['figure_eight', "
+        "'left_trefoil', 'right_trefoil', 'unknot', 'untwisted_double']\n"
+    )
+
+
 def test_congruence_failure_exits_2(monkeypatch, capsys):
     # no valid input can break the congruences (that is the point), so
     # exercise the regression-alarm path with a stubbed family
@@ -461,12 +491,12 @@ def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     path = tmp_path / "trefoil6.json"
     path.write_text(json.dumps(data))
     monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
-    seifert._minor_sums.cache_clear()
+    seifert._minus_one_anchor.cache_clear()
     seifert._tl_orbit_cached.cache_clear()
     try:
         code, out, err = run_cli(["knot", "--input", str(path)], capsys)
     finally:
-        seifert._minor_sums.cache_clear()
+        seifert._minus_one_anchor.cache_clear()
         seifert._tl_orbit_cached.cache_clear()
     assert code == 3
     assert out == ""
@@ -477,14 +507,14 @@ def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
     from casson4 import inertia, seifert
 
     monkeypatch.setattr(inertia, "_charpoly_bound", lambda M: 1)
-    seifert._minor_sums.cache_clear()
+    seifert._minus_one_anchor.cache_clear()
     seifert._tl_orbit_cached.cache_clear()
     try:
         code, out, err = run_cli(
             ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
         )
     finally:
-        seifert._minor_sums.cache_clear()
+        seifert._minus_one_anchor.cache_clear()
         seifert._tl_orbit_cached.cache_clear()
     assert code == 3
     assert out == ""

@@ -7,8 +7,8 @@ import pytest
 import sympy
 
 from casson4 import CyclotomicField, LaurentPolynomial
-from casson4.cyclotomic import cyclotomic_polynomial, fixed_point_cosines, phi_divides
-from helpers import embed, evaluate_laurent, field_i
+from casson4.cyclotomic import cyclotomic_polynomial, fixed_point_cosines
+from helpers import embed, evaluate_laurent, field_i, phi_divides
 
 
 def test_cyclotomic_polynomials_match_sympy():

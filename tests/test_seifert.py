@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil, gcd, sqrt
 
 import pytest
 
@@ -20,7 +21,10 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
+from casson4.inertia import CertifiedSign
 from helpers import (
+    _descartes_orbit,
+    _minor_sums,
     alexander_at_root_of_unity,
     alexander_by_interpolation,
     brute_force_arf,
@@ -185,7 +189,7 @@ def test_minor_sums_match_principal_minors_within_the_bound():
     assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
     for s in knots:
         expected = sympy_minor_sums(s)
-        assert seifert._minor_sums(s.entries) == expected
+        assert _minor_sums(s.entries) == expected
         bound = seifert._minor_sum_bound(s.entries)
         assert max(abs(c) for g in expected for c in g) <= bound
         bits = (2 * bound).bit_length()
@@ -196,24 +200,174 @@ def test_minor_sums_match_principal_minors_within_the_bound():
         assert sympy.isprime(p)
 
 
+def _clear_spectrum_caches():
+    seifert._minus_one_anchor.cache_clear()
+    seifert._tl_orbit_cached.cache_clear()
+
+
 @pytest.mark.parametrize("bound", [1, 10])
 def test_minor_sums_with_too_small_a_prime_raise_internal_error(monkeypatch, bound):
-    # bound 1: the prime cannot keep the interpolation nodes apart;
-    # bound 10: the nodes fit, but the lift of coefficients in the
-    # hundreds goes wrong and a post-check catches it
+    # with a prime far below the coordinates in the hundreds, their lift
+    # goes wrong and a post-check catches it
     rng = random.Random(2)
     s = torus_knot_seifert(2, 5)
     s = s.congruent(random_unimodular(rng, s.size, 12 * s.size))
-    assert max(abs(c) for g in seifert._minor_sums(s.entries) for c in g) > 100
+    assert max(abs(c) for g in _minor_sums(s.entries) for c in g) > 100
     monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: bound)
-    seifert._minor_sums.cache_clear()
-    seifert._tl_orbit_cached.cache_clear()
+    _clear_spectrum_caches()
     try:
         with pytest.raises(InternalError):
             signature_spectrum(s, 5)
     finally:
-        seifert._minor_sums.cache_clear()
-        seifert._tl_orbit_cached.cache_clear()
+        _clear_spectrum_caches()
+
+
+def _half_phi(k):
+    return sum(1 for m in range(1, k) if gcd(m, k) == 1) // 2
+
+
+def _coordinate_bound(entries, k):
+    """The bound _conjugate_orbit must keep its coordinates within, recomputed."""
+    d, h = len(entries), _half_phi(k)
+    bound = 2**d * seifert._minor_sum_bound(entries)
+    if d + 1 > h:
+        bound *= ceil(sqrt(h)) ** h * 2 ** (h - 1)
+    return bound
+
+
+def _laurent_coordinates(entries, r):
+    """Coefficients a_0 .. a_d of e_r(H(t)) = a_0 + sum_j a_j (t^j + t^-j), from the oracle."""
+    shifted = list(_minor_sums(entries)[r])
+    for _ in range(r):
+        shifted = [x - y for x, y in zip(shifted + [0], [0] + shifted)]
+    return tuple(shifted[r:]) + (0,) * (len(entries) - r)
+
+
+def _conjugate_oracle_cases():
+    """(entries, k): 300 seeded knots and their mirrors, each at the orders
+    where their base knots have roots of Delta and at two seeded orders in 3 .. 64."""
+    rng = random.Random(2111)
+    knots = []
+    while len(knots) < 300:
+        s = random_seifert(rng)
+        if s.size:
+            knots.append(s)
+    cases = []
+    for s in knots + [s.mirror() for s in knots]:
+        orders = {6, 10, 12, 14, 15} | {rng.randrange(3, 65) for _ in range(2)}
+        cases += [(s.entries, k) for k in sorted(orders)]
+    return cases
+
+
+def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
+    # where d + 1 <= phi(k)/2 the coordinates are the Laurent coefficients
+    # of e_r(H(t)); each class passes every nonzero one, in the order of r,
+    # to cosine_sum_sign, and a zero one means e_r(H) = 0
+    seen = []
+    sign = seifert.cosine_sum_sign
+
+    def spy(a, k, m):
+        seen.append(tuple(a))
+        return sign(a, k, m)
+
+    monkeypatch.setattr(seifert, "cosine_sum_sign", spy)
+    singular = exact = 0
+    for entries, k in _conjugate_oracle_cases():
+        seen.clear()
+        values, nullity = seifert._conjugate_orbit(entries, k)
+        assert (values, nullity) == _descartes_orbit(entries, k), (entries, k)
+        singular += nullity > 0
+        bound = _coordinate_bound(entries, k)
+        assert all(abs(x) <= bound for a in seen for x in a)
+        d = len(entries)
+        if d + 1 <= _half_phi(k):
+            expected = [_laurent_coordinates(entries, r) for r in range(d + 1)]
+            nonzero = [a for a in expected if any(a)]
+            assert seen == nonzero * _half_phi(k), (entries, k)
+            exact += 1
+    assert singular >= 200 and exact >= 200
+
+
+def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
+    import sympy
+
+    primes = []
+    proth = seifert._proth_prime
+
+    def spy(bits, order=1):
+        primes.append((bits, order, proth(bits, order)))
+        return primes[-1][2]
+
+    monkeypatch.setattr(seifert, "_proth_prime", spy)
+    rng = random.Random(2113)
+    knots = [torus_knot_seifert(3, 5), torus_knot_seifert(2, 9)]
+    knots += [random_seifert(rng) for _ in range(6)]
+    for s in filter(lambda s: s.size, knots):
+        for k in (3, 4, 7, 12, 16, 30, 61, 64):
+            _clear_spectrum_caches()
+            primes.clear()
+            seifert._tl_orbit_cached(s.entries, k)
+            bits, order, p = primes[0]  # _conjugate_orbit asks first
+            assert order == k and (p - 1) % k == 0
+            assert p > 2 * _coordinate_bound(s.entries, k)
+            c, b = p - 1, 0
+            while c % 2 == 0:
+                c, b = c // 2, b + 1
+            assert b >= bits and c < 1 << b and sympy.isprime(p)
+            omega = seifert._root_of_unity(p, k)
+            assert [j for j in range(1, k + 1) if pow(omega, j, p) == 1] == [k]
+    _clear_spectrum_caches()
+
+
+def test_proth_prime_moves_to_the_next_exponent():
+    # no odd multiple of 61 lies below 2^2, so the search moves past b = 2
+    import sympy
+
+    p = seifert._proth_prime(2, 61)
+    b = ((p - 1) & (1 - p)).bit_length() - 1
+    c = (p - 1) >> b
+    assert b > 2 and c % 61 == 0 and c % 2 == 1 and c < 1 << b
+    assert sympy.isprime(p)
+
+
+def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
+    # each post-check of _conjugate_orbit, reached by one defect
+    from casson4 import LaurentPolynomial as Laurent
+
+    big = torus_knot_seifert(2, 5).congruent(random_unimodular(random.Random(2), 4, 48))
+    for knot in (TREFOIL, FIG8, big):
+        alexander_polynomial(knot)  # cached before _charpoly_mod is patched
+
+    def reached(match, knot=TREFOIL, k=5):
+        _clear_spectrum_caches()
+        try:
+            with pytest.raises(InternalError, match=match):
+                seifert._tl_orbit_cached(knot.entries, k)
+        finally:
+            _clear_spectrum_caches()
+
+    with monkeypatch.context() as patch:  # Delta disagrees with g_d
+        patch.setattr(seifert, "_alexander_cached", lambda entries: Laurent({0: 2}))
+        reached("is not det")
+    charpoly = seifert._charpoly_mod
+
+    def lead_two(H, p):
+        coeffs = charpoly(H, p)
+        coeffs[-1] = 2  # g_0 = 2, and g_d is untouched
+        return coeffs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seifert, "_charpoly_mod", lead_two)
+        reached("not 1")
+    with monkeypatch.context() as patch:  # too small a prime
+        patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
+        reached("exceeds the bound", big)
+    with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
+        patch.setattr(seifert, "cosine_sum_sign", lambda a, k, m: CertifiedSign(1, None))
+        reached("sign changes", FIG8)
+    with monkeypatch.context() as patch:  # the t = -1 anchor
+        patch.setattr(seifert, "certified_signature", lambda h: (2, 0, 0))
+        reached("at t = -1")
 
 
 def test_nullity_at_alexander_roots():
