@@ -41,7 +41,7 @@ from .floer import (
     seifert_tau_lefschetz,
 )
 from .gf2 import F2Matrix, f2_rank, symplectic_basis
-from .inertia import CertifiedSign, certified_sign, certified_signature
+from .inertia import CertifiedSign, certified_signature
 from .laurent import LaurentPolynomial, second_derivative_at_one
 from .seifert import (
     PRESET_KNOTS,
@@ -94,7 +94,6 @@ __all__ = [
     "CyclotomicField",
     "CycElt",
     "CertifiedSign",
-    "certified_sign",
     "certified_signature",
     "SeifertMatrix",
     "SignatureSpectrum",

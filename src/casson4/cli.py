@@ -78,6 +78,7 @@ from .tori import (
 )
 
 SCHEMA_VERSION = 1
+_MAX_KNOT_SIZE = 168  # rows of a Seifert matrix, as in defs.json: T(13, 15), the sweep's largest
 
 
 # --- input plumbing ---
@@ -114,6 +115,8 @@ def load_input(path: str, schema_name: str) -> dict:
     # the error jsonschema.validate would raise, without re-checking the schema
     error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(data))
     if error is not None:
+        if error.validator == "maxItems":  # name the limit, not the whole array
+            error.message = f"{error.json_path} has more than {error.validator_value} items"
         raise SchemaError(f"{path}: {error.message}")
     return data
 
@@ -134,6 +137,8 @@ def resolve_knot(ref) -> SeifertMatrix:
     if isinstance(ref, dict):
         if "torus" in ref:
             p, q = ref["torus"]
+            if (p - 1) * (q - 1) > _MAX_KNOT_SIZE:
+                raise SchemaError(f"torus({p},{q}) has more than {_MAX_KNOT_SIZE} Seifert rows")
             return torus_knot_seifert(p, q)
         return SeifertMatrix(ref["seifert"])
     raise SchemaError(f"cannot interpret knot reference {ref!r}")
@@ -440,8 +445,8 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
     instances = []
     for name, knot in knots:
         sig = tl_signature(knot, Fraction(1, 2))
-        if sig % 8:
-            raise SchemaError(f"{name}: signature {sig} not divisible by 8")
+        if sig % 8:  # fixed knots: a defect, not bad input
+            raise InternalError(f"{name}: signature {sig} not divisible by 8")
         arf = arf_invariant(knot)
         for q in q_list:
             if gcd(2, q) != 1:

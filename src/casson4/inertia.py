@@ -9,8 +9,7 @@ zero exactly when c = 0, and any other sign is certified with
 fixed-point integer cosines and an error budget (cosine_sum_sign); no
 field is built.  For a rational symmetric matrix
 the coefficients are found exactly, in integers after scaling, modulo
-one proven prime (certified_signature).  certified_sign reads the sign
-of a real cyclotomic number from the same cosines.
+one proven prime (certified_signature).
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from functools import lru_cache
 from itertools import count
 from math import isqrt, lcm, prod
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
-from .cyclotomic import CycElt, fixed_point_cosines
+from .cyclotomic import fixed_point_cosines
 from .errors import InternalError, NotHermitian
 
 _START_PREC = 64
@@ -40,47 +39,9 @@ class IntervalWitness:
 
 
 @dataclass(frozen=True)
-class ZeroWitness:
-    """Exact algebraic identity certifying the value is zero."""
-
-    reason: str
-
-
-@dataclass(frozen=True)
 class CertifiedSign:
-    value: int  # -1, 0, +1
-    witness: Union[IntervalWitness, ZeroWitness]
-
-
-def certified_sign(x) -> CertifiedSign:
-    """Sign of a real algebraic number, with a checkable witness.
-
-    Zero is detected exactly (never from a small interval); nonzero signs
-    carry a dyadic interval that excludes zero.  A rational CycElt is
-    read as its Fraction.  Any other real x = sum_j c_j zeta^j is
-    (2 a_0 + sum_(j>0) a_j 2 cos(2 pi j / n)) / 2L with a = L c, L the
-    lcm of the denominators; cosine_sum_sign certifies the numerator, and
-    its interval divided by 2L is the witness.
-    """
-    if isinstance(x, CycElt) and x.is_rational():
-        x = x.rational_value()
-    if isinstance(x, (int, Fraction)):
-        q = Fraction(x)
-        if q == 0:
-            return CertifiedSign(0, ZeroWitness("rational value is exactly zero"))
-        sign = 1 if q > 0 else -1
-        return CertifiedSign(sign, IntervalWitness(q, q, 0))
-    if not isinstance(x, CycElt):
-        raise TypeError(f"cannot certify sign of {type(x)!r}")
-    if not x.is_real():
-        raise ValueError("sign is only defined for real elements")
-    scale = lcm(*(c.denominator for c in x.coeffs))
-    a = [c.numerator * (scale // c.denominator) for c in x.coeffs]
-    a[0] *= 2
-    # not rational, hence nonzero: the refinement ends
-    s = cosine_sum_sign(a, x.field.n, 1)
-    w, half = s.witness, Fraction(1, 2 * scale)
-    return CertifiedSign(s.value, IntervalWitness(w.lower * half, w.upper * half, w.precision))
+    value: int  # -1 or +1
+    witness: IntervalWitness
 
 
 def cosine_sum_sign(a: Sequence[int], n: int, m: int) -> CertifiedSign:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,7 +16,6 @@ from casson4 import (
     LaurentPolynomial,
     SeifertMatrix,
     alexander_polynomial,
-    certified_sign,
     connected_sum,
     preset_knot,
     torus_knot_seifert,
@@ -26,7 +26,7 @@ from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import F2Matrix, bitrows_rank
 from casson4.inertia import (
     CertifiedSign,
-    ZeroWitness,
+    IntervalWitness,
     _charpoly_mod,
     _proth_prime,
     cosine_sum_sign,
@@ -344,6 +344,44 @@ def hermitian_pivots(matrix) -> list:
             for j in active:
                 row_i[j] = row_i[j] - ci * row_k[j]
     return pivots
+
+
+@dataclass(frozen=True)
+class ZeroWitness:
+    """Exact algebraic identity certifying the value is zero."""
+
+    reason: str
+
+
+def certified_sign(x) -> CertifiedSign:
+    """Sign of a real algebraic number, with a checkable witness.
+
+    Zero is detected exactly (never from a small interval); nonzero signs
+    carry a dyadic interval that excludes zero.  A rational CycElt is
+    read as its Fraction.  Any other real x = sum_j c_j zeta^j is
+    (2 a_0 + sum_(j>0) a_j 2 cos(2 pi j / n)) / 2L with a = L c, L the
+    lcm of the denominators; cosine_sum_sign certifies the numerator, and
+    its interval divided by 2L is the witness.
+    """
+    if isinstance(x, CycElt) and x.is_rational():
+        x = x.coeffs[0] if x.coeffs else Fraction(0)
+    if isinstance(x, (int, Fraction)):
+        q = Fraction(x)
+        if q == 0:
+            return CertifiedSign(0, ZeroWitness("rational value is exactly zero"))
+        sign = 1 if q > 0 else -1
+        return CertifiedSign(sign, IntervalWitness(q, q, 0))
+    if not isinstance(x, CycElt):
+        raise TypeError(f"cannot certify sign of {type(x)!r}")
+    if not x.is_real():
+        raise ValueError("sign is only defined for real elements")
+    scale = lcm(*(c.denominator for c in x.coeffs))
+    a = [c.numerator * (scale // c.denominator) for c in x.coeffs]
+    a[0] *= 2
+    # not rational, hence nonzero: the refinement ends
+    s = cosine_sum_sign(a, x.field.n, 1)
+    w, half = s.witness, Fraction(1, 2 * scale)
+    return CertifiedSign(s.value, IntervalWitness(w.lower * half, w.upper * half, w.precision))
 
 
 def count_pivot_signs(pivots) -> tuple[int, int]:

@@ -9,8 +9,8 @@ def test_star_import_binds_every_exported_name():
         assert namespace[name] is getattr(casson4, name)
 
 
-def test_only_cyclotomic_imports_mpmath():
-    # one cosine table, one interval context: no other module reaches mpmath
+def test_no_src_module_imports_mpmath():
+    # the cosine table is integer arithmetic: mpmath is a test oracle only
     import ast
     from pathlib import Path
 
@@ -25,7 +25,16 @@ def test_only_cyclotomic_imports_mpmath():
                 continue
             if any(name.split(".")[0] == "mpmath" for name in names):
                 importers.add(path.name)
-    assert importers == {"cyclotomic.py"}
+    assert importers == set()
+
+
+def test_import_leaves_mpmath_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, casson4, casson4.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_every_cache_keyed_by_caller_input_is_bounded():

@@ -533,6 +533,38 @@ def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
     assert "64" in err
 
 
+@pytest.mark.parametrize(
+    "command,data,message",
+    [
+        ("sphere", {"steps": [{"knot": {"torus": [2, 171]}, "q": 1}]}, "maximum of 15"),
+        ("sphere", {"steps": [{"knot": {"torus": [14, 15]}, "q": 1}]},
+         "torus(14,15) has more than 168 Seifert rows"),
+        ("circle_bundle", {"knot": {"torus": [15, 14]}, "euler": 1}, "more than 168 Seifert rows"),
+        ("sphere", {"steps": [{"knot": [[0] * 170] * 170, "q": 1}]}, "more than 168 items"),
+        ("knot", {"name": "zero", "seifert": [[0] * 170] * 170}, "more than 168 items"),
+        ("knot", {"name": "zero", "seifert": [[0] * 2] * 170}, "$.seifert has more than 168 items"),
+    ],
+    ids=["torus-entry", "torus-rows", "bundle-torus-rows", "inline-matrix", "knot-matrix", "knot-rows"],
+)
+def test_knots_above_the_size_limit_exit_1(command, data, message, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, **data}))
+    code, out, err = run_cli([command.replace("_", "-"), "--input", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_free_quotient_signature_defect_exits_3_in_one_line(monkeypatch, capsys):
+    # the family's knots are fixed: a signature off 8Z is a defect, not bad input
+    from casson4 import cli
+
+    monkeypatch.setattr(cli, "tl_signature", lambda knot, a: 4)
+    code, out, err = run_cli(["sweep", "--family", "free-quotients"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: torus(3,5): signature 4 not divisible by 8\n"
+
+
 def _float_first_int(node):
     """The JSON value with its first integer leaf (other than "schema") as a float."""
     if isinstance(node, dict):

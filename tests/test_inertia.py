@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson4 import CyclotomicField, certified_sign, certified_signature
+from casson4 import CyclotomicField, certified_signature
 from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
     IntervalWitness,
-    ZeroWitness,
     _charpoly_bound,
     _proth_prime,
     cosine_sum_sign,
     descartes_inertia,
 )
 from helpers import (
+    ZeroWitness,
+    certified_sign,
     doubled_signature,
     hermitian_pivots,
     numpy_inertia,
