@@ -328,8 +328,7 @@ def cmd_torus4(data: dict) -> Computed:
     elif data.get("preset") == "T4":
         ring = torus4_ring()
     else:
-        cup2 = [[as_h2(vec) for vec in row] for row in data["cup2"]]
-        ring = CupRing(cup2, data["pairing"], data["eval_top"])
+        ring = CupRing(data["cup2"], data["pairing"], data["eval_top"])
     determinant = det4(ring)
     invariants = {"det4": determinant}
     congruences = {}

@@ -123,6 +123,21 @@ def f2_rank(m: F2Matrix) -> int:
     return m.rank()
 
 
+def form_value(rows: Sequence[int], x: int, y: int) -> int:
+    """x^T B y over GF(2), for the Gram matrix B given as row bitmasks.
+
+    Only the bits of x that index a row are read.  With x = y this is the
+    quadratic form of B.
+    """
+    x &= (1 << len(rows)) - 1
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return (acc & y).bit_count() & 1
+
+
 def symplectic_basis(form_rows: Sequence[int], dim: int) -> list[tuple[int, int]]:
     """Symplectic basis of a nonsingular alternating GF(2) form.
 
@@ -130,25 +145,19 @@ def symplectic_basis(form_rows: Sequence[int], dim: int) -> list[tuple[int, int]
     Returns pairs (a_i, b_i) of vector bitmasks with B(a_i, b_i) = 1 and
     all other pairings zero.  Raises DegeneratePolarization when the form
     is singular.
+
+    Each step takes a = pool[0], a partner b with B(a, b) = 1, and moves
+    every other v to v + B(v, b) a + B(v, a) b, which is orthogonal to both
+    (B is alternating).  The map from the pool to {a, b} and the moved
+    vectors is unitriangular, so the moved vectors stay independent and
+    nonzero: the next pool needs no re-elimination.  The form is singular
+    exactly when some a finds no partner.
     """
-
-    def pair(x: int, y: int) -> int:
-        acc = 0
-        xx = x
-        while xx:
-            i = (xx & -xx).bit_length() - 1
-            acc ^= (form_rows[i] & y).bit_count() & 1
-            xx &= xx - 1
-        return acc
-
     pool = [1 << i for i in range(dim)]
     pairs: list[tuple[int, int]] = []
-    while True:
-        pool = [v for v in pool if v]
-        a = next((v for v in pool), None)
-        if a is None:
-            break
-        b = next((v for v in pool if pair(a, v)), None)
+    while pool:
+        a = pool[0]
+        b = next((v for v in pool if form_value(form_rows, a, v)), None)
         if b is None:
             # a pairs trivially with everything left: radical is nonzero
             raise DegeneratePolarization(
@@ -158,22 +167,11 @@ def symplectic_basis(form_rows: Sequence[int], dim: int) -> list[tuple[int, int]
         for v in pool:
             if v in (a, b):
                 continue
-            if pair(v, b):
+            if form_value(form_rows, v, b):
                 v ^= a
-            if pair(v, a):
+            if form_value(form_rows, v, a):
                 v ^= b
             reduced.append(v)
-        # drop vectors that became dependent on the processed span
-        basis: list[int] = []
-        for v in reduced:
-            w = v
-            for u in basis:
-                low = u & -u
-                if w & low:
-                    w ^= u
-            if w:
-                basis.append(w)
-        pool = basis
+        pool = reduced
         pairs.append((a, b))
     return pairs
-

@@ -24,8 +24,8 @@ from math import gcd, isqrt, prod
 from operator import index
 from typing import Sequence
 
-from .errors import DegeneratePolarization, InternalError, InvalidSeifertMatrix, NotCoprime
-from .gf2 import symplectic_basis
+from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
+from .gf2 import F2Matrix, form_value, symplectic_basis
 from .inertia import (
     _charpoly_mod,
     _proth_prime,
@@ -421,26 +421,12 @@ def _arf_cached(entries: tuple[tuple[int, ...], ...]) -> int:
     d = len(entries)
     if d == 0:
         return 0
-    rows = [
-        sum(((entries[i][j] + entries[j][i]) & 1) << j for j in range(d))
-        for i in range(d)
-    ]
-    try:
-        pairs = symplectic_basis(rows, d)
-    except DegeneratePolarization:
-        raise DegeneratePolarization(
-            "S + S^T is singular mod 2; not a valid Seifert matrix"
-        ) from None
-
-    def q(x: int) -> int:
-        total = 0
-        support = [i for i in range(d) if (x >> i) & 1]
-        for i in support:
-            for j in support:
-                total += entries[i][j]
-        return total & 1
-
-    return sum(q(a) * q(b) for a, b in pairs) & 1
+    seifert_mod2 = F2Matrix(entries)
+    odd = seifert_mod2.bitrows
+    polar = [r ^ c for r, c in zip(odd, seifert_mod2.transpose().bitrows)]
+    # S + S^T = S - S^T mod 2, and the constructor proves det(S - S^T) = +-1: never singular
+    pairs = symplectic_basis(polar, d)
+    return sum(form_value(odd, a, a) * form_value(odd, b, b) for a, b in pairs) & 1
 
 
 def arf_invariant(s: SeifertMatrix) -> int:

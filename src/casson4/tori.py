@@ -5,19 +5,22 @@ ring is given by the table of pairwise cup products of the H^1 basis and
 the symmetric pairing on H^2; the top evaluation of four 1-classes is
 pairing(cup(x, y), cup(z, w)).  The determinant, the spin-Rohlin
 aggregate, and the mod-2 degree-zero instanton count are all derived
-from this data by exhaustive enumeration.
+from this data: the four-orbit count by exhausting the 35 planes in H^1,
+the two hypotheses by bilinearity on the basis.  Every form is evaluated
+by ``gf2.form_value``, and every H^2 class is read by ``as_h2``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 from .errors import HypothesisFails, InconsistentRing, InternalError, NonBinary, ZeroW2
-from .gf2 import bitrows_rank
+from .gf2 import F2Matrix, bitrows_rank, form_value
 
 H1_DIM = 4
 H2_DIM = 6
@@ -34,16 +37,13 @@ if len(ALL_PLANES) != 35 or any(len({0, *plane}) != 4 for plane in ALL_PLANES):
     raise InternalError("H^1 must have 35 two-planes of 4 elements each")
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 @dataclass(frozen=True)
 class CupRing:
     """Mod-2 cohomology ring data of a homology 4-torus.
 
     cup2[i][j] is the product a_i cup a_j as a 6-bit vector in H^2;
-    pairing[u] is row u of the Gram matrix of the H^2 x H^2 form.
+    pairing[u] is row u of the Gram matrix of the H^2 x H^2 form.  Both
+    are given as as_h2 reads a class: a 6-bit int or a list of six bits.
     Construction raises InconsistentRing unless the data presents a
     genuine ring, so every CupRing is one.
     """
@@ -54,23 +54,18 @@ class CupRing:
 
     def __init__(
         self,
-        cup2: Sequence[Sequence[int]],
-        pairing: Sequence[int] | Sequence[Sequence[int]],
+        cup2: Sequence[Sequence[int | Sequence[int]]],
+        pairing: Sequence[int | Sequence[int]],
         eval_top: int,
     ):
-        cup_table = tuple(tuple(operator.index(v) & 0x3F for v in row) for row in cup2)
+        cup_table = tuple(tuple(as_h2(v) for v in row) for row in cup2)
         if len(cup_table) != H1_DIM or any(len(r) != H1_DIM for r in cup_table):
             raise InconsistentRing("cup2 must be a 4x4 table")
-        rows = []
-        for row in pairing:
-            if isinstance(row, int):
-                rows.append(row & 0x3F)
-            else:
-                rows.append(sum((operator.index(v) & 1) << j for j, v in enumerate(row)))
+        rows = tuple(as_h2(row) for row in pairing)
         if len(rows) != H2_DIM:
             raise InconsistentRing("pairing must have 6 rows")
         object.__setattr__(self, "cup2", cup_table)
-        object.__setattr__(self, "pairing", tuple(rows))
+        object.__setattr__(self, "pairing", rows)
         object.__setattr__(self, "eval_top", operator.index(eval_top) & 1)
         # the data must present a genuine ring
         for i in range(H1_DIM):
@@ -79,10 +74,8 @@ class CupRing:
             for j in range(H1_DIM):
                 if cup_table[i][j] != cup_table[j][i]:
                     raise InconsistentRing("cup2 table must be symmetric")
-        for i in range(H2_DIM):
-            for j in range(H2_DIM):
-                if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
-                    raise InconsistentRing("H^2 pairing must be symmetric")
+        if F2Matrix.from_bitrows(rows, H2_DIM).transpose().bitrows != rows:
+            raise InconsistentRing("H^2 pairing must be symmetric")
         if bitrows_rank(list(rows)) != H2_DIM:
             raise InconsistentRing("H^2 pairing must be nondegenerate (rank 6)")
         # mod 2, "alternating" means: invariant under permutations and
@@ -124,11 +117,7 @@ class CupRing:
 
     def pair(self, u: int, v: int) -> int:
         """Symmetric H^2 x H^2 pairing into F_2."""
-        acc = 0
-        for i in range(H2_DIM):
-            if (u >> i) & 1:
-                acc ^= _parity(self.pairing[i] & v)
-        return acc
+        return form_value(self.pairing, u, v)
 
     def eval4(self, x: int, y: int, z: int, w: int) -> int:
         """Top evaluation (x cup y cup z cup w)[X]."""
@@ -151,8 +140,7 @@ class CupRing:
         new_cup = tuple(
             tuple(self.cup(P[i], P[j]) for j in range(H1_DIM)) for i in range(H1_DIM)
         )
-        new_top = self.pair(self.cup(P[0], P[1]), self.cup(P[2], P[3]))
-        return CupRing(new_cup, self.pairing, new_top)
+        return CupRing(new_cup, self.pairing, self.eval4(*P))
 
 
 @dataclass(frozen=True)
@@ -268,26 +256,33 @@ def four_orbit_count(r: CupRing, w: int) -> int:
 
 
 def as_h2(w) -> int:
-    """An H^2 class as a 6-bit int, given as an int or as a list of bits."""
-    if isinstance(w, int):
-        if not 0 <= w < 64:
+    """An H^2 class as a 6-bit int, given as an int or as a list of six bits.
+
+    Raises ValueError for an int outside 0..63 or a bit list that is not
+    six entries of 0 or 1, and TypeError for anything that is not an
+    integer or a list of integers.
+    """
+    if not isinstance(w, Iterable):
+        w = operator.index(w)
+        if not 0 <= w < 1 << H2_DIM:
             raise ValueError("H^2 classes are 6-bit")
         return w
-    return sum((operator.index(v) & 1) << j for j, v in enumerate(w))
+    bits = [operator.index(v) for v in w]
+    if len(bits) != H2_DIM or not set(bits) <= {0, 1}:
+        raise ValueError("an H^2 bit list has six entries, each 0 or 1")
+    return sum(bit << j for j, bit in enumerate(bits))
 
 
 def admissible(r: CupRing, w) -> bool:
     """True when some xi in H^1 has w cup xi != 0 in H^3.
 
-    Nonvanishing in H^3 is tested against all of H^1 through the top
-    pairing, by full enumeration.
+    That holds when (w cup xi cup eta)[X] != 0 for some xi, eta in H^1.
+    The left side is bilinear in (xi, eta), so it is nonzero for some pair
+    exactly when it is for a pair of basis vectors a_i, a_j with i < j
+    (a_i cup a_i = 0 and the table is symmetric): six products to test.
     """
     w = as_h2(w)
-    return any(
-        r.pair(w, r.cup(xi, eta))
-        for xi in range(1, 16)
-        for eta in range(1, 16)
-    )
+    return any(r.pair(w, r.cup2[i][j]) for i, j in combinations(range(H1_DIM), 2))
 
 
 def bundle_exists(r: CupRing, w) -> bool:
@@ -298,21 +293,18 @@ def bundle_exists(r: CupRing, w) -> bool:
     homology 4-torus this is the quadratic refinement
     q(w) = sum_{i<j} w_i w_j <u_i, u_j> (mod 2), assuming the H^2 basis
     classes lift to integral classes of square divisible by 4 (true for
-    the hyperbolic bases these rings use).
+    the hyperbolic bases these rings use).  The sum is the quadratic form
+    of the strictly upper triangle of the pairing.
     """
     w = as_h2(w)
-    bits = [i for i in range(H2_DIM) if (w >> i) & 1]
-    total = 0
-    for a in range(len(bits)):
-        for b in range(a + 1, len(bits)):
-            total ^= (r.pairing[bits[a]] >> bits[b]) & 1
-    return total == 0
+    upper = [row >> (i + 1) << (i + 1) for i, row in enumerate(r.pairing)]
+    return form_value(upper, w, w) == 0
 
 
 def donaldson_mod2(r: CupRing, w) -> int:
     """Mod-2 quarter count of the degree-zero instanton invariant.
 
-    Two hypotheses are verified by enumeration, and the operation refuses
+    Two hypotheses are verified, and the operation refuses
     (HypothesisFails) rather than return an unsupported value when either
     fails: some xi in H^1 must pair nontrivially with w, and a p1 = 0
     bundle realizing w must exist (Pontryagin square of w vanishes).

@@ -712,6 +712,13 @@ def random_gl4(rng) -> F2Matrix:
             return F2Matrix.from_bitrows(rows, 4)
 
 
+def admissible_by_enumeration(ring, w: int) -> bool:
+    """Oracle for tori.admissible: (w cup xi cup eta)[X] over all 225 pairs."""
+    return any(
+        ring.pair(w, ring.cup(xi, eta)) for xi in range(1, 16) for eta in range(1, 16)
+    )
+
+
 def field_i(field: CyclotomicField) -> CycElt:
     """The square root zeta_n^(n/4) of -1 in Q(zeta_n), for 4 | n."""
     if field.n % 4:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from casson4 import F2Matrix, f2_rank, symplectic_basis
 from casson4.errors import DegeneratePolarization
+from casson4.gf2 import bitrows_rank, form_value
 
 
 def test_rank_examples():
@@ -50,6 +51,23 @@ def test_matmul_against_naive():
             for i in range(n)
         ]
         assert (F2Matrix(a) @ F2Matrix(b)).to_lists() == naive
+
+
+def test_form_value_is_the_matrix_product():
+    # x^T B y as the 1x1 F2Matrix product, on seeded random rows
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+        x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+        product = (
+            F2Matrix.from_bitrows([x], n)
+            @ F2Matrix.from_bitrows(rows, n)
+            @ F2Matrix.from_bitrows([y], n).transpose()
+        )
+        assert form_value(rows, x, y) == product.entry(0, 0)
+        # bits of x past the last row are not read
+        assert form_value(rows, x | (rng.randrange(1, 8) << n), y) == product.entry(0, 0)
 
 
 def _pairing(rows, x, y):
@@ -102,6 +120,29 @@ def test_symplectic_basis_rejects_singular():
     with pytest.raises(DegeneratePolarization):
         # rank-2 form on a 4-dimensional space has a radical
         symplectic_basis([0b0010, 0b0001, 0, 0], 4)
+
+
+def test_symplectic_basis_refuses_exactly_the_singular_forms():
+    # a random alternating form is singular exactly when its rank is short
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(400):
+        d = rng.randint(1, 8)
+        rows = [0] * d
+        for i in range(d):
+            for j in range(i + 1, d):
+                if rng.random() < 0.4:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        singular = bitrows_rank(list(rows)) < d
+        verdicts.add(singular)
+        try:
+            pairs = symplectic_basis(rows, d)
+        except DegeneratePolarization:
+            assert singular
+        else:
+            assert not singular and 2 * len(pairs) == d
+    assert verdicts == {True, False}
 
 
 def test_empty_form():

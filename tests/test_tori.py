@@ -19,7 +19,8 @@ from casson4 import (
     torus4_ring,
 )
 from casson4.errors import HypothesisFails, InconsistentRing, NonBinary, ZeroW2
-from helpers import random_gl4, ring_defect
+from casson4.tori import as_h2
+from helpers import admissible_by_enumeration, random_gl4, ring_defect
 
 T4 = torus4_ring()
 EVEN = product_ring(ThreeTorusForm(0))
@@ -119,6 +120,20 @@ def test_odd_rings_realize_the_bijection():
         assert len(admissible_ws) == 35, name
         for w in admissible_ws:
             assert four_orbit_count(ring, w) == 1, (name, w)
+
+
+def test_admissible_matches_the_pair_enumeration():
+    # six basis products decide what all 225 (xi, eta) pairs decide
+    rng = random.Random(61)
+    rings = [ring for _, ring in ALL_RINGS]
+    rings += [ring.change_basis(random_gl4(rng).bitrows) for ring in rings for _ in range(4)]
+    seen = set()
+    for ring in rings:
+        for w in range(1, 64):
+            expected = admissible_by_enumeration(ring, w)
+            assert admissible(ring, w) == expected, (ring, w)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_hypothesis_failures():
@@ -268,8 +283,6 @@ def test_pontryagin_square_is_quadratic_refinement():
 
 
 def test_fractional_bits_refused_not_truncated():
-    from casson4.tori import as_h2
-
     cup2 = [list(row) for row in T4.cup2]
     cup2[0][1] = cup2[1][0] = cup2[0][1] + 0.5
     with pytest.raises(TypeError):
@@ -295,3 +308,38 @@ def test_float_forms_and_tables_refused():
         SpinRohlinTable([0.25] * 8)
     table = SpinRohlinTable([Fraction(1, 4)] * 4 + ["1/4"] * 4)
     assert rho_bar(table) == 0
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [], [2, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0], 64, -1],
+)
+def test_malformed_h2_classes_are_refused(w):
+    # neither truncated to six bits nor reduced mod 2
+    with pytest.raises(ValueError):
+        as_h2(w)
+    for consumer in (admissible, bundle_exists, four_orbit_count, donaldson_mod2):
+        with pytest.raises(ValueError):
+            consumer(T4, w)
+
+
+def test_out_of_range_ring_entries_are_refused():
+    cup2 = [list(row) for row in T4.cup2]
+    cup2[0][1] = cup2[1][0] = T4.cup2[0][1] | 64
+    with pytest.raises(ValueError, match="6-bit"):
+        CupRing(cup2, T4.pairing, T4.eval_top)
+    pairing = list(T4.pairing)
+    pairing[0] |= 64
+    with pytest.raises(ValueError, match="6-bit"):
+        CupRing(T4.cup2, pairing, T4.eval_top)
+    bit_rows = [[(row >> j) & 1 for j in range(6)] for row in T4.pairing]
+    bit_rows[0].append(0)
+    with pytest.raises(ValueError, match="six entries"):
+        CupRing(T4.cup2, bit_rows, T4.eval_top)
+    bit_rows = [[(row >> j) & 1 for j in range(6)] for row in T4.pairing]
+    bit_rows[0][5] = 3
+    with pytest.raises(ValueError, match="six entries"):
+        CupRing(T4.cup2, bit_rows, T4.eval_top)
+    # cup2 entries may be bit lists too, as in the CLI input
+    bit_cup2 = [[[(v >> j) & 1 for j in range(6)] for v in row] for row in T4.cup2]
+    assert CupRing(bit_cup2, T4.pairing, T4.eval_top) == T4
