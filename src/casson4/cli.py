@@ -3,11 +3,11 @@
 Subcommands take a JSON input file conforming to the schemas shipped in
 casson4/schemas, compute invariants, and emit a report either as a
 human-readable table or as canonical JSON.  Exit codes: 0 on success, 1
-on bad input, 2 when a mandated congruence fails (a regression alarm, so
-CI can distinguish it from input trouble), 3 when an internal invariant
-fails (a defect in casson4, reported in one line).  A failed input check
-(a non-integral mapping-torus invariant) still prints its report, with
-exit code 1.
+on bad input or a malformed command line, 2 when a mandated congruence
+fails (a regression alarm, so CI can distinguish it from input trouble),
+3 when an internal invariant fails (a defect in casson4, reported in one
+line).  A failed input check (a non-integral mapping-torus invariant)
+still prints its report, with exit code 1.
 
 Each subcommand is a row of ``_COMMANDS``: its schema name and a handler
 ``cmd_<name>(data) -> (invariants, congruences, certificates)``.  The
@@ -52,6 +52,7 @@ from .laurent import second_derivative_at_one
 from .seifert import (
     SeifertMatrix,
     SignatureSpectrum,
+    _minor_sum_bound,
     alexander_polynomial,
     arf_invariant,
     preset_knot,
@@ -79,6 +80,8 @@ from .tori import (
 
 SCHEMA_VERSION = 1
 _MAX_KNOT_SIZE = 168  # rows of a Seifert matrix, as in defs.json: T(13, 15), the sweep's largest
+# bits of the coefficient bound B, which sets the primes: T(13, 15)'s, the largest torus reference
+_MAX_BOUND_BITS = 390
 
 
 # --- input plumbing ---
@@ -132,16 +135,21 @@ def resolve_knot(ref) -> SeifertMatrix:
             return preset_knot(ref)
         except KeyError as exc:
             raise SchemaError(exc.args[0]) from None
-    if isinstance(ref, list):
-        return SeifertMatrix(ref)
-    if isinstance(ref, dict):
-        if "torus" in ref:
-            p, q = ref["torus"]
-            if (p - 1) * (q - 1) > _MAX_KNOT_SIZE:
-                raise SchemaError(f"torus({p},{q}) has more than {_MAX_KNOT_SIZE} Seifert rows")
-            return torus_knot_seifert(p, q)
-        return SeifertMatrix(ref["seifert"])
-    raise SchemaError(f"cannot interpret knot reference {ref!r}")
+    if isinstance(ref, dict) and "torus" in ref:
+        p, q = ref["torus"]
+        if (p - 1) * (q - 1) > _MAX_KNOT_SIZE:
+            raise SchemaError(f"torus({p},{q}) has more than {_MAX_KNOT_SIZE} Seifert rows")
+        return torus_knot_seifert(p, q)
+    rows = ref["seifert"] if isinstance(ref, dict) else ref
+    if not isinstance(rows, list):
+        raise SchemaError(f"cannot interpret knot reference {ref!r}")
+    # on the raw rows, before the constructor's Bareiss determinant
+    bits = _minor_sum_bound(rows).bit_length()
+    if bits > _MAX_BOUND_BITS:
+        raise SchemaError(
+            f"the Seifert matrix's coefficient bound has {bits} bits, more than {_MAX_BOUND_BITS}"
+        )
+    return SeifertMatrix(rows)
 
 
 def _frac_json(value: Fraction | int):
@@ -235,7 +243,7 @@ Computed = tuple[dict, dict, list]
 
 
 def cmd_knot(data: dict) -> Computed:
-    knot = SeifertMatrix(data["seifert"])
+    knot = resolve_knot(data["seifert"])
     order = data.get("spectrum_order", 2)
     delta = alexander_polynomial(knot)
     d2 = second_derivative_at_one(delta)
@@ -642,7 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "sweep":
             payload, code = cmd_sweep(args.family, args.range)

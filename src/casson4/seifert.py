@@ -134,7 +134,7 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 # --- Alexander polynomial ---
 
-def _row_column_norms(entries: tuple[tuple[int, ...], ...]) -> list[int]:
+def _row_column_norms(entries: Sequence[Sequence[int]]) -> list[int]:
     """rho_i = ceil|S_i.| + ceil|S_.i|, in integers: on |t| = 1 row i of
     t S - S^T has norm at most rho_i."""
     return [ceil_norm(row) + ceil_norm(col) for row, col in zip(entries, zip(*entries))]
@@ -149,8 +149,7 @@ def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     return prod(_row_column_norms(entries))
 
 
-@lru_cache(maxsize=1024)
-def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
+def _minor_sum_bound(entries: Sequence[Sequence[int]]) -> int:
     """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d.
 
     On |t| = 1 Hadamard bounds each principal minor on the index set I by
@@ -233,25 +232,6 @@ def _principal_sums(entries: tuple[tuple[int, ...], ...], t: int, p: int) -> lis
     return [(-1) ** r * c % p for r, c in enumerate(chi)]
 
 
-@lru_cache(maxsize=1024)
-def _minus_one_anchor(entries: tuple[tuple[int, ...], ...]) -> None:
-    """The exact anchor of _conjugate_orbit, checked once per matrix.
-
-    At t = -1, H = 2 (S + S^T) and |e_r(H)| = |(-2)^r g_r(-1)| <= 2^d B, so
-    modulo a prime above 2^(d+1) B Descartes' rule must give the inertia
-    certified_signature finds for S + S^T, with its own bound and prime.
-    """
-    p = _proth_prime((2 ** (len(entries) + 1) * _minor_sum_bound(entries)).bit_length())
-    e = [(-2) ** r * g % p for r, g in enumerate(_principal_sums(entries, -1, p))]
-    n_plus, n_minus, nullity = descartes_inertia([(0 < x <= p // 2) - (x > p // 2) for x in e])
-    values, expected = _tl_orbit_cached(entries, 2)
-    if (n_plus - n_minus, nullity) != (values[1], expected):
-        raise InternalError(
-            f"at t = -1 Descartes' rule gives signature {n_plus - n_minus}, nullity {nullity}; "
-            f"certified_signature of S + S^T gives {values[1]}, {expected}"
-        )
-
-
 def _conjugate_orbit(
     entries: tuple[tuple[int, ...], ...], k: int
 ) -> tuple[tuple[int | None, ...], int]:
@@ -296,7 +276,6 @@ def _conjugate_orbit(
         raise InternalError(f"e_0(H) has coordinates {coords[0]}, not 1")
     if any(abs(x) > bound for c in coords for x in c):
         raise InternalError(f"a coordinate of some e_r(H) exceeds the bound {bound}")
-    _minus_one_anchor(entries)
     values = [None] * k
     for m in classes:
         signs = [cosine_sum_sign(c, k, m).value if any(c) else 0 for c in coords]
@@ -314,10 +293,9 @@ def _tl_orbit_cached(
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
     gcd(m, k) = 1 and None otherwise.  For k >= 3 see _conjugate_orbit:
     one characteristic polynomial per conjugate pair modulo a prime
-    p = 1 mod k, and a t = -1 anchor checked once per matrix.  At
-    zeta_2 = -1 the form is 2 (S + S^T), a positive multiple of S + S^T,
-    which has the same inertia (certified_signature); at k = 1, and for
-    d = 0, it is the zero form.
+    p = 1 mod k.  At zeta_2 = -1 the form is 2 (S + S^T), a positive
+    multiple of S + S^T, which has the same inertia (certified_signature);
+    at k = 1, and for d = 0, it is the zero form.
     """
     d = len(entries)
     if k > 2 and d:

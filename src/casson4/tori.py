@@ -66,7 +66,10 @@ class CupRing:
             raise InconsistentRing("pairing must have 6 rows")
         object.__setattr__(self, "cup2", cup_table)
         object.__setattr__(self, "pairing", rows)
-        object.__setattr__(self, "eval_top", operator.index(eval_top) & 1)
+        eval_top = operator.index(eval_top)
+        if eval_top not in (0, 1):
+            raise ValueError("eval_top is a single bit")
+        object.__setattr__(self, "eval_top", eval_top)
         # the data must present a genuine ring
         for i in range(H1_DIM):
             if cup_table[i][i]:
@@ -134,7 +137,9 @@ class CupRing:
 
     def change_basis(self, rows: Sequence[int]) -> "CupRing":
         """Ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible)."""
-        P = [operator.index(r) & 0xF for r in rows]
+        P = [operator.index(r) for r in rows]
+        if any(not 0 <= r < 1 << H1_DIM for r in P):
+            raise ValueError("basis rows are 4-bit")
         if len(P) != H1_DIM or bitrows_rank(list(P)) != H1_DIM:
             raise ValueError("basis change must be an invertible 4x4 matrix")
         new_cup = tuple(

@@ -36,6 +36,31 @@ from casson4.inertia import (
 from casson4.seifert import _alexander_cached, _minor_sum_bound, _tl_orbit_cached
 
 
+def package_caches() -> dict:
+    """Every lru_cache in casson4, by qualified name: module globals and class members."""
+    import importlib
+    import pkgutil
+
+    import casson4
+
+    caches = {}
+    for info in pkgutil.iter_modules(casson4.__path__):
+        module = importlib.import_module(f"casson4.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else [value]
+            for fn in members:
+                if getattr(fn, "cache_parameters", None):
+                    caches[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return caches
+
+
+def clear_caches() -> None:
+    """Empty every bounded casson4 cache, so the next call does the real work."""
+    for fn in package_caches().values():
+        if fn.cache_parameters()["maxsize"] is not None:
+            fn.cache_clear()
+
+
 class NotSymmetrizable(Casson4Error):
     """No unit multiple of the polynomial is palindromic."""
 

@@ -47,28 +47,7 @@ from casson4 import (
     torus4_ring,
     torus_knot_seifert,
 )
-from casson4.cyclotomic import fixed_point_cosines
-from casson4.inertia import _proth_prime
-from casson4.seifert import (
-    _alexander_cached,
-    _arf_cached,
-    _minor_sum_bound,
-    _minus_one_anchor,
-    _root_of_unity,
-    _tl_orbit_cached,
-)
-from helpers import corpus_knots, random_seifert, random_unimodular
-
-
-def _clear_caches():
-    _alexander_cached.cache_clear()
-    _arf_cached.cache_clear()
-    _tl_orbit_cached.cache_clear()
-    _minus_one_anchor.cache_clear()
-    _minor_sum_bound.cache_clear()
-    _root_of_unity.cache_clear()
-    _proth_prime.cache_clear()
-    fixed_point_cosines.cache_clear()
+from helpers import clear_caches, corpus_knots, random_seifert, random_unimodular
 
 
 def _timed(body, repeats=3):
@@ -76,7 +55,7 @@ def _timed(body, repeats=3):
     best = float("inf")
     result = None
     for _ in range(repeats):
-        _clear_caches()
+        clear_caches()
         start = time.perf_counter()
         result = body()
         best = min(best, time.perf_counter() - start)

@@ -39,16 +39,9 @@ def test_import_leaves_mpmath_unloaded():
 
 def test_every_cache_keyed_by_caller_input_is_bounded():
     # only caches whose keys the code fixes may grow without a bound
-    import importlib
-    import pkgutil
+    from helpers import package_caches
 
-    unbounded = set()
-    for info in pkgutil.iter_modules(casson4.__path__):
-        module = importlib.import_module(f"casson4.{info.name}")
-        for value in vars(module).values():
-            members = vars(value).values() if isinstance(value, type) else [value]
-            for fn in members:
-                parameters = getattr(fn, "cache_parameters", None)
-                if parameters and parameters()["maxsize"] is None:
-                    unbounded.add(f"{fn.__module__}.{fn.__qualname__}")
+    unbounded = {
+        name for name, fn in package_caches().items() if fn.cache_parameters()["maxsize"] is None
+    }
     assert unbounded == {"casson4.cli._validator", "casson4.cli.build_parser"}

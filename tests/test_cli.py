@@ -485,37 +485,35 @@ def test_alexander_defect_exits_3_in_one_line(monkeypatch, capsys):
 
 def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     from casson4 import seifert
+    from helpers import clear_caches
 
     data = json.loads((FIXTURES / "trefoil.json").read_text())
     data["spectrum_order"] = 6
     path = tmp_path / "trefoil6.json"
     path.write_text(json.dumps(data))
     monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
-    seifert._minus_one_anchor.cache_clear()
-    seifert._tl_orbit_cached.cache_clear()
+    clear_caches()
     try:
         code, out, err = run_cli(["knot", "--input", str(path)], capsys)
     finally:
-        seifert._minus_one_anchor.cache_clear()
-        seifert._tl_orbit_cached.cache_clear()
+        clear_caches()
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
-    from casson4 import inertia, seifert
+    from casson4 import inertia
+    from helpers import clear_caches
 
     monkeypatch.setattr(inertia, "_charpoly_bound", lambda M: 1)
-    seifert._minus_one_anchor.cache_clear()
-    seifert._tl_orbit_cached.cache_clear()
+    clear_caches()
     try:
         code, out, err = run_cli(
             ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
         )
     finally:
-        seifert._minus_one_anchor.cache_clear()
-        seifert._tl_orbit_cached.cache_clear()
+        clear_caches()
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -553,6 +551,68 @@ def test_knots_above_the_size_limit_exit_1(command, data, message, tmp_path, cap
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_bound_limit_is_that_of_the_largest_torus_reference():
+    from casson4 import cli, torus_knot_seifert
+    from casson4.seifert import _minor_sum_bound
+
+    for p, q in ((13, 15), (15, 13)):
+        assert _minor_sum_bound(torus_knot_seifert(p, q).entries).bit_length() == 390
+    assert cli._MAX_BOUND_BITS == 390
+
+
+_HUGE = 2**1000  # a 4 x 4 matrix of such entries once took over 600 s at order 64
+
+
+@pytest.mark.parametrize(
+    "command,data",
+    [
+        ("knot", {"name": "huge", "seifert": [[_HUGE, 0, 0, 0], [1, _HUGE, 0, 0],
+                                              [0, 0, _HUGE, 0], [0, 0, 1, _HUGE]],
+                  "spectrum_order": 64}),
+        ("sphere", {"steps": [{"knot": [[_HUGE, 0], [1, _HUGE]], "q": 1}]}),
+        ("circle_bundle", {"knot": {"seifert": [[_HUGE, 0], [1, _HUGE]]}, "euler": 1}),
+    ],
+    ids=["knot", "inline", "seifert-object"],
+)
+def test_knots_above_the_bound_limit_exit_1_fast(command, data, tmp_path):
+    # run apart, under a timeout: without the limit the prime search hangs
+    import time
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, **data}))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "casson4.cli", command.replace("_", "-"), "--input", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "more than 390" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["knot"],
+        ["knot", "--input", str(FIXTURES / "trefoil.json"), "--format", "xml"],
+        ["bogus"],
+        ["sweep", "--family", "free-quotients", "--range", "-1,3"],
+    ],
+    ids=["no-input", "bad-format", "unknown-subcommand", "leading-minus-range"],
+)
+def test_malformed_command_line_exits_1(args, capsys):
+    # argparse exits 2 on its own, the code reserved for a failed congruence
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: casson4")
 
 
 def test_free_quotient_signature_defect_exits_3_in_one_line(monkeypatch, capsys):

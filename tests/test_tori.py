@@ -301,6 +301,20 @@ def test_fractional_bits_refused_not_truncated():
         as_h2([1.0, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("top", [2, 3, -1])
+def test_top_value_outside_a_bit_refused_not_masked(top):
+    # 3 and -1 are odd, 2 even: none may stand for 1 or 0
+    with pytest.raises(ValueError, match="single bit"):
+        CupRing(T4.cup2, T4.pairing, top)
+
+
+@pytest.mark.parametrize("row", [17, -15, 16])
+def test_basis_row_outside_four_bits_refused_not_masked(row):
+    # 17 and -15 are 1 in their low four bits, 16 is 0
+    with pytest.raises(ValueError, match="4-bit"):
+        T4.change_basis([row, 2, 4, 8])
+
+
 def test_float_forms_and_tables_refused():
     with pytest.raises(TypeError):
         ThreeTorusForm(1.0)
