@@ -40,7 +40,7 @@ from .floer import (
     seifert_tau_floer_data,
     seifert_tau_lefschetz,
 )
-from .gf2 import F2Matrix, f2_rank, symplectic_basis
+from .gf2 import symplectic_basis
 from .inertia import CertifiedSign, certified_signature
 from .laurent import LaurentPolynomial, second_derivative_at_one
 from .seifert import (
@@ -88,8 +88,6 @@ __all__ = [
     "Rational",
     "LaurentPolynomial",
     "second_derivative_at_one",
-    "F2Matrix",
-    "f2_rank",
     "symplectic_basis",
     "CyclotomicField",
     "CycElt",

@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -387,17 +388,21 @@ def cmd_circle_bundle(data: dict) -> Computed:
 # --- sweeps ---
 
 def _parse_range(spec: str | None) -> dict:
-    """{key: [ints]} from "key=int[,int...][;key=int[,int...]...]"."""
+    """{key: [ints]} from "key=int[,int...][;key=int[,int...]...]".
+
+    A value is ASCII digits with an optional leading minus, and a key may
+    appear once.
+    """
     out: dict = {}
     for part in filter(None, (p.strip() for p in (spec or "").split(";"))):
         key, sep, value = part.partition("=")
-        try:
-            items = [int(v) for v in value.split(",") if v.strip()]
-        except ValueError:
-            items = []
-        if not sep or not items:
+        items = [v.strip() for v in value.split(",") if v.strip()]
+        if not sep or not items or not all(re.fullmatch("-?[0-9]+", v) for v in items):
             raise SchemaError(f"range entries look like key=int[,int...], got {part!r}")
-        out[key.strip()] = items
+        key = key.strip()
+        if key in out:
+            raise SchemaError(f"range key {key} is given more than once")
+        out[key] = [int(v) for v in items]
     return out
 
 

@@ -1,14 +1,16 @@
-"""Integer Laurent polynomials in one variable t.
+"""Integer Laurent polynomials in one variable t, as values.
 
 Coefficients are stored sparsely as a map from integer exponent to nonzero
 integer coefficient, so negative exponents cost nothing.  Values are
-immutable and hashable; all arithmetic is exact.
+immutable and hashable.  The invariants read a polynomial and never
+compute with it: they evaluate it, test its symmetry and take its
+derivatives at t = 1, so no ring operations are defined.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPolynomial:
@@ -16,119 +18,20 @@ class LaurentPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, int] = {}
-        for exp, c in items:
-            if not isinstance(exp, int) or not isinstance(c, int):
-                raise TypeError("exponents and coefficients must be integers")
-            if c:
-                clean[exp] = clean.get(exp, 0) + c
-                if not clean[exp]:
-                    del clean[exp]
-        self._coeffs = clean
-
-    # --- constructors ---
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
+    def __init__(self, coeffs: Mapping[int, int]):
+        if not all(isinstance(x, int) for item in coeffs.items() for x in item):
+            raise TypeError("exponents and coefficients must be integers")
+        self._coeffs = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    @classmethod
-    def t(cls, exp: int = 1, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
-    # --- basic accessors ---
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def items(self):
         return sorted(self._coeffs.items())
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    @property
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no support")
-        return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no support")
-        return max(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    # --- arithmetic ---
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-                if not out[e]:
-                    del out[e]
-        return _raw(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
 
@@ -151,16 +54,9 @@ class LaurentPolynomial:
             return int(total)
         return total
 
-    def at_one(self) -> int:
-        return sum(self._coeffs.values())
-
     def reverse(self) -> "LaurentPolynomial":
         """Substitute t -> t^-1."""
-        return _raw({-e: c for e, c in self._coeffs.items()})
-
-    def shifted(self, m: int) -> "LaurentPolynomial":
-        """Multiply by t^m."""
-        return _raw({e + m: c for e, c in self._coeffs.items()})
+        return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
 
     def is_palindromic(self) -> bool:
         return self._coeffs == self.reverse()._coeffs
@@ -203,24 +99,8 @@ class LaurentPolynomial:
         return text
 
 
-def _raw(coeffs: dict[int, int]) -> LaurentPolynomial:
-    p = LaurentPolynomial.__new__(LaurentPolynomial)
-    p._coeffs = coeffs
-    return p
-
-
-def _coerce(value) -> LaurentPolynomial:
-    if isinstance(value, LaurentPolynomial):
-        return value
-    if isinstance(value, int):
-        return LaurentPolynomial({0: value})
-    return NotImplemented
-
-
 def second_derivative_at_one(p: LaurentPolynomial) -> int:
     """Exact second derivative at t = 1: sum of e(e-1) * coeff(e)."""
     if not isinstance(p, LaurentPolynomial):
-        p = _coerce(p)
-        if p is NotImplemented:
-            raise TypeError("expected a LaurentPolynomial")
+        raise TypeError("expected a LaurentPolynomial")
     return p.derivative_at_one(2)

@@ -25,7 +25,7 @@ from operator import index
 from typing import Sequence
 
 from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
-from .gf2 import F2Matrix, form_value, symplectic_basis
+from .gf2 import form_value, symplectic_basis
 from .inertia import (
     _charpoly_mod,
     _proth_prime,
@@ -399,9 +399,12 @@ def _arf_cached(entries: tuple[tuple[int, ...], ...]) -> int:
     d = len(entries)
     if d == 0:
         return 0
-    seifert_mod2 = F2Matrix(entries)
-    odd = seifert_mod2.bitrows
-    polar = [r ^ c for r, c in zip(odd, seifert_mod2.transpose().bitrows)]
+
+    def bits(row) -> int:  # a row mod 2 as a bitmask: bit j is entry j
+        return sum(1 << j for j, c in enumerate(row) if c & 1)
+
+    odd = [bits(row) for row in entries]
+    polar = [r ^ bits(col) for r, col in zip(odd, zip(*entries))]  # S + S^T mod 2
     # S + S^T = S - S^T mod 2, and the constructor proves det(S - S^T) = +-1: never singular
     pairs = symplectic_basis(polar, d)
     return sum(form_value(odd, a, a) * form_value(odd, b, b) for a, b in pairs) & 1

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import HypothesisFails, InconsistentRing, InternalError, NonBinary, ZeroW2
-from .gf2 import F2Matrix, bitrows_rank, form_value
+from .gf2 import bitrows_rank, form_value
 
 H1_DIM = 4
 H2_DIM = 6
@@ -77,7 +77,8 @@ class CupRing:
             for j in range(H1_DIM):
                 if cup_table[i][j] != cup_table[j][i]:
                     raise InconsistentRing("cup2 table must be symmetric")
-        if F2Matrix.from_bitrows(rows, H2_DIM).transpose().bitrows != rows:
+        if any(self.pair(1 << i, 1 << j) != self.pair(1 << j, 1 << i)
+               for i, j in combinations(range(H2_DIM), 2)):
             raise InconsistentRing("H^2 pairing must be symmetric")
         if bitrows_rank(list(rows)) != H2_DIM:
             raise InconsistentRing("H^2 pairing must be nondegenerate (rank 6)")

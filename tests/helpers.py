@@ -23,7 +23,7 @@ from casson4 import (
 from casson4 import seifert
 from casson4.cyclotomic import cyclotomic_polynomial
 from casson4.errors import Casson4Error, InternalError, NotHermitian
-from casson4.gf2 import F2Matrix, bitrows_rank
+from casson4.gf2 import bitrows_rank
 from casson4.inertia import (
     CertifiedSign,
     IntervalWitness,
@@ -76,20 +76,21 @@ def laurent_normalize_symmetric(p: LaurentPolynomial) -> LaurentPolynomial:
     NotUnimodularAtOne when p(1) != +-1 (checked in that order, so a
     polynomial failing both reports the structural defect first).
     """
-    if p.is_zero():
+    items = p.items()
+    if not items:
         raise NotUnimodularAtOne("zero polynomial evaluates to 0 at t = 1")
-    lo, hi = p.min_exp, p.max_exp
+    lo, hi = items[0][0], items[-1][0]
     if (lo + hi) % 2 != 0:
         raise NotSymmetrizable(
             f"support [{lo}, {hi}] cannot be centered by an integer shift"
         )
-    centered = p.shifted(-(lo + hi) // 2)
-    if not centered.is_palindromic():
+    mid = (lo + hi) // 2
+    if not LaurentPolynomial({e - mid: c for e, c in items}).is_palindromic():
         raise NotSymmetrizable("no unit multiple of the polynomial is palindromic")
-    value_at_one = centered.at_one()
+    value_at_one = sum(c for _, c in items)
     if value_at_one not in (1, -1):
         raise NotUnimodularAtOne(f"p(1) = {value_at_one}, expected +-1")
-    return centered if value_at_one == 1 else -centered
+    return LaurentPolynomial({e - mid: value_at_one * c for e, c in items})
 
 
 def random_unimodular(rng, n, ops=None):
@@ -169,6 +170,23 @@ def sympy_alexander(s: SeifertMatrix):
     coeffs = {exp: int(c) for (exp,), c in poly.terms()}
     raw = LaurentPolynomial({e - n // 2: c for e, c in coeffs.items()})
     return laurent_normalize_symmetric(raw)
+
+
+def sympy_laurent_product(*polys: LaurentPolynomial) -> LaurentPolynomial:
+    """Product of Laurent polynomials, multiplied out by sympy.
+
+    Each factor is shifted to an ordinary polynomial first; the lowest
+    exponents add, since Z[t] has no zero divisors.
+    """
+    import sympy
+
+    if not all(p.items() for p in polys):
+        return LaurentPolynomial({})
+    t = sympy.symbols("t")
+    lows = [p.items()[0][0] for p in polys]
+    factors = [sum(c * t ** (e - low) for e, c in p.items()) for p, low in zip(polys, lows)]
+    product = sympy.Poly(sympy.expand(sympy.Mul(*factors)), t)
+    return LaurentPolynomial({e + sum(lows): int(c) for (e,), c in product.terms()})
 
 
 def sympy_minor_sums(s: SeifertMatrix) -> tuple[tuple[int, ...], ...]:
@@ -633,7 +651,8 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     if sums[0] != (1,):
         raise InternalError(f"e_0(t S - S^T) came out {sums[0]}, not 1")
     alexander = _alexander_cached(entries)
-    if sums[d] != tuple(alexander.coefficient(e - half) for e in range(d + 1)):
+    coeffs = dict(alexander.items())
+    if sums[d] != tuple(coeffs.get(e - half, 0) for e in range(d + 1)):
         raise InternalError(
             f"e_{d}(t S - S^T) = {sums[d]} differs from det(t S - S^T) = {alexander}"
         )
@@ -729,12 +748,12 @@ def skew_alexander_charpoly(monkeypatch):
     monkeypatch.setattr(seifert, "_charpoly_mod", skewed)
 
 
-def random_gl4(rng) -> F2Matrix:
-    """Uniformly-flavored random invertible 4x4 matrix over GF(2)."""
+def random_gl4(rng) -> list[int]:
+    """Uniformly-flavored random invertible 4x4 matrix over GF(2), as row bitmasks."""
     while True:
         rows = [rng.randrange(1, 16) for _ in range(4)]
-        if bitrows_rank(list(rows)) == 4:
-            return F2Matrix.from_bitrows(rows, 4)
+        if bitrows_rank(rows) == 4:
+            return rows
 
 
 def admissible_by_enumeration(ring, w: int) -> bool:

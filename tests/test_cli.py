@@ -244,6 +244,11 @@ def test_sweep_empty_family_range(capsys):
         ("free-quotients", "q=x"),
         ("free-quotients", "q="),
         ("free-quotients", "q"),
+        ("free-quotients", "q=3_5"),
+        ("free-quotients", "q=\u0663"),
+        ("free-quotients", "q= +3 "),
+        ("free-quotients", "q=3;q=5"),
+        ("surgery-chains", "count=2;seed=1; count =3"),
     ],
 )
 def test_sweep_range_takes_integer_lists_only(family, spec, capsys):
@@ -541,8 +546,10 @@ def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):
         ("sphere", {"steps": [{"knot": [[0] * 170] * 170, "q": 1}]}, "more than 168 items"),
         ("knot", {"name": "zero", "seifert": [[0] * 170] * 170}, "more than 168 items"),
         ("knot", {"name": "zero", "seifert": [[0] * 2] * 170}, "$.seifert has more than 168 items"),
+        ("sphere", {"steps": [{"knot": "left_trefoil", "q": 1}] * 65}, "more than 64 items"),
     ],
-    ids=["torus-entry", "torus-rows", "bundle-torus-rows", "inline-matrix", "knot-matrix", "knot-rows"],
+    ids=["torus-entry", "torus-rows", "bundle-torus-rows", "inline-matrix", "knot-matrix", "knot-rows",
+         "sphere-steps"],
 )
 def test_knots_above_the_size_limit_exit_1(command, data, message, tmp_path, capsys):
     path = tmp_path / "big.json"

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casson4 import LaurentPolynomial, second_derivative_at_one
-from helpers import NotSymmetrizable, NotUnimodularAtOne, laurent_normalize_symmetric
+from helpers import (
+    NotSymmetrizable,
+    NotUnimodularAtOne,
+    laurent_normalize_symmetric,
+    sympy_laurent_product,
+)
 
 L = LaurentPolynomial
 
@@ -20,7 +25,7 @@ def test_normalize_shifts_quadratic():
     q = laurent_normalize_symmetric(L({2: 1, 1: -1, 0: 1}))
     assert q == L({1: 1, 0: -1, -1: 1})
     assert q == q.reverse()
-    assert q.at_one() == 1
+    assert q(1) == 1
 
 
 def test_normalize_identity():
@@ -41,7 +46,7 @@ def test_normalize_rejects_wrong_value_at_one():
     with pytest.raises(NotUnimodularAtOne):
         laurent_normalize_symmetric(L({0: 2}))
     with pytest.raises(NotUnimodularAtOne):
-        laurent_normalize_symmetric(L.zero())
+        laurent_normalize_symmetric(L({}))
 
 
 def test_second_derivative_examples():
@@ -75,23 +80,13 @@ def test_derivatives_match_sympy(coeffs):
 @settings(max_examples=60, deadline=None)
 def test_leibniz_rule_for_second_derivative(ac, bc):
     p, q = L(ac), L(bc)
-    lhs = second_derivative_at_one(p * q)
+    lhs = second_derivative_at_one(sympy_laurent_product(p, q))
     rhs = (
-        p.at_one() * second_derivative_at_one(q)
+        p(1) * second_derivative_at_one(q)
         + 2 * p.derivative_at_one(1) * q.derivative_at_one(1)
-        + q.at_one() * second_derivative_at_one(p)
+        + q(1) * second_derivative_at_one(p)
     )
     assert lhs == rhs
-
-
-@given(coeff_maps, coeff_maps)
-@settings(max_examples=40, deadline=None)
-def test_ring_axioms_spot_checks(ac, bc):
-    p, q = L(ac), L(bc)
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p - q) + q == p
-    assert (p * q).reverse() == p.reverse() * q.reverse()
 
 
 def test_evaluation_and_reverse():
@@ -108,10 +103,17 @@ def test_evaluation_refuses_float():
 
 
 def test_no_zero_coefficients_stored():
-    p = L({3: 1}) - L({3: 1})
-    assert p.is_zero()
-    assert p == L.zero()
-    assert str(p) == "0"
+    p = L({3: 0, 1: 2, -2: 0})
+    assert p.items() == [(1, 2)]
+    assert L({3: 0}) == L({})
+    assert str(L({3: 0})) == "0"
+
+
+def test_constructor_refuses_non_integers():
+    with pytest.raises(TypeError):
+        L({1: 1.0})
+    with pytest.raises(TypeError):
+        L({Fraction(1, 2): 1})
 
 
 def test_string_rendering():
