@@ -6,10 +6,10 @@ so the signs of its coefficients give the inertia exactly
 order n >= 3 each coefficient is c_0 + sum_j c_j 2 cos(2 pi j / n), with
 integer coordinates c in a basis of the real cyclotomic integers: it is
 zero exactly when c = 0, and any other sign is certified with
-fixed-point integer cosines and an error budget (cosine_sum_sign); no
-field is built.  For a rational symmetric matrix
-the coefficients are found exactly, in integers after scaling, modulo
-one proven prime (certified_signature).
+fixed-point integer cosines and an error budget, all of one class m in
+one call (cosine_sum_signs); no field is built.  For a rational
+symmetric matrix the coefficients are found exactly, in integers after
+scaling, modulo one proven prime (certified_signature).
 """
 
 from __future__ import annotations
@@ -29,46 +29,67 @@ _START_PREC = 64
 _MAX_PREC = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IntervalWitness:
-    """Dyadic interval excluding zero; precision 0 means an exact endpoint."""
+    """The dyadic interval [low, high] / 2^precision, which excludes zero.
 
-    lower: Fraction
-    upper: Fraction
+    The endpoints stay integers; lower and upper are their Fractions,
+    built only on request.
+    """
+
+    low: int
+    high: int
     precision: int
 
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.low, 1 << self.precision)
 
-@dataclass(frozen=True)
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.high, 1 << self.precision)
+
+
+@dataclass(slots=True)
 class CertifiedSign:
     value: int  # -1 or +1
     witness: IntervalWitness
 
 
-def cosine_sum_sign(a: Sequence[int], n: int, m: int) -> CertifiedSign:
-    """Sign of the nonzero real a_0 + sum_(j>0) a_j 2 cos(2 pi j m / n).
+def cosine_sum_signs(vectors: Sequence[Sequence[int]], n: int, m: int) -> list[CertifiedSign]:
+    """Signs of the nonzero reals a_0 + sum_(j>0) a_j 2 cos(2 pi j m / n), one per a.
 
     With the integer cosines C of fixed_point_cosines(n, prec),
     W = a_0 2^prec + sum_j a_j C_(jm mod n) lies within
     budget = sum_(j>0) |a_j| of 2^prec times the value, so |W| > budget
     certifies the sign, with the dyadic interval (W -+ budget) / 2^prec as
-    witness; otherwise the precision doubles.  The caller has shown the
-    value nonzero by an exact test, so the refinement ends.
+    witness.  Each precision reads the class's cosines C_(jm mod n) once,
+    for every vector, and doubles only for the vectors still undecided.
+    The caller has shown each value nonzero by an exact test, so the
+    refinement ends.
     """
-    head, tail = a[0], a[1:]
-    budget = sum(map(abs, tail))
+    signs = [None] * len(vectors)
+    width = max(map(len, vectors), default=1)
+    pending = [(i, a[0], a[1:], sum(map(abs, a[1:]))) for i, a in enumerate(vectors)]
     prec = _START_PREC
-    while prec <= _MAX_PREC:
+    while pending:
+        if prec > _MAX_PREC:
+            raise InternalError("fixed-point refinement failed to separate a nonzero value from 0")
         cosines = fixed_point_cosines(n, prec)
-        w = (head << prec) + sum(
-            x * cosines[j * m % n] for j, x in enumerate(tail, 1) if x
-        )
-        if abs(w) > budget:
-            witness = IntervalWitness(
-                Fraction(w - budget, 1 << prec), Fraction(w + budget, 1 << prec), prec
-            )
-            return CertifiedSign(1 if w > 0 else -1, witness)
+        class_cosines = [cosines[j * m % n] for j in range(1, width)]
+        undecided = []
+        for item in pending:
+            i, head, tail, budget = item
+            w = (head << prec) + sum(map(mul, tail, class_cosines))
+            if abs(w) > budget:
+                signs[i] = CertifiedSign(
+                    1 if w > 0 else -1, IntervalWitness(w - budget, w + budget, prec)
+                )
+            else:
+                undecided.append(item)
+        pending = undecided
         prec *= 2
-    raise InternalError("fixed-point refinement failed to separate a nonzero value from 0")
+    return signs
 
 
 def descartes_inertia(signs: Sequence[int]) -> tuple[int, int, int]:
@@ -121,7 +142,7 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
 
 def ceil_norm(vector: Sequence[int]) -> int:
     """The Euclidean norm of an integer vector, rounded up (by an integer square root)."""
-    square = sum(x * x for x in vector)
+    square = sum(map(mul, vector, vector))
     return isqrt(square - 1) + 1 if square else 0
 
 

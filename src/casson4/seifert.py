@@ -31,7 +31,7 @@ from .inertia import (
     _proth_prime,
     ceil_norm,
     certified_signature,
-    cosine_sum_sign,
+    cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
 )
@@ -73,10 +73,12 @@ class SeifertMatrix:
         return [list(row) for row in self.entries]
 
     def mirror(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(
-            [[-self.entries[j][i] for j in range(n)] for i in range(n)]
-        )
+        # -S^T is valid whenever S is, so the constructor's check is skipped:
+        # it is square of the same even size, and its skew matrix
+        # -S^T - (-S^T)^T = S - S^T is S's own, which is unimodular.
+        out = SeifertMatrix.__new__(SeifertMatrix)
+        out.entries = tuple(tuple(-x for x in col) for col in zip(*self.entries))
+        return out
 
     def congruent(self, p_rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
         """P^T S P for a unimodular integer matrix P."""
@@ -224,6 +226,14 @@ def _root_of_unity(p: int, k: int) -> int:
             return omega
 
 
+def _powers(x: int, count: int, p: int) -> list[int]:
+    """[1, x, .., x^(count - 1)] mod p, as running products."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * x % p)
+    return out
+
+
 def _principal_sums(entries: tuple[tuple[int, ...], ...], t: int, p: int) -> list[int]:
     """g_r(t) = e_r(t S - S^T) mod p, r = 0 .. d, the sums of principal
     r-minors: (-1)^r g_r(t) is the x^(d - r) coefficient of det(x I - (t S - S^T))."""
@@ -241,7 +251,8 @@ def _conjugate_orbit(
     integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
     has integer coordinates c over the basis 1, u_1, .., u_(h-1) of
     Z[zeta + 1/zeta], h = phi(k)/2, and value c_0 + sum_j c_j 2 cos(2 pi jm/k)
-    at zeta^m: zero exactly when c = 0, else signed by cosine_sum_sign.
+    at zeta^m: zero exactly when c = 0, else signed by cosine_sum_signs,
+    one call per class for all the nonzero c.
     Modulo a Proth prime p = 1 mod k, zeta becomes omega, and one
     characteristic polynomial per class m in [1, k/2] prime to k gives
     every g_r(omega^m).  On the first n = min(d + 1, h) classes c solves
@@ -262,23 +273,30 @@ def _conjugate_orbit(
     p = _proth_prime((2 * bound).bit_length(), k)
     omega = _root_of_unity(p, k)
     alexander = _alexander_cached(entries).items()
+    powers = _powers(omega, k, p)
     rows, V = [], []  # e_r(H(omega^m)) mod p, r = 0 .. d, and V, per class used
     for m in classes[:n]:
-        w, inverse = pow(omega, m, p), pow(omega, -m, p)
-        up, down = ([pow(x, j, p) for j in range(d + 1)] for x in (w, inverse))
+        w, inverse = powers[m], powers[k - m]
+        up = [powers[j * m % k] for j in range(d + 1)]
+        down = [powers[-j * m % k] for j in range(n)]
+        scale = _powers(inverse - 1, d + 1, p)
         g = _principal_sums(entries, w, p)
         if (g[d] - sum(c * up[e + d // 2] for e, c in alexander)) % p:
             raise InternalError(f"g_{d}(omega^{m}) is not det(t S - S^T) there, mod {p}")
-        rows.append([x * pow(inverse - 1, r, p) % p for r, x in enumerate(g)])
+        rows.append([x * y % p for x, y in zip(g, scale)])
         V.append([1] + [x + y for x, y in zip(up[1:n], down[1:n])])
     coords = [tuple(x - p if x > p // 2 else x for x in c) for c in zip(*_solve_mod(V, rows, p))]
     if coords[0] != (1,) + (0,) * (n - 1):
         raise InternalError(f"e_0(H) has coordinates {coords[0]}, not 1")
     if any(abs(x) > bound for c in coords for x in c):
         raise InternalError(f"a coordinate of some e_r(H) exceeds the bound {bound}")
+    nonzero = [r for r, c in enumerate(coords) if any(c)]
+    vectors = [coords[r] for r in nonzero]
     values = [None] * k
     for m in classes:
-        signs = [cosine_sum_sign(c, k, m).value if any(c) else 0 for c in coords]
+        signs = [0] * (d + 1)
+        for r, sign in zip(nonzero, cosine_sum_signs(vectors, k, m)):
+            signs[r] = sign.value
         n_plus, n_minus, nullity = descartes_inertia(signs)
         values[m] = values[k - m] = n_plus - n_minus
     return tuple(values), nullity
@@ -385,10 +403,13 @@ def signature_spectrum(s: SeifertMatrix, n: int) -> SignatureSpectrum:
     """Spectrum (sign^(m/n))_{m=0..n-1} of the knot."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    values = []
-    for m in range(n):
-        g = gcd(m, n)  # e^(2 pi i m/n) is a primitive (n/g)-th root
-        values.append(_tl_orbit_cached(s.entries, n // g)[0][m // g])
+    values = [0] * n
+    for k in range(1, n + 1):  # e^(2 pi i a/k) with gcd(a, k) = 1 is m = a n/k
+        if n % k == 0:
+            step = n // k
+            for a, value in enumerate(_tl_orbit_cached(s.entries, k)[0]):
+                if value is not None:
+                    values[a * step] = value
     return SignatureSpectrum(n, values)
 
 

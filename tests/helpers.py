@@ -26,10 +26,9 @@ from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import bitrows_rank
 from casson4.inertia import (
     CertifiedSign,
-    IntervalWitness,
     _charpoly_mod,
     _proth_prime,
-    cosine_sum_sign,
+    cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
 )
@@ -396,6 +395,15 @@ class ZeroWitness:
     reason: str
 
 
+@dataclass(frozen=True)
+class RationalWitness:
+    """Rational interval [lower, upper] excluding zero; precision 0 means exact endpoints."""
+
+    lower: Fraction
+    upper: Fraction
+    precision: int
+
+
 def certified_sign(x) -> CertifiedSign:
     """Sign of a real algebraic number, with a checkable witness.
 
@@ -403,7 +411,7 @@ def certified_sign(x) -> CertifiedSign:
     carry a dyadic interval that excludes zero.  A rational CycElt is
     read as its Fraction.  Any other real x = sum_j c_j zeta^j is
     (2 a_0 + sum_(j>0) a_j 2 cos(2 pi j / n)) / 2L with a = L c, L the
-    lcm of the denominators; cosine_sum_sign certifies the numerator, and
+    lcm of the denominators; cosine_sum_signs certifies the numerator, and
     its interval divided by 2L is the witness.
     """
     if isinstance(x, CycElt) and x.is_rational():
@@ -413,7 +421,7 @@ def certified_sign(x) -> CertifiedSign:
         if q == 0:
             return CertifiedSign(0, ZeroWitness("rational value is exactly zero"))
         sign = 1 if q > 0 else -1
-        return CertifiedSign(sign, IntervalWitness(q, q, 0))
+        return CertifiedSign(sign, RationalWitness(q, q, 0))
     if not isinstance(x, CycElt):
         raise TypeError(f"cannot certify sign of {type(x)!r}")
     if not x.is_real():
@@ -422,9 +430,9 @@ def certified_sign(x) -> CertifiedSign:
     a = [c.numerator * (scale // c.denominator) for c in x.coeffs]
     a[0] *= 2
     # not rational, hence nonzero: the refinement ends
-    s = cosine_sum_sign(a, x.field.n, 1)
+    [s] = cosine_sum_signs([a], x.field.n, 1)
     w, half = s.witness, Fraction(1, 2 * scale)
-    return CertifiedSign(s.value, IntervalWitness(w.lower * half, w.upper * half, w.precision))
+    return CertifiedSign(s.value, RationalWitness(w.lower * half, w.upper * half, w.precision))
 
 
 def count_pivot_signs(pivots) -> tuple[int, int]:
@@ -701,7 +709,8 @@ def _descartes_orbit(
     for m in range(1, k):
         if gcd(m, k) == 1 and values[m] is None:
             # zeta^m and zeta^-m give the same cosines: one sign serves both
-            signs = [zero or cosine_sum_sign(a, k, m) for a, zero in rows]
+            certified = iter(cosine_sum_signs([a for a, zero in rows if not zero], k, m))
+            signs = [zero or next(certified) for a, zero in rows]
             n_plus, n_minus, nullity = descartes_inertia([s.value for s in signs])
             values[m] = values[-m % k] = n_plus - n_minus
     return tuple(values), nullity

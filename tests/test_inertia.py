@@ -11,10 +11,11 @@ from casson4.inertia import (
     IntervalWitness,
     _charpoly_bound,
     _proth_prime,
-    cosine_sum_sign,
+    cosine_sum_signs,
     descartes_inertia,
 )
 from helpers import (
+    RationalWitness,
     ZeroWitness,
     certified_sign,
     doubled_signature,
@@ -143,7 +144,7 @@ def test_exact_zero_detection_in_cyclotomic_field():
 def test_certified_sign_witnesses():
     s = certified_sign(Fraction(-3, 7))
     assert s.value == -1
-    assert isinstance(s.witness, IntervalWitness)
+    assert isinstance(s.witness, RationalWitness)
     assert s.witness.upper < 0
 
     field = CyclotomicField(12)
@@ -195,7 +196,10 @@ def test_descartes_inertia_refuses_signs_of_no_hermitian_matrix():
         descartes_inertia([1, 0, 1])
 
 
-def test_cosine_sum_sign_witness_encloses_the_value():
+def test_cosine_sum_signs_witnesses_enclose_the_values():
+    # each batch is one class m: random vectors, most signed at 64 bits, mixed
+    # with near-cancelling ones, |value| < 2^-70 with coordinates near 2^96,
+    # which only the refinement can sign
     import math
 
     import mpmath
@@ -203,22 +207,44 @@ def test_cosine_sum_sign_witness_encloses_the_value():
     ctx = mpmath.MPContext()
     ctx.prec = 512
     rng = random.Random(29)
-    for _ in range(200):
+    easy = refined = 0
+    for _ in range(60):
         n = rng.randint(3, 64)
         m = rng.choice([k for k in range(1, n) if math.gcd(k, n) == 1])
-        a = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
-        value = a[0] + sum(
-            x * 2 * ctx.cos(2 * ctx.pi * j * m / n) for j, x in enumerate(a[1:], 1)
-        )
-        if abs(value) < 1e-100:
-            continue  # exactly zero: the caller's Phi_n test handles these
-        sign = cosine_sum_sign(a, n, m)
-        witness = sign.witness
-        assert isinstance(witness, IntervalWitness)
-        lower = ctx.mpf(witness.lower.numerator) / witness.lower.denominator
-        upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
-        assert lower <= value <= upper
-        assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
+
+        def value(a):
+            return a[0] + sum(
+                x * 2 * ctx.cos(2 * ctx.pi * j * m / n) for j, x in enumerate(a[1:], 1)
+            )
+
+        batch = [[rng.randint(-50, 50) for _ in range(rng.randint(1, 9))] for _ in range(4)]
+        for _ in range(3):
+            j = rng.randint(1, 8)
+            cosine = 2 * ctx.cos(2 * ctx.pi * j * m / n)
+            q = Fraction(int(ctx.nint(ctx.ldexp(cosine, 400))), 1 << 400).limit_denominator(1 << 96)
+            batch.insert(rng.randint(0, len(batch)), [-q.numerator] + [0] * (j - 1) + [q.denominator])
+        # exact zeros are the caller's to catch (c = 0, or a rational cosine)
+        batch = [a for a in batch if abs(value(a)) > 1e-100]
+        signs = cosine_sum_signs(batch, n, m)
+        assert len(signs) == len(batch)
+        for a, sign in zip(batch, signs):
+            witness = sign.witness
+            assert isinstance(witness, IntervalWitness)
+            assert not hasattr(sign, "__dict__") and not hasattr(witness, "__dict__")
+            assert witness.lower == Fraction(witness.low, 1 << witness.precision)
+            assert witness.upper == Fraction(witness.high, 1 << witness.precision)
+            lower = ctx.ldexp(witness.low, -witness.precision)
+            upper = ctx.ldexp(witness.high, -witness.precision)
+            v = value(a)
+            assert lower <= v <= upper, (a, n, m)
+            assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
+            if abs(v) > 2**-40:  # decided at the start, whatever else the batch holds
+                assert witness.precision == 64
+                easy += 1
+            elif abs(v) < 2**-70:
+                assert witness.precision > 64
+                refined += 1
+    assert easy >= 150 and refined >= 60
 
 
 def test_certified_sign_of_real_cyclotomic_encloses_the_value():
@@ -253,7 +279,7 @@ def test_certified_sign_of_real_cyclotomic_encloses_the_value():
             continue
         sign = certified_sign(x)
         witness = sign.witness
-        assert isinstance(witness, IntervalWitness)
+        assert isinstance(witness, RationalWitness)
         lower = ctx.mpf(witness.lower.numerator) / witness.lower.denominator
         upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
         assert lower <= value <= upper, (n, coeffs)

@@ -259,15 +259,15 @@ def _conjugate_oracle_cases():
 def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
     # where d + 1 <= phi(k)/2 the coordinates are the Laurent coefficients
     # of e_r(H(t)); each class passes every nonzero one, in the order of r,
-    # to cosine_sum_sign, and a zero one means e_r(H) = 0
+    # to one cosine_sum_signs call, and a zero one means e_r(H) = 0
     seen = []
-    sign = seifert.cosine_sum_sign
+    signs = seifert.cosine_sum_signs
 
-    def spy(a, k, m):
-        seen.append(tuple(a))
-        return sign(a, k, m)
+    def spy(vectors, k, m):
+        seen.append([tuple(a) for a in vectors])
+        return signs(vectors, k, m)
 
-    monkeypatch.setattr(seifert, "cosine_sum_sign", spy)
+    monkeypatch.setattr(seifert, "cosine_sum_signs", spy)
     singular = exact = 0
     for entries, k in _conjugate_oracle_cases():
         seen.clear()
@@ -275,12 +275,13 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
         assert (values, nullity) == _descartes_orbit(entries, k), (entries, k)
         singular += nullity > 0
         bound = _coordinate_bound(entries, k)
-        assert all(abs(x) <= bound for a in seen for x in a)
+        assert all(abs(x) <= bound for batch in seen for a in batch for x in a)
+        assert len(seen) == _half_phi(k) and all(batch == seen[0] for batch in seen)
         d = len(entries)
         if d + 1 <= _half_phi(k):
             expected = [_laurent_coordinates(entries, r) for r in range(d + 1)]
             nonzero = [a for a in expected if any(a)]
-            assert seen == nonzero * _half_phi(k), (entries, k)
+            assert seen == [nonzero] * _half_phi(k), (entries, k)
             exact += 1
     assert singular >= 200 and exact >= 200
 
@@ -360,7 +361,9 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
         patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
         reached("exceeds the bound", big)
     with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
-        patch.setattr(seifert, "cosine_sum_sign", lambda a, k, m: CertifiedSign(1, None))
+        patch.setattr(
+            seifert, "cosine_sum_signs", lambda vectors, k, m: [CertifiedSign(1, None)] * len(vectors)
+        )
         reached("sign changes", FIG8)
 
 
@@ -407,6 +410,32 @@ def test_spectrum_builds_no_field_and_no_field_arithmetic(monkeypatch):
     assert signature_spectrum(s, 61).total() == -256
     assert signature_spectrum(s, 12) == signature_spectrum(torus_knot_seifert(3, 5), 12)
     assert set(CyclotomicField._instances) == before
+
+
+def test_spectrum_builds_no_fraction(monkeypatch):
+    # sign witnesses stay integers on the order-k route: no Fraction per sign
+    s = torus_knot_seifert(3, 5)  # genus 4
+    knots = (s, s.mirror())
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    clear_caches()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    spectra = [signature_spectrum(knot, n) for knot in knots for n in (13, 12)]
+    assert made == []
+    Fraction(1, 3)  # the spy is live
+    assert made == [(1, 3)]
+    monkeypatch.undo()
+    expected = [
+        [litherland_torus(3, 5, Fraction(m, n))[0] for m in range(n)] for n in (13, 12)
+    ]
+    assert [x.values for x in spectra[:2]] == [tuple(e) for e in expected]
+    assert [x.negated() for x in spectra[:2]] == spectra[2:]
+    clear_caches()
 
 
 def test_unknot_signature_builds_no_field():
@@ -536,6 +565,28 @@ def test_mirror_and_connected_sum():
     assert alexander_polynomial(connected_sum(TREFOIL, FIG8)) == sympy_laurent_product(
         alexander_polynomial(TREFOIL), alexander_polynomial(FIG8)
     )
+
+
+def test_mirror_is_a_valid_minus_transpose():
+    # mirror() skips the constructor's unimodularity check; the validating
+    # constructor must accept what it builds
+    rng = random.Random(2137)
+    knots = list(seifert.PRESET_KNOTS.values())
+    knots += [torus_knot_seifert(p, q) for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 9))]
+    knots += [s.stabilized() for s in knots[:6]]
+    knots += [s.stabilized([rng.randint(-3, 3) for _ in range(s.size)]) for s in knots[5:10]]
+    knots += [s.congruent(random_unimodular(rng, s.size)) for s in knots if s.size]
+
+    def skew(e):
+        return [[e[i][j] - e[j][i] for j in range(len(e))] for i in range(len(e))]
+
+    assert len(knots) > 30
+    for s in knots:
+        m, n = s.mirror(), s.size
+        assert m.entries == tuple(tuple(-s.entries[j][i] for j in range(n)) for i in range(n))
+        assert SeifertMatrix(m.entries) == m
+        assert m.mirror() == s
+        assert skew(m.entries) == skew(s.entries)
 
 
 def test_mirror_properties_across_corpus():
