@@ -48,7 +48,13 @@ from .equivariant import (
     matched_cover_data,
 )
 from .errors import Casson4Error, InternalError, ParseError, SchemaError
-from .floer import FloerData, check_evenness, deduce_sign_pattern, lefschetz
+from .floer import (
+    FloerData,
+    check_evenness,
+    deduce_sign_pattern,
+    lambda_fo_from_lefschetz,
+    lefschetz,
+)
 from .laurent import second_derivative_at_one
 from .seifert import (
     SeifertMatrix,
@@ -325,7 +331,7 @@ def cmd_floer(data: dict) -> Computed:
     invariants = {"lefschetz": _frac_json(lef), "even": even}
     congruences = {"evenness": even} if data.get("geometric", True) else {}
     if even:
-        invariants["lambda_fo"] = _frac_json(Fraction(lef, 2))
+        invariants["lambda_fo"] = lambda_fo_from_lefschetz(fixture)
     if "target_lef" in data:
         invariants["sign_pattern"] = _sign_pattern(data["ranks"], data["target_lef"])
     return invariants, congruences, []
@@ -424,13 +430,12 @@ def _sweep_torus_knot_covers(params: dict) -> list[dict]:
     for q, r in pairs:
         knot = torus_knot_seifert(q, r)
         determinant = abs(alexander_polynomial(knot)(-1))
-        sig = tl_signature(knot, Fraction(1, 2))
         data = BranchedQuotientData(2, 0, signature_spectrum(knot, 2))
         lam = furuta_ohta_mapping_torus(data)
         mubar = mubar_double_branched(knot)
         # the double cover bounds the even form S + S^T, so its Rohlin
-        # invariant is sign/8 mod 2
-        rho = (sig // 8) % 2
+        # invariant is sign/8 = mubar mod 2
+        rho = int(mubar) % 2
         instances.append(
             {
                 "instance": f"double cover over T({q},{r})",

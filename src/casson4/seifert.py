@@ -5,14 +5,16 @@ symmetric Alexander polynomial, Tristram-Levine signatures at rational
 points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
 
-Signatures at roots of unity of order k >= 3 come from Descartes' rule:
-modulo one proven prime p = 1 mod k, one characteristic polynomial per
-conjugate pair gives each coefficient of det(x I - H(zeta_k^m)) as
-integer coordinates over 1, 2 cos(2 pi j/k), j < phi(k)/2.  A
+Signatures at roots of unity of every order k >= 2 come from Descartes'
+rule: modulo one proven prime p = 1 mod k, one characteristic polynomial
+per class m in [1, k/2] prime to k gives each coefficient of
+det(x I - H(zeta_k^m)) as integer coordinates over 1, 2 cos(2 pi j/k),
+j < h, with h the number of classes (h = 1 at k = 2, where the one
+coordinate is the integer e_r(2 (S + S^T))).  A
 coefficient is zero exactly when its coordinates are, and fixed-point
-integer cosines sign the others.  No cyclotomic field is built.  At
-k = 2 the form is the integer matrix 2 (S + S^T), whose inertia
-certified_signature reads by the same rule.
+integer cosines sign the others.  No cyclotomic field is built, and
+inertia.certified_signature is not on this path: it serves callers' own
+matrices and the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .inertia import (
     _charpoly_mod,
     _proth_prime,
     ceil_norm,
-    certified_signature,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
@@ -242,29 +243,38 @@ def _principal_sums(entries: tuple[tuple[int, ...], ...], t: int, p: int) -> lis
     return [(-1) ** r * c % p for r, c in enumerate(chi)]
 
 
-def _conjugate_orbit(
+@lru_cache(maxsize=1024)
+def _tl_orbit_cached(
     entries: tuple[tuple[int, ...], ...], k: int
 ) -> tuple[tuple[int | None, ...], int]:
-    """_tl_orbit_cached for k >= 3 and d > 0, by Descartes' rule.
+    """Signatures at every primitive k-th root of unity, and their nullity.
+
+    Returns (values, nullity): values[m] is the signature at zeta_k^m for
+    gcd(m, k) = 1 and None otherwise.  At k = 1, and for d = 0, the form
+    is zero; every other order takes Descartes' rule.
 
     H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t), an
     integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
     has integer coordinates c over the basis 1, u_1, .., u_(h-1) of
-    Z[zeta + 1/zeta], h = phi(k)/2, and value c_0 + sum_j c_j 2 cos(2 pi jm/k)
-    at zeta^m: zero exactly when c = 0, else signed by cosine_sum_signs,
-    one call per class for all the nonzero c.
+    Z[zeta + 1/zeta], where h is the number of classes m in [1, k/2] prime
+    to k: phi(k)/2 for k >= 3, and 1 at k = 2.  Its value at zeta^m is
+    c_0 + sum_j c_j 2 cos(2 pi jm/k): zero exactly when c = 0, else signed
+    by cosine_sum_signs, one call per class for all the nonzero c.
     Modulo a Proth prime p = 1 mod k, zeta becomes omega, and one
-    characteristic polynomial per class m in [1, k/2] prime to k gives
-    every g_r(omega^m).  On the first n = min(d + 1, h) classes c solves
-    V c = v, V_(m,0) = 1 and V_(m,j) = omega^(jm) + omega^(-jm): a
-    unit-triangular change from the Vandermonde matrix in
-    omega^m + omega^-m, which are distinct mod p and over R.  For
-    d + 1 <= h, c holds the Laurent coefficients, at most 2^d B in size (B
-    from _minor_sum_bound); else det V^2 is the nonzero discriminant of
-    the basis, and Cramer and Hadamard give |c_j| <= ceil(sqrt h)^h
-    2^(d+h-1) B.  p exceeds twice the bound, so c is the residues nearest 0.
+    characteristic polynomial per class gives every g_r(omega^m).  On the
+    first n = min(d + 1, h) classes c solves V c = v, V_(m,0) = 1 and
+    V_(m,j) = omega^(jm) + omega^(-jm): a unit-triangular change from the
+    Vandermonde matrix in omega^m + omega^-m, which are distinct mod p and
+    over R.  For d + 1 <= h, c holds the Laurent coefficients, at most
+    2^d B in size (B from _minor_sum_bound); else det V^2 is the nonzero
+    discriminant of the basis, and Cramer and Hadamard give
+    |c_j| <= ceil(sqrt h)^h 2^(d+h-1) B.  p exceeds twice the bound, so c
+    is the residues nearest 0.  At k = 2, omega = -1, V = [1], the Cramer
+    factor is 1, and c is the integer e_r(H(-1)) = e_r(2 (S + S^T)).
     """
     d = len(entries)
+    if k == 1 or not d:
+        return tuple(0 if gcd(m, k) == 1 else None for m in range(k)), d
     classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
     n = min(d + 1, len(classes))
     bound = 2**d * _minor_sum_bound(entries)
@@ -300,32 +310,6 @@ def _conjugate_orbit(
         n_plus, n_minus, nullity = descartes_inertia(signs)
         values[m] = values[k - m] = n_plus - n_minus
     return tuple(values), nullity
-
-
-@lru_cache(maxsize=1024)
-def _tl_orbit_cached(
-    entries: tuple[tuple[int, ...], ...], k: int
-) -> tuple[tuple[int | None, ...], int]:
-    """Signatures at every primitive k-th root of unity, and their nullity.
-
-    Returns (values, nullity): values[m] is the signature at zeta_k^m for
-    gcd(m, k) = 1 and None otherwise.  For k >= 3 see _conjugate_orbit:
-    one characteristic polynomial per conjugate pair modulo a prime
-    p = 1 mod k.  At zeta_2 = -1 the form is 2 (S + S^T), a positive
-    multiple of S + S^T, which has the same inertia (certified_signature);
-    at k = 1, and for d = 0, it is the zero form.
-    """
-    d = len(entries)
-    if k > 2 and d:
-        return _conjugate_orbit(entries, k)
-    n_plus = n_minus = 0
-    nullity = d
-    if k == 2:
-        n_plus, n_minus, nullity = certified_signature(
-            [[a + b for a, b in zip(row, col)] for row, col in zip(entries, zip(*entries))]
-        )
-    values = tuple(n_plus - n_minus if gcd(m, k) == 1 else None for m in range(k))
-    return values, nullity
 
 
 def _circle_point(a) -> Fraction:

@@ -28,11 +28,12 @@ from casson4.inertia import (
     CertifiedSign,
     _charpoly_mod,
     _proth_prime,
+    certified_signature,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
 )
-from casson4.seifert import _alexander_cached, _minor_sum_bound, _tl_orbit_cached
+from casson4.seifert import _alexander_cached, _minor_sum_bound
 
 
 def package_caches() -> dict:
@@ -558,7 +559,7 @@ def tl_orbit_by_elimination(entries, k: int):
     return tuple(values), d - len(pivots)
 
 
-# --- the interpolation route for orders k >= 3, kept as an oracle ---
+# --- the interpolation route for orders k >= 2, kept as an oracle ---
 #
 # Moved here verbatim from casson4: g_r(t) = e_r(t S - S^T) interpolated
 # once per matrix, and the zero tests by Phi_k divisibility.
@@ -672,13 +673,14 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     for r, g in enumerate(sums):
         value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
         signs.append((value > 0) - (value < 0))
-    n_plus, n_minus, nullity = descartes_inertia(signs)
-    values, expected = _tl_orbit_cached(entries, 2)
-    if (n_plus - n_minus, nullity) != (values[1], expected):
+    inertia = descartes_inertia(signs)
+    expected = certified_signature(
+        [[a + b for a, b in zip(row, col)] for row, col in zip(entries, columns)]
+    )
+    if inertia != expected:
         raise InternalError(
-            f"e_r(t S - S^T) at t = -1 give signature {n_plus - n_minus} and "
-            f"nullity {nullity}; certified_signature of S + S^T gives {values[1]} "
-            f"and {expected}"
+            f"e_r(t S - S^T) at t = -1 give inertia {inertia}; "
+            f"certified_signature of S + S^T gives {expected}"
         )
     return tuple(sums)
 
@@ -686,7 +688,7 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
 def _descartes_orbit(
     entries: tuple[tuple[int, ...], ...], k: int
 ) -> tuple[tuple[int | None, ...], int]:
-    """_tl_orbit_cached for k >= 3 and d > 0, by Descartes' rule.
+    """_tl_orbit_cached for k >= 2 and d > 0, by Descartes' rule.
 
     H(t) = (1 - t) S + (1 - 1/t) S^T = (1/t - 1)(t S - S^T), so
     e_r(H(t)) = (1/t - 1)^r g_r(t) = a_0 + sum_(j>0) a_j (t^j + t^-j) with

@@ -508,18 +508,28 @@ def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
 
 
 def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
-    from casson4 import inertia
+    # the order-2 signature of the fixture reads g_0 = 2 from a skewed
+    # characteristic polynomial; its Alexander polynomial is cached first
+    from casson4 import SeifertMatrix, alexander_polynomial, seifert
     from helpers import clear_caches
 
-    monkeypatch.setattr(inertia, "_charpoly_bound", lambda M: 1)
+    path = FIXTURES / "trefoil.json"
+    charpoly = seifert._charpoly_mod
+
+    def lead_two(H, p):
+        coeffs = charpoly(H, p)
+        coeffs[-1] = 2
+        return coeffs
+
     clear_caches()
+    alexander_polynomial(SeifertMatrix(json.loads(path.read_text())["seifert"]))
+    monkeypatch.setattr(seifert, "_charpoly_mod", lead_two)
     try:
-        code, out, err = run_cli(
-            ["knot", "--input", str(FIXTURES / "trefoil.json")], capsys
-        )
+        code, out, err = run_cli(["knot", "--input", str(path)], capsys)
     finally:
         clear_caches()
     assert code == 3
+    assert "e_0(H)" in err
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
 

@@ -219,13 +219,14 @@ def test_minor_sums_with_too_small_a_prime_raise_internal_error(monkeypatch, bou
         clear_caches()
 
 
-def _half_phi(k):
-    return sum(1 for m in range(1, k) if gcd(m, k) == 1) // 2
+def _class_count(k):
+    """h, the number of classes m in [1, k/2] prime to k: phi(k)/2 for k >= 3, 1 at k = 2."""
+    return sum(1 for m in range(1, k // 2 + 1) if gcd(m, k) == 1)
 
 
 def _coordinate_bound(entries, k):
-    """The bound _conjugate_orbit must keep its coordinates within, recomputed."""
-    d, h = len(entries), _half_phi(k)
+    """The bound _tl_orbit_cached must keep its coordinates within, recomputed."""
+    d, h = len(entries), _class_count(k)
     bound = 2**d * seifert._minor_sum_bound(entries)
     if d + 1 > h:
         bound *= ceil(sqrt(h)) ** h * 2 ** (h - 1)
@@ -242,7 +243,7 @@ def _laurent_coordinates(entries, r):
 
 def _conjugate_oracle_cases():
     """(entries, k): 300 seeded knots and their mirrors, each at the orders
-    where their base knots have roots of Delta and at two seeded orders in 3 .. 64."""
+    where their base knots have roots of Delta, at 2, and at two seeded orders in 3 .. 64."""
     rng = random.Random(2111)
     knots = []
     while len(knots) < 300:
@@ -251,13 +252,13 @@ def _conjugate_oracle_cases():
             knots.append(s)
     cases = []
     for s in knots + [s.mirror() for s in knots]:
-        orders = {6, 10, 12, 14, 15} | {rng.randrange(3, 65) for _ in range(2)}
+        orders = {2, 6, 10, 12, 14, 15} | {rng.randrange(3, 65) for _ in range(2)}
         cases += [(s.entries, k) for k in sorted(orders)]
     return cases
 
 
 def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
-    # where d + 1 <= phi(k)/2 the coordinates are the Laurent coefficients
+    # where d + 1 <= h the coordinates are the Laurent coefficients
     # of e_r(H(t)); each class passes every nonzero one, in the order of r,
     # to one cosine_sum_signs call, and a zero one means e_r(H) = 0
     seen = []
@@ -271,17 +272,17 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
     singular = exact = 0
     for entries, k in _conjugate_oracle_cases():
         seen.clear()
-        values, nullity = seifert._conjugate_orbit(entries, k)
+        values, nullity = seifert._tl_orbit_cached.__wrapped__(entries, k)
         assert (values, nullity) == _descartes_orbit(entries, k), (entries, k)
         singular += nullity > 0
         bound = _coordinate_bound(entries, k)
         assert all(abs(x) <= bound for batch in seen for a in batch for x in a)
-        assert len(seen) == _half_phi(k) and all(batch == seen[0] for batch in seen)
+        assert len(seen) == _class_count(k) and all(batch == seen[0] for batch in seen)
         d = len(entries)
-        if d + 1 <= _half_phi(k):
+        if d + 1 <= _class_count(k):
             expected = [_laurent_coordinates(entries, r) for r in range(d + 1)]
             nonzero = [a for a in expected if any(a)]
-            assert seen == [nonzero] * _half_phi(k), (entries, k)
+            assert seen == [nonzero] * _class_count(k), (entries, k)
             exact += 1
     assert singular >= 200 and exact >= 200
 
@@ -301,11 +302,11 @@ def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
     knots = [torus_knot_seifert(3, 5), torus_knot_seifert(2, 9)]
     knots += [random_seifert(rng) for _ in range(6)]
     for s in filter(lambda s: s.size, knots):
-        for k in (3, 4, 7, 12, 16, 30, 61, 64):
+        for k in (2, 3, 4, 7, 12, 16, 30, 61, 64):
             clear_caches()
             primes.clear()
             seifert._tl_orbit_cached(s.entries, k)
-            bits, order, p = primes[0]  # _conjugate_orbit asks first
+            bits, order, p = primes[0]  # the orbit asks before Alexander
             assert order == k and (p - 1) % k == 0
             assert p > 2 * _coordinate_bound(s.entries, k)
             c, b = p - 1, 0
@@ -329,20 +330,21 @@ def test_proth_prime_moves_to_the_next_exponent():
 
 
 def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
-    # each post-check of _conjugate_orbit, reached by one defect
+    # each post-check of _tl_orbit_cached, reached by one defect at orders 2 and 5
     from casson4 import LaurentPolynomial as Laurent
 
     big = torus_knot_seifert(2, 5).congruent(random_unimodular(random.Random(2), 4, 48))
     for knot in (TREFOIL, FIG8, big):
         alexander_polynomial(knot)  # cached before _charpoly_mod is patched
 
-    def reached(match, knot=TREFOIL, k=5):  # the Alexander polynomials stay cached
-        seifert._tl_orbit_cached.cache_clear()
-        try:
-            with pytest.raises(InternalError, match=match):
-                seifert._tl_orbit_cached(knot.entries, k)
-        finally:
+    def reached(match, knot=TREFOIL):  # the Alexander polynomials stay cached
+        for k in (2, 5):
             seifert._tl_orbit_cached.cache_clear()
+            try:
+                with pytest.raises(InternalError, match=match):
+                    seifert._tl_orbit_cached(knot.entries, k)
+            finally:
+                seifert._tl_orbit_cached.cache_clear()
 
     with monkeypatch.context() as patch:  # Delta disagrees with g_d
         patch.setattr(seifert, "_alexander_cached", lambda entries: Laurent({0: 2}))
@@ -365,6 +367,41 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
             seifert, "cosine_sum_signs", lambda vectors, k, m: [CertifiedSign(1, None)] * len(vectors)
         )
         reached("sign changes", FIG8)
+
+
+def test_every_order_takes_the_class_route(monkeypatch):
+    # certified_signature is off the signature path: with it raising in
+    # every module that holds it, orders 1 .. 12 still give the oracle's
+    # signatures and nullities, k = 2 included
+    import sys
+
+    rng = random.Random(2137)
+    knots = [TREFOIL, FIG8, torus_knot_seifert(3, 5), torus_knot_seifert(2, 7)]
+    knots += [s for s in (random_seifert(rng) for _ in range(8)) if s.size]
+    expected = {
+        (s, k): _descartes_orbit(s.entries, k) if k > 1 else ((0,), s.size)
+        for s in knots
+        for k in range(1, 13)
+    }
+
+    def refuse(h):
+        raise AssertionError("certified_signature on the signature path")
+
+    assert not hasattr(seifert, "certified_signature")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "casson4" and hasattr(module, "certified_signature"):
+            monkeypatch.setattr(module, "certified_signature", refuse)
+    clear_caches()
+    try:
+        for (s, k), (values, nullity) in expected.items():
+            spectrum = signature_spectrum(s, k)
+            for m in range(k):
+                a = Fraction(m, k)
+                assert spectrum.values[m] == tl_signature(s, a), (s, k, m)
+                if gcd(m, k) == 1:
+                    assert (tl_signature(s, a), tl_nullity(s, a)) == (values[m], nullity)
+    finally:
+        clear_caches()
 
 
 def test_nullity_at_alexander_roots():
