@@ -47,7 +47,7 @@ from .equivariant import (
     furuta_ohta_mapping_torus,
     matched_cover_data,
 )
-from .errors import Casson4Error, InternalError, ParseError, SchemaError
+from .errors import Casson4Error, InternalError, NonIntegral, ParseError, SchemaError
 from .floer import (
     FloerData,
     check_evenness,
@@ -64,7 +64,6 @@ from .seifert import (
     arf_invariant,
     preset_knot,
     signature_spectrum,
-    tl_signature,
     torus_knot_seifert,
 )
 from .spheres import (
@@ -461,9 +460,10 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
     ]
     instances = []
     for name, knot in knots:
-        sig = tl_signature(knot, Fraction(1, 2))
-        if sig % 8:  # fixed knots: a defect, not bad input
-            raise InternalError(f"{name}: signature {sig} not divisible by 8")
+        try:
+            mubar = mubar_double_branched(knot)
+        except NonIntegral as exc:  # fixed knots: a defect, not bad input
+            raise InternalError(f"{name}: {exc}") from None
         arf = arf_invariant(knot)
         for q in q_list:
             if gcd(2, q) != 1:
@@ -472,7 +472,7 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
             lam = equivariant_casson_free(data)
             # rho of the cover: rho of the double branched cover plus
             # q * arf of the lifted knot (arf is preserved by the lift)
-            rho = (sig // 8 + q * arf) % 2
+            rho = (int(mubar) + q * arf) % 2
             relation = branched_free_relation(data, matched_cover_data(data))
             instances.append(
                 {

@@ -15,6 +15,11 @@ coefficient is zero exactly when its coordinates are, and fixed-point
 integer cosines sign the others.  No cyclotomic field is built, and
 inertia.certified_signature is not on this path: it serves callers' own
 matrices and the tests.
+
+The caches hold one entry per mirror pair.  The public readers pass the
+oriented key of _oriented, the smaller of S and -S^T: the mirror has the
+same Delta and Arf invariant, and its form -conj(H) has the negated
+signatures and the same nullity, so its values are read from S's entry.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, prod
-from operator import index
+from operator import index, neg
 from typing import Sequence
 
 from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
@@ -78,7 +83,7 @@ class SeifertMatrix:
         # it is square of the same even size, and its skew matrix
         # -S^T - (-S^T)^T = S - S^T is S's own, which is unimodular.
         out = SeifertMatrix.__new__(SeifertMatrix)
-        out.entries = tuple(tuple(-x for x in col) for col in zip(*self.entries))
+        out.entries = _minus_transpose(self.entries)
         return out
 
     def congruent(self, p_rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
@@ -125,6 +130,23 @@ class SeifertMatrix:
 def mirror(s: SeifertMatrix) -> SeifertMatrix:
     """Seifert matrix -S^T of the mirror knot."""
     return s.mirror()
+
+
+def _minus_transpose(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(map(neg, col)) for col in zip(*entries))
+
+
+def _oriented(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(key, sign): the lexicographically smaller of S and -S^T, and -1 iff it is -S^T.
+
+    S = -S^T would make det(S - S^T) = 2^d det S even, so the two tie
+    only at d = 0: the unknot gets sign +1.
+    """
+    for row, col in zip(entries, zip(*entries)):  # row i of -S^T is -(column i of S)
+        mirrored = tuple(map(neg, col))
+        if row != mirrored:
+            return (entries, 1) if row < mirrored else (_minus_transpose(entries), -1)
+    return entries, 1
 
 
 def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
@@ -212,7 +234,7 @@ def alexander_polynomial(s: SeifertMatrix) -> LaurentPolynomial:
 
     Normalized so that Delta(1) = 1 and Delta(t) = Delta(1/t).
     """
-    return _alexander_cached(s.entries)
+    return _alexander_cached(_oriented(s.entries)[0])
 
 
 # --- Tristram-Levine signatures ---
@@ -251,7 +273,10 @@ def _tl_orbit_cached(
 
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
     gcd(m, k) = 1 and None otherwise.  At k = 1, and for d = 0, the form
-    is zero; every other order takes Descartes' rule.
+    is zero; every other order takes Descartes' rule.  The readers pass
+    the oriented key of _oriented and multiply by its sign, since -S^T
+    has the form -conj(H): negated signatures, the same nullity.  Called
+    on any other valid matrix it is the direct route.
 
     H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t), an
     integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
@@ -331,13 +356,14 @@ def tl_signature(s: SeifertMatrix, a) -> int:
     w = e^(2*pi*i*a), computed with certified exact arithmetic.
     """
     a = _circle_point(a)
-    return _tl_orbit_cached(s.entries, a.denominator)[0][a.numerator]
+    key, sign = _oriented(s.entries)
+    return sign * _tl_orbit_cached(key, a.denominator)[0][a.numerator]
 
 
 def tl_nullity(s: SeifertMatrix, a) -> int:
     """Dimension of the kernel of the Tristram-Levine form at a."""
     a = _circle_point(a)
-    return _tl_orbit_cached(s.entries, a.denominator)[1]
+    return _tl_orbit_cached(_oriented(s.entries)[0], a.denominator)[1]
 
 
 class SignatureSpectrum:
@@ -387,13 +413,14 @@ def signature_spectrum(s: SeifertMatrix, n: int) -> SignatureSpectrum:
     """Spectrum (sign^(m/n))_{m=0..n-1} of the knot."""
     if n < 1:
         raise ValueError("order must be a positive integer")
+    key, sign = _oriented(s.entries)
     values = [0] * n
     for k in range(1, n + 1):  # e^(2 pi i a/k) with gcd(a, k) = 1 is m = a n/k
         if n % k == 0:
             step = n // k
-            for a, value in enumerate(_tl_orbit_cached(s.entries, k)[0]):
+            for a, value in enumerate(_tl_orbit_cached(key, k)[0]):
                 if value is not None:
-                    values[a * step] = value
+                    values[a * step] = sign * value
     return SignatureSpectrum(n, values)
 
 
@@ -421,7 +448,7 @@ def arf_invariant(s: SeifertMatrix) -> int:
     Computed from a symplectic basis of the polarization S + S^T mod 2 as
     the sum of products q(a_i) q(b_i).
     """
-    return _arf_cached(s.entries)
+    return _arf_cached(_oriented(s.entries)[0])
 
 
 # --- standard families ---

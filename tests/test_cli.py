@@ -634,12 +634,12 @@ def test_help_exits_0(capsys):
 
 def test_free_quotient_signature_defect_exits_3_in_one_line(monkeypatch, capsys):
     # the family's knots are fixed: a signature off 8Z is a defect, not bad input
-    from casson4 import cli
+    from casson4 import spheres
 
-    monkeypatch.setattr(cli, "tl_signature", lambda knot, a: 4)
+    monkeypatch.setattr(spheres, "tl_signature", lambda knot, a: 4)
     code, out, err = run_cli(["sweep", "--family", "free-quotients"], capsys)
     assert (code, out) == (3, "")
-    assert err == "internal error: torus(3,5): signature 4 not divisible by 8\n"
+    assert err == "internal error: torus(3,5): signature 4 is not divisible by 8\n"
 
 
 def _float_first_int(node):

@@ -170,6 +170,73 @@ def test_descartes_orbit_matches_elimination_oracle():
             assert seifert._tl_orbit_cached(s.mirror().entries, k) == (negated, nullity)
 
 
+def _mirror_oracle_knots():
+    """The Descartes oracle knots, each also stabilized and congruent."""
+    rng = random.Random(2141)
+    knots = []
+    for s in _descartes_oracle_knots():
+        column = [rng.randrange(-1, 2) for _ in range(s.size)]
+        knots += [s, s.stabilized(column)]
+        if s.size:
+            knots.append(s.congruent(random_unimodular(rng, s.size)))
+    return knots
+
+
+def test_mirror_readers_match_the_direct_route():
+    # the readers serve -S^T from the entry of the smaller of S and -S^T;
+    # the direct route computes -S^T's own orbits, uncached
+    orbit = seifert._tl_orbit_cached.__wrapped__
+    signs = set()
+    for s in _mirror_oracle_knots():
+        m = s.mirror()
+        signs.add(seifert._oriented(m.entries)[1])
+        direct = {k: orbit(m.entries, k) for k in range(1, 14)}
+        for n in range(1, 14):
+            values = [0] * n
+            for k in filter(lambda k: n % k == 0, range(1, n + 1)):
+                for a, value in enumerate(direct[k][0]):
+                    if value is not None:
+                        values[a * n // k] = value
+            assert signature_spectrum(m, n).values == tuple(values), (s, n)
+            for a in (1 % n, n - 1):
+                assert tl_nullity(m, Fraction(a, n)) == direct[n][1], (s, n)
+        assert tl_signature(m, Fraction(1, 2)) == direct[2][0][1], s
+        assert alexander_polynomial(m) == seifert._alexander_cached.__wrapped__(m.entries), s
+        assert arf_invariant(m) == seifert._arf_cached.__wrapped__(m.entries), s
+    assert signs == {-1, 1}
+
+
+def test_mirror_reads_add_no_cache_miss():
+    cached = (seifert._tl_orbit_cached, seifert._alexander_cached, seifert._arf_cached)
+    rng = random.Random(2143)
+    knots = [TREFOIL, FIG8, torus_knot_seifert(3, 5)]
+    knots += [s for s in (random_seifert(rng) for _ in range(4)) if s.size]
+    for s in knots + [s.mirror() for s in knots]:
+        clear_caches()
+        spectrum = signature_spectrum(s, 12)
+        delta, arf = alexander_polynomial(s), arf_invariant(s)
+        misses = [fn.cache_info().misses for fn in cached]
+        m = s.mirror()
+        assert signature_spectrum(m, 12) == spectrum.negated(), s
+        assert (alexander_polynomial(m), arf_invariant(m)) == (delta, arf), s
+        assert [fn.cache_info().misses for fn in cached] == misses, s
+    clear_caches()
+
+
+def test_oriented_key_is_shared_by_a_mirror_pair():
+    rng = random.Random(2147)
+    knots = [s for _, s in corpus_knots()] + [random_seifert(rng) for _ in range(40)]
+    signs = set()
+    for s in filter(lambda s: s.size, knots):
+        key, sign = seifert._oriented(s.entries)
+        assert seifert._oriented(s.mirror().entries) == (key, -sign), s
+        assert key == min(s.entries, s.mirror().entries)
+        assert key == (s.entries if sign == 1 else s.mirror().entries)
+        signs.add(sign)
+    assert signs == {-1, 1}
+    assert seifert._oriented(UNKNOT.entries) == ((), 1)
+
+
 def _minor_sum_oracle_knots():
     """20 matrices of size 2 to 6, every other one a 12 n-move conjugate."""
     rng = random.Random(2031)
@@ -334,8 +401,8 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
     from casson4 import LaurentPolynomial as Laurent
 
     big = torus_knot_seifert(2, 5).congruent(random_unimodular(random.Random(2), 4, 48))
-    for knot in (TREFOIL, FIG8, big):
-        alexander_polynomial(knot)  # cached before _charpoly_mod is patched
+    for knot in (TREFOIL, FIG8, big):  # cached before _charpoly_mod is patched,
+        seifert._alexander_cached(knot.entries)  # under the entries the orbit reads
 
     def reached(match, knot=TREFOIL):  # the Alexander polynomials stay cached
         for k in (2, 5):
