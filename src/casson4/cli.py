@@ -149,8 +149,8 @@ def resolve_knot(ref) -> SeifertMatrix:
     rows = ref["seifert"] if isinstance(ref, dict) else ref
     if not isinstance(rows, list):
         raise SchemaError(f"cannot interpret knot reference {ref!r}")
-    # on the raw rows, before the constructor's Bareiss determinant
-    bits = _minor_sum_bound(rows).bit_length()
+    # on the raw rows, before the constructor's Bareiss determinant: uncached
+    bits = _minor_sum_bound.__wrapped__(rows).bit_length()
     if bits > _MAX_BOUND_BITS:
         raise SchemaError(
             f"the Seifert matrix's coefficient bound has {bits} bits, more than {_MAX_BOUND_BITS}"

@@ -122,22 +122,22 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix."""
     M = [list(map(int, row)) for row in rows]
     n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
             if swap is None:
                 return 0
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+        top, pivot = M[k], M[k][k]
+        for row in M[k + 1:]:
+            a = row[k]
+            if a or pivot != prev:  # else the step scales the row by pivot / prev = 1
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return sign * M[-1][-1] if M else 1
 
 
 def ceil_norm(vector: Sequence[int]) -> int:
@@ -169,15 +169,13 @@ def _proth_prime(bits: int, order: int = 1) -> int:
 
 
 def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
-    """Coefficients, constant first, of det(x I - H) mod the prime p.
-
-    H is reduced in place to upper Hessenberg form by similarity, then
-    the characteristic polynomials of its leading blocks follow by the
-    usual recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
-    """
+    """Coefficients, constant first, of det(x I - H) mod the prime p.  H, reduced
+    mod p or not, is taken in place to upper Hessenberg form by similarity, then
+    the characteristic polynomials of its leading blocks follow by the usual
+    recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all."""
     n = len(H)
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if H[i][m - 1]), None)
+        pivot = next((i for i in range(m, n) if H[i][m - 1] % p), None)
         if pivot is None:
             continue
         H[m], H[pivot] = H[pivot], H[m]
@@ -185,14 +183,13 @@ def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
             row[m], row[pivot] = row[pivot], row[m]
         inverse = pow(H[m][m - 1], -1, p)
         # row i -= u_i row m for every i > m, then column m += sum u_i column i:
-        # the row moves commute, so this is one similarity.  Rows from m on
-        # are already zero left of column m - 1, so the row moves skip that.
-        top = H[m][m - 1:]
+        # one similarity, as the row moves commute.  They skip column m - 1, never
+        # read again, and leave their results unreduced (each adds less than p^2).
+        top = H[m][m:] = [x % p for x in H[m][m:]]
         factors = [H[i][m - 1] * inverse % p for i in range(m + 1, n)]
         for i, u in enumerate(factors, m + 1):
             if u:
-                row = H[i]
-                row[m - 1:] = [(x - u * y) % p for x, y in zip(row[m - 1:], top)]
+                H[i][m:] = [x - u * y for x, y in zip(H[i][m:], top)]
         if any(factors):
             for row in H:
                 row[m] = (row[m] + sum(map(mul, factors, row[m + 1:]))) % p

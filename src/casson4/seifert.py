@@ -6,15 +6,10 @@ points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
 
 Signatures at roots of unity of every order k >= 2 come from Descartes'
-rule: modulo one proven prime p = 1 mod k, one characteristic polynomial
-per class m in [1, k/2] prime to k gives each coefficient of
-det(x I - H(zeta_k^m)) as integer coordinates over 1, 2 cos(2 pi j/k),
-j < h, with h the number of classes (h = 1 at k = 2, where the one
-coordinate is the integer e_r(2 (S + S^T))).  A
-coefficient is zero exactly when its coordinates are, and fixed-point
-integer cosines sign the others.  No cyclotomic field is built, and
-inertia.certified_signature is not on this path: it serves callers' own
-matrices and the tests.
+rule, on the integer coordinates of the coefficients of det(x I - H),
+found modulo one proven prime and signed by fixed-point integer cosines
+(_tl_orbit_cached).  No cyclotomic field is built: inertia.certified_signature
+serves callers' own matrices and the tests, not this path.
 
 The caches hold one entry per mirror pair.  The public readers pass the
 oriented key of _oriented, the smaller of S and -S^T: the mirror has the
@@ -166,38 +161,45 @@ def _row_column_norms(entries: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
-    """B >= |c| for every coefficient c of det(t S - S^T), in integers only.
-
+    """B >= |c| for every coefficient c of det(t S - S^T), in integers only:
     Hadamard's inequality bounds the determinant on |t| = 1 by the product
-    of the rho_i, and Cauchy's bound carries that to every coefficient.
-    """
+    of the rho_i, and Cauchy's bound carries that to every coefficient."""
     return prod(_row_column_norms(entries))
 
 
-def _minor_sum_bound(entries: Sequence[Sequence[int]]) -> int:
-    """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d.
-
-    On |t| = 1 Hadamard bounds each principal minor on the index set I by
+@lru_cache(maxsize=1024)
+def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
+    """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d:
+    on |t| = 1 Hadamard bounds each principal minor on the index set I by
     the product of rho_i over I, so |e_r| <= e_r(rho) <= prod_i (1 + rho_i)
-    there, and Cauchy's bound carries that to every coefficient.
-    """
+    there, and Cauchy's bound carries that to every coefficient."""
     return prod(1 + rho for rho in _row_column_norms(entries))
 
 
 def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:
-    """A^-1 B mod the prime p by Gauss-Jordan elimination; A is invertible mod p."""
+    """A^-1 B mod the prime p, by elimination below each pivot and back
+    substitution on B, reducing the row moves' results only where read."""
     n = len(a_rows)
-    rows = [[x % p for x in a] + [x % p for x in b] for a, b in zip(a_rows, b_rows)]
+    rows = [[*a, *b] for a, b in zip(a_rows, b_rows)]
     for c in range(n):
-        pivot = next(i for i in range(c, n) if rows[i][c])
+        pivot = next((i for i in range(c, n) if rows[i][c] % p), None)
+        if pivot is None:
+            raise InternalError(f"column {c} has no pivot mod {p}: the matrix is singular")
         rows[c], rows[pivot] = rows[pivot], rows[c]
         inverse = pow(rows[c][c], -1, p)
-        top = rows[c] = [x * inverse % p for x in rows[c]]
-        for i in range(n):
-            factor = rows[i][c]
-            if i != c and factor:
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], top)]
-    return [row[n:] for row in rows]
+        tail = rows[c][c + 1:] = [x * inverse % p for x in rows[c][c + 1:]]
+        for row in rows[c + 1:]:
+            u = row[c] % p
+            if u:
+                row[c + 1:] = [x - u * y for x, y in zip(row[c + 1:], tail)]
+    X = [row[n:] for row in rows]
+    for c in range(n - 1, 0, -1):  # X[c] is final and reduced
+        for i, row in enumerate(rows[:c]):
+            u = row[c]
+            if u:
+                X[i] = [y - u * z for y, z in zip(X[i], X[c])]
+        X[c - 1] = [y % p for y in X[c - 1]]
+    return X
 
 
 @lru_cache(maxsize=1024)

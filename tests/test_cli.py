@@ -488,6 +488,28 @@ def test_alexander_defect_exits_3_in_one_line(monkeypatch, capsys):
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
+def test_singular_class_matrix_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
+    # with omega = 1 both classes of order 5 give the row (1, 2), so the
+    # solve for the coordinates meets a singular matrix
+    from casson4 import seifert
+    from helpers import clear_caches
+
+    data = json.loads((FIXTURES / "trefoil.json").read_text())
+    data["spectrum_order"] = 5
+    path = tmp_path / "trefoil5.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(seifert, "_root_of_unity", lambda p, k: 1)
+    clear_caches()
+    try:
+        code, out, err = run_cli(["knot", "--input", str(path)], capsys)
+    finally:
+        clear_caches()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "column 1 has no pivot" in err
+
+
 def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     from casson4 import seifert
     from helpers import clear_caches
