@@ -92,9 +92,22 @@ _MAX_BOUND_BITS = 390
 
 # --- input plumbing ---
 
+@lru_cache(maxsize=8)  # one entry per JSON Schema draft; every shipped schema is draft-07
+def _strict_integers(cls):
+    """Validator class cls with "integer" meaning a JSON integer: 1.0 is refused, not passed on."""
+    strict = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    )
+    return jsonschema.validators.extend(cls, type_checker=strict)
+
+
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """The validator of schema ``name``, checked and built on first use."""
+    """The validator of schema ``name``, built on first use.
+
+    The shipped schemas are checked against their metaschema by the
+    tests, not here in every process.
+    """
     files = resources.files("casson4.schemas")
     text = files.joinpath(f"{name}.json").read_text()
     # inline the shared definitions so no resolver configuration is needed
@@ -102,13 +115,7 @@ def _validator(name: str):
     doc = json.loads(text)
     defs = json.loads(files.joinpath("defs.json").read_text())
     doc.setdefault("definitions", {}).update(defs["definitions"])
-    cls = jsonschema.validators.validator_for(doc)
-    cls.check_schema(doc)
-    # "integer" means a JSON integer: 1.0 is refused here, not passed on
-    strict = cls.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    )
-    return jsonschema.validators.extend(cls, type_checker=strict)(doc)
+    return _strict_integers(jsonschema.validators.validator_for(doc))(doc)
 
 
 def load_input(path: str, schema_name: str) -> dict:

@@ -96,7 +96,7 @@ def equivariant_casson_branched(d: BranchedQuotientData) -> Fraction:
     Non-integral values are returned as exact rationals; the report layer
     flags them as non-geometric input.
     """
-    return d.n * d.quotient_casson + Fraction(d.branch_spectrum.total(), 8)
+    return Fraction(8 * d.n * d.quotient_casson + d.branch_spectrum.total(), 8)
 
 
 def equivariant_casson_free(d: FreeQuotientData) -> Fraction:
@@ -105,11 +105,7 @@ def equivariant_casson_free(d: FreeQuotientData) -> Fraction:
         raise NotCoprime(f"gcd(n = {d.n}, q = {d.q}) != 1")
     spectrum = signature_spectrum(d.knot, d.n)
     d2 = second_derivative_at_one(alexander_polynomial(d.knot))
-    return (
-        d.n * d.base_casson
-        + Fraction(spectrum.total(), 8)
-        + Fraction(d.q * d2, 2)
-    )
+    return Fraction(8 * d.n * d.base_casson + spectrum.total() + 4 * d.q * d2, 8)
 
 
 def furuta_ohta_mapping_torus(d: QuotientData) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -146,6 +146,18 @@ def ceil_norm(vector: Sequence[int]) -> int:
     return isqrt(square - 1) + 1 if square else 0
 
 
+def _odd_prime_product(limit: int) -> int:
+    """The product of the odd primes below limit, by a sieve of Eratosthenes."""
+    composite = bytearray(limit)
+    for i in range(3, isqrt(limit - 1) + 1, 2):
+        if not composite[i]:
+            composite[i * i :: 2 * i] = bytes([1]) * len(range(i * i, limit, 2 * i))
+    return prod(i for i in range(3, limit, 2) if not composite[i])
+
+
+_SMALL_ODD_PRIMES = _odd_prime_product(1000)
+
+
 @lru_cache(maxsize=1024)
 def _proth_prime(bits: int, order: int = 1) -> int:
     """A prime c 2^b + 1 with b >= bits and odd c < 2^b, proven prime by Proth's theorem.
@@ -155,11 +167,20 @@ def _proth_prime(bits: int, order: int = 1) -> int:
     that N is composite and the search moves on, to the next b once no c
     is left.  Every c is a multiple of the odd part of order, and
     2^b >= its even part, so order divides N - 1.
+
+    Before any power, a sieve skips N when g = gcd(N, P) is neither 1 nor
+    N, P the product of the odd primes below 1000: then g is a proper
+    factor of N.  A prime N has no proper factor, so the sieve skips only
+    composites, which the test above never returns; the first N it
+    proves, and so the p returned for each (bits, order), is the one the
+    unsieved search finds.
     """
     odd = order // (order & -order)
     for b in count(max(bits, (order & -order).bit_length() - 1)):
         for c in range(odd, 1 << b, 2 * odd):
             candidate = (c << b) + 1
+            if gcd(candidate, _SMALL_ODD_PRIMES) not in (1, candidate):
+                continue
             for a in (3, 5, 7, 11, 13):
                 power = pow(a, candidate >> 1, candidate)
                 if power == candidate - 1:

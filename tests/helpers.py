@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -563,6 +563,20 @@ def tl_orbit_by_elimination(entries, k: int):
 #
 # Moved here verbatim from casson4: g_r(t) = e_r(t S - S^T) interpolated
 # once per matrix, and the zero tests by Phi_k divisibility.
+
+def proth_prime_unsieved(bits: int, order: int = 1) -> int:
+    """inertia._proth_prime without its small-prime sieve: every candidate takes the power test."""
+    odd = order // (order & -order)
+    for b in count(max(bits, (order & -order).bit_length() - 1)):
+        for c in range(odd, 1 << b, 2 * odd):
+            candidate = (c << b) + 1
+            for a in (3, 5, 7, 11, 13):
+                power = pow(a, candidate >> 1, candidate)
+                if power == candidate - 1:
+                    return candidate
+                if power != 1:
+                    break
+
 
 def phi_divides(n: int, poly: Sequence[int]) -> bool:
     """Whether Phi_n divides the integer polynomial ``poly`` (constant first).

@@ -1,6 +1,8 @@
+import copy
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -451,6 +453,43 @@ def test_schema_errors_match_jsonschema_validate(schema_name, data, tmp_path):
     with pytest.raises(SchemaError) as got:
         cli.load_input(str(path), schema_name)
     assert str(got.value) == f"{path}: {expected.value.message}"
+
+
+SHIPPED_SCHEMAS = sorted(
+    f.name for f in resources.files("casson4.schemas").iterdir() if f.name.endswith(".json")
+)
+
+
+def shipped_schema(filename: str) -> dict:
+    """A shipped schema as cli._validator uses it, with defs.json inlined; defs.json as it is."""
+    from casson4 import cli
+
+    if filename == "defs.json":
+        return json.loads(resources.files("casson4.schemas").joinpath(filename).read_text())
+    return cli._validator(filename.removesuffix(".json")).schema
+
+
+def check_metaschema(doc: dict) -> None:
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(doc)
+    assert cls is jsonschema.Draft7Validator
+    cls.check_schema(doc)
+
+
+@pytest.mark.parametrize("filename", SHIPPED_SCHEMAS)
+def test_shipped_schema_passes_its_metaschema(filename):
+    check_metaschema(shipped_schema(filename))
+
+
+def test_broken_schema_fails_the_metaschema_check():
+    import jsonschema
+
+    for filename in SHIPPED_SCHEMAS:
+        doc = copy.deepcopy(shipped_schema(filename))
+        next(iter(doc["definitions"].values()))["type"] = "integr"
+        with pytest.raises(jsonschema.SchemaError):
+            check_metaschema(doc)
 
 
 def test_internal_error_exits_3_in_one_line(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from casson4 import CyclotomicField, certified_signature
 from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
     IntervalWitness,
+    _SMALL_ODD_PRIMES,
     _charpoly_bound,
     _proth_prime,
     cosine_sum_signs,
@@ -22,6 +24,7 @@ from helpers import (
     hermitian_pivots,
     numpy_inertia,
     pivot_signature,
+    proth_prime_unsieved,
 )
 
 
@@ -354,6 +357,29 @@ def test_charpoly_bound_and_prime_hold_the_coefficients():
         k, rest = divmod(p - 1, 1 << bits)
         assert rest == 0 and k % 2 == 1 and k < 1 << bits
         assert sympy.isprime(p)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 61, 64, 97])
+def test_sieved_proth_prime_is_the_unsieved_one(order):
+    # from bits = 1 on, so the answers and the rejected candidates below 1000 are covered
+    import sympy
+
+    search = _proth_prime.__wrapped__  # past the cache, so the sieve runs every time
+    for bits in range(1, 221):
+        p = search(bits, order)
+        assert p == proth_prime_unsieved(bits, order), (bits, order)
+        assert sympy.isprime(p) and (p - 1) % order == 0, (bits, order)
+
+
+def test_sieve_passes_primes_and_products_of_distinct_small_primes():
+    import sympy
+
+    assert _SMALL_ODD_PRIMES == prod(sympy.primerange(3, 1000))
+    search = _proth_prime.__wrapped__
+    # 5 and 13 share all of their factors with the sieve and are still found; 9 and
+    # 25 are skipped before 41; 57 = 3 * 19 divides the product, so the power test
+    # rejects it before 113 is found
+    assert [search(1), search(1, 3), search(3), search(3, 7)] == [5, 13, 41, 113]
 
 
 def test_too_small_a_prime_fails_the_determinant_check(monkeypatch):
