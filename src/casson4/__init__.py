@@ -67,7 +67,6 @@ from .spheres import (
 )
 from .tori import (
     CupRing,
-    OrbitCensus,
     SpinRohlinTable,
     ThreeTorusForm,
     admissible,
@@ -76,7 +75,6 @@ from .tori import (
     det4,
     donaldson_mod2,
     four_orbit_count,
-    orbit_order_census,
     product_ring,
     rho_bar,
     torus4_ring,
@@ -139,10 +137,8 @@ __all__ = [
     "rho_bar",
     "four_orbit_count",
     "donaldson_mod2",
-    "orbit_order_census",
     "admissible",
     "bundle_exists",
-    "OrbitCensus",
     "CircleBundleData",
     "circle_bundle_rho",
     "circle_bundle_furuta_ohta",

@@ -43,11 +43,13 @@ from .equivariant import (
     BranchedQuotientData,
     FreeQuotientData,
     branched_free_relation,
-    equivariant_casson_free,
+    check_rohlin_congruence,
     furuta_ohta_mapping_torus,
     matched_cover_data,
 )
-from .errors import Casson4Error, InternalError, NonIntegral, ParseError, SchemaError
+from .errors import (
+    Casson4Error, HypothesisFails, InternalError, NonIntegral, ParseError, SchemaError
+)
 from .floer import (
     FloerData,
     check_evenness,
@@ -154,8 +156,6 @@ def resolve_knot(ref) -> SeifertMatrix:
             raise SchemaError(f"torus({p},{q}) has more than {_MAX_KNOT_SIZE} Seifert rows")
         return torus_knot_seifert(p, q)
     rows = ref["seifert"] if isinstance(ref, dict) else ref
-    if not isinstance(rows, list):
-        raise SchemaError(f"cannot interpret knot reference {ref!r}")
     # on the raw rows, before the constructor's Bareiss determinant: uncached
     bits = _minor_sum_bound.__wrapped__(rows).bit_length()
     if bits > _MAX_BOUND_BITS:
@@ -240,11 +240,6 @@ def build_report(command: str, data: dict) -> tuple[InvariantReport, int]:
     return report, report.exit_code()
 
 
-def _congruent_mod2(lam: Fraction, rho: int) -> int:
-    """1 when lam is an integer congruent to rho mod 2, else 0."""
-    return int(lam.denominator == 1 and int(lam) % 2 == rho)
-
-
 def _sign_pattern(ranks, lef: int) -> dict:
     pattern = deduce_sign_pattern(ranks, lef)
     return {str(k): v for k, v in sorted(pattern.items())}
@@ -315,8 +310,8 @@ def cmd_mapping_torus(data: dict) -> Computed:
     certificates = []
     lef = invariants["lefschetz"] = 2 * int(lam)
     if "rho_cover" in data:
-        invariants["rho"] = data["rho_cover"]
-        congruences["lambda_fo_equals_rho_mod2"] = _congruent_mod2(lam, data["rho_cover"])
+        rho = invariants["rho"] = data["rho_cover"]
+        congruences["lambda_fo_equals_rho_mod2"] = check_rohlin_congruence(quotient, rho).congruent
     if "floer_ranks" in data:
         pattern = _sign_pattern(data["floer_ranks"], lef)
         signs = set(pattern.values())
@@ -360,10 +355,8 @@ def cmd_torus4(data: dict) -> Computed:
     if "w" in data:
         w = as_h2(data["w"])
         invariants["w"] = w
-        xi_ok = admissible(ring, w)
-        p1_ok = bundle_exists(ring, w)
-        invariants["admissible"] = int(xi_ok)
-        invariants["bundle_exists"] = int(p1_ok)
+        invariants["admissible"] = int(admissible(ring, w))
+        invariants["bundle_exists"] = int(bundle_exists(ring, w))
         four = four_orbit_count(ring, w)
         invariants["four_orbit_count"] = four
         invariants["orbit_census"] = {
@@ -372,15 +365,16 @@ def cmd_torus4(data: dict) -> Computed:
             "16": "unknown (gauge-theoretic)",
         }
         certificates.append("no orbits of order one or two in the plane stratum")
-        if xi_ok and p1_ok:
+        try:
             quarter = donaldson_mod2(ring, w)
-            invariants["donaldson_mod2"] = quarter
-            congruences["quarter_count_equals_det4_mod2"] = quarter == determinant
-        else:
+        except HypothesisFails:
             certificates.append(
                 "degree-zero count undefined for this w (hypothesis fails); "
                 "orbit counts reported without the parity check"
             )
+        else:
+            invariants["donaldson_mod2"] = quarter
+            congruences["quarter_count_equals_det4_mod2"] = quarter == determinant
     return invariants, congruences, certificates
 
 
@@ -402,14 +396,14 @@ def cmd_circle_bundle(data: dict) -> Computed:
 def _parse_range(spec: str | None) -> dict:
     """{key: [ints]} from "key=int[,int...][;key=int[,int...]...]".
 
-    A value is ASCII digits with an optional leading minus, and a key may
-    appear once.
+    A value is ASCII digits with an optional leading minus, so an empty
+    one between commas is refused; a key may appear once.
     """
     out: dict = {}
     for part in filter(None, (p.strip() for p in (spec or "").split(";"))):
         key, sep, value = part.partition("=")
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        if not sep or not items or not all(re.fullmatch("-?[0-9]+", v) for v in items):
+        items = [v.strip() for v in value.split(",")]
+        if not sep or not all(re.fullmatch("-?[0-9]+", v) for v in items):
             raise SchemaError(f"range entries look like key=int[,int...], got {part!r}")
         key = key.strip()
         if key in out:
@@ -436,23 +430,23 @@ def _sweep_torus_knot_covers(params: dict) -> list[dict]:
     for q, r in pairs:
         knot = torus_knot_seifert(q, r)
         determinant = abs(alexander_polynomial(knot)(-1))
-        data = BranchedQuotientData(2, 0, signature_spectrum(knot, 2))
-        lam = furuta_ohta_mapping_torus(data)
         mubar = mubar_double_branched(knot)
         # the double cover bounds the even form S + S^T, so its Rohlin
         # invariant is sign/8 = mubar mod 2
         rho = int(mubar) % 2
+        data = BranchedQuotientData(2, 0, signature_spectrum(knot, 2))
+        report = check_rohlin_congruence(data, rho)
         instances.append(
             {
                 "instance": f"double cover over T({q},{r})",
                 "q": q,
                 "r": r,
                 "cover_is_homology_sphere": int(determinant == 1),
-                "lambda_fo": _frac_json(lam),
+                "lambda_fo": _frac_json(report.lambda_fo),
                 "mubar": _frac_json(mubar),
                 "rho": rho,
-                "congruent": _congruent_mod2(lam, rho),
-                "mubar_agrees": int(mubar == lam),
+                "congruent": report.congruent,
+                "mubar_agrees": int(mubar == report.lambda_fo),
             }
         )
     return instances
@@ -476,19 +470,19 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
             if gcd(2, q) != 1:
                 raise SchemaError(f"free quotient of order 2 needs odd q, got {q}")
             data = FreeQuotientData(2, q, 0, knot)
-            lam = equivariant_casson_free(data)
             # rho of the cover: rho of the double branched cover plus
             # q * arf of the lifted knot (arf is preserved by the lift)
             rho = (int(mubar) + q * arf) % 2
+            report = check_rohlin_congruence(data, rho)
             relation = branched_free_relation(data, matched_cover_data(data))
             instances.append(
                 {
                     "instance": f"free quotient: (2/{q})-surgery on {name}",
                     "knot": name,
                     "q": q,
-                    "lambda_fo": _frac_json(lam),
+                    "lambda_fo": _frac_json(report.lambda_fo),
                     "rho": rho,
-                    "congruent": _congruent_mod2(lam, rho),
+                    "congruent": report.congruent,
                     "cover_relation": relation,
                 }
             )
@@ -541,10 +535,12 @@ def _sweep_three_forms(params: dict) -> list[dict]:
         admissible_count = 0
         failures = 0
         for w in range(1, 64):
-            if not (admissible(ring, w) and bundle_exists(ring, w)):
+            try:
+                quarter = donaldson_mod2(ring, w)
+            except HypothesisFails:
                 continue
             admissible_count += 1
-            if donaldson_mod2(ring, w) != determinant:
+            if quarter != determinant:
                 failures += 1
         instances.append(
             {
@@ -591,7 +587,7 @@ def cmd_sweep(family: str, range_spec: str | None) -> tuple[dict, int]:
             limits = "" if allowed is None else f" in {allowed.start}..{allowed.stop - 1}"
             raise SchemaError(f"range key {key}: at most {most} value(s){limits}, got {items}")
     instances = sweep(params)
-    passed = sum(1 for inst in instances if inst.get("congruent", 1) == 1)
+    passed = sum(1 for inst in instances if inst["congruent"] == 1)
     failed = len(instances) - passed
     payload = {
         "schema": SCHEMA_VERSION,
@@ -620,7 +616,7 @@ class SweepReport:
         payload = self.payload
         lines = [f"sweep: {payload['family']}"]
         for inst in payload["instances"]:
-            status = "ok" if inst.get("congruent", 1) == 1 else "CONGRUENCE FAIL"
+            status = "ok" if inst["congruent"] == 1 else "CONGRUENCE FAIL"
             fields = ", ".join(
                 f"{k}={v}" for k, v in inst.items() if k not in ("instance", "congruent")
             )

@@ -127,15 +127,6 @@ class CupRing:
         """Top evaluation (x cup y cup z cup w)[X]."""
         return self.pair(self.cup(x, y), self.cup(z, w))
 
-    def plane_cup(self, plane: tuple[int, int, int]) -> int:
-        """Cup product of any two distinct elements of a 2-plane.
-
-        Well defined because cup(x, x) = 0: changing basis inside the
-        plane never changes the product.
-        """
-        a, b, _ = plane
-        return self.cup(a, b)
-
     def change_basis(self, rows: Sequence[int]) -> "CupRing":
         """Ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible)."""
         P = [operator.index(r) for r in rows]
@@ -251,14 +242,19 @@ def rho_bar(t: SpinRohlinTable) -> int:
 def four_orbit_count(r: CupRing, w: int) -> int:
     """Number of 2-planes in H^1 whose cup product is w.
 
-    These planes enumerate the orbits of size four in the flat moduli
-    space with second Stiefel-Whitney class w; computed by exhausting all
-    35 planes.
+    The cup product of a plane is that of any two of its distinct
+    elements, well defined because cup(x, x) = 0: changing basis inside
+    the plane never changes it.  These planes enumerate the orbits of
+    size four in the flat moduli space with second Stiefel-Whitney class
+    w; computed by exhausting all 35 planes.  Each such class has
+    stabilizer the plane itself (order 4 in the 16-element group), so no
+    orbit of order one or two occurs; orbits of order 8 and 16 are not
+    enumerable from the ring and need gauge theory.
     """
     w = as_h2(w)
     if w == 0:
         raise ZeroW2("w_2 must be nonzero")
-    return sum(1 for plane in ALL_PLANES if r.plane_cup(plane) == w)
+    return sum(1 for a, b, _ in ALL_PLANES if r.cup(a, b) == w)
 
 
 def as_h2(w) -> int:
@@ -329,31 +325,3 @@ def donaldson_mod2(r: CupRing, w) -> int:
             "is nonzero, so the degree-zero count is undefined"
         )
     return four_orbit_count(r, w) % 2
-
-
-@dataclass(frozen=True)
-class OrbitCensus:
-    """Orbit-size census of the algebraically enumerable stratum.
-
-    Only orbits of size four (representations through Z2 + Z2) are
-    enumerable from the ring; sizes 8 and 16 require gauge theory and are
-    reported as unknown.  Orders one and two never occur.
-    """
-
-    four: int
-    eight: None
-    sixteen: None
-    small_orbits_absent: bool
-
-
-def orbit_order_census(r: CupRing, w) -> OrbitCensus:
-    """Census of orbit sizes over the plane stratum with class w.
-
-    Every enumerated class has stabilizer exactly the plane itself
-    (order 4 in the 16-element group; ALL_PLANES is checked for that at
-    import), so orbits of order one or two are absent from this stratum,
-    and the 8/16 counts are left unknown.
-    """
-    return OrbitCensus(
-        four=four_orbit_count(r, w), eight=None, sixteen=None, small_orbits_absent=True
-    )

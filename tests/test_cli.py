@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from casson4 import ThreeTorusForm, admissible, product_ring
 from casson4.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -250,6 +251,9 @@ def test_sweep_empty_family_range(capsys):
         ("free-quotients", "q=\u0663"),
         ("free-quotients", "q= +3 "),
         ("free-quotients", "q=3;q=5"),
+        ("torus-knot-covers", "q=3,,5"),
+        ("free-quotients", "q=3,"),
+        ("surgery-chains", "count=,2"),
         ("surgery-chains", "count=2;seed=1; count =3"),
     ],
 )
@@ -370,15 +374,41 @@ def test_subcommand_congruence_failure_exits_2(monkeypatch, capsys):
 
 
 def test_torus4_reports_unsupported_w_without_parity_check(capsys, tmp_path):
-    data = {"schema": 1, "name": "non-bundle class", "preset": "T4", "w": 33}
-    path = tmp_path / "t4w.json"
-    path.write_text(json.dumps(data))
-    code, report, _ = run_json(["torus4", "--input", str(path)], capsys)
-    assert code == 0
-    assert report["invariants"]["bundle_exists"] == 0
-    assert report["invariants"]["four_orbit_count"] == 0
-    assert "donaldson_mod2" not in report["invariants"]
-    assert "quarter_count_equals_det4_mod2" not in report["congruences"]
+    even = product_ring(ThreeTorusForm(0))
+    not_admissible = next(w for w in range(1, 64) if not admissible(even, w))
+    cases = [
+        ({"preset": "T4", "w": 0b100001},
+         {"admissible": 1, "bundle_exists": 0, "four_orbit_count": 0}),
+        ({"three_form": 0, "w": not_admissible}, {"admissible": 0}),
+    ]
+    for ring, bits in cases:
+        path = tmp_path / "torus4.json"
+        path.write_text(json.dumps({"schema": 1, "name": "undefined count", **ring}))
+        code, report, _ = run_json(["torus4", "--input", str(path)], capsys)
+        assert code == 0
+        invariants = report["invariants"]
+        assert {"admissible", "bundle_exists"} <= set(invariants)
+        assert bits.items() <= invariants.items()
+        assert "donaldson_mod2" not in invariants
+        assert "quarter_count_equals_det4_mod2" not in report["congruences"]
+        assert any("count undefined" in note for note in report["certificates"])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"type": "branched", "n": 2, "branch_knot": {"torus": [3, 5]}},  # lambda = -1
+        {"type": "free", "n": 2, "q": 1, "branch_knot": {"torus": [3, 5]}},  # lambda = 7
+    ],
+    ids=["branched", "free"],
+)
+def test_mapping_torus_rho_disagreeing_with_lambda_exits_2(data, capsys, tmp_path):
+    path = tmp_path / "mapping_torus.json"
+    path.write_text(json.dumps({"schema": 1, "quotient_casson": 0, "rho_cover": 0, **data}))
+    code, report, _ = run_json(["mapping-torus", "--input", str(path)], capsys)
+    assert code == 2
+    assert report["invariants"]["lambda_fo"] % 2 == 1
+    assert report["congruences"] == {"integral": 1, "lambda_fo_equals_rho_mod2": 0}
 
 
 def test_human_format_mentions_failures(monkeypatch, capsys):

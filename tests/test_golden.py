@@ -44,8 +44,8 @@ FIXTURE_COMMANDS = {
 }
 
 SWEEPS = {
-    "torus-knot-covers": "q=3,5",
-    "free-quotients": "q=1,3",
+    "torus-knot-covers": "q=3,5,7,9,11",
+    "free-quotients": "q=-3,-1,1,3,5",
     "surgery-chains": "count=25;seed=3",
     "three-forms": None,
 }

@@ -13,7 +13,6 @@ from casson4 import (
     det4,
     donaldson_mod2,
     four_orbit_count,
-    orbit_order_census,
     product_ring,
     rho_bar,
     torus4_ring,
@@ -97,8 +96,6 @@ def test_zero_w_rejected():
         four_orbit_count(T4, 0)
     with pytest.raises(ZeroW2):
         donaldson_mod2(T4, 0)
-    with pytest.raises(ZeroW2):
-        orbit_order_census(T4, 0)
 
 
 def test_donaldson_parity_law_exhaustive():
@@ -145,13 +142,6 @@ def test_hypothesis_failures():
     assert not bundle_exists(T4, 1 | (1 << 5))
     with pytest.raises(HypothesisFails):
         donaldson_mod2(T4, 1 | (1 << 5))
-
-
-def test_census_shape():
-    census = orbit_order_census(T4, 1)
-    assert census.four == 1
-    assert census.eight is None and census.sixteen is None
-    assert census.small_orbits_absent
 
 
 def test_inconsistent_ring_detected():
@@ -233,7 +223,7 @@ def test_constructor_matches_the_ring_oracle():
 def test_inconsistent_ring_never_reaches_its_consumers():
     cup2 = [list(row) for row in T4.cup2]
     cup2[0][1] ^= 1 << 4
-    for consumer in (admissible, bundle_exists, orbit_order_census):
+    for consumer in (admissible, bundle_exists, four_orbit_count):
         with pytest.raises(InconsistentRing, match="symmetric"):
             consumer(CupRing(cup2, T4.pairing, T4.eval_top), 1)
 
