@@ -8,8 +8,6 @@ bundles, and the mod-2 degree-zero instanton count of homology 4-tori,
 together with mechanical checks of the congruences tying them together.
 """
 
-from fractions import Fraction as Rational
-
 from .bundles import (
     BundleVanishingReport,
     CircleBundleData,
@@ -17,7 +15,6 @@ from .bundles import (
     circle_bundle_report,
     circle_bundle_rho,
 )
-from .cyclotomic import CycElt, CyclotomicField
 from .equivariant import (
     BranchedQuotientData,
     FreeQuotientData,
@@ -41,7 +38,7 @@ from .floer import (
     seifert_tau_lefschetz,
 )
 from .gf2 import symplectic_basis
-from .inertia import CertifiedSign, certified_signature
+from .inertia import certified_signature
 from .laurent import LaurentPolynomial, second_derivative_at_one
 from .seifert import (
     PRESET_KNOTS,
@@ -83,13 +80,9 @@ from .tori import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "LaurentPolynomial",
     "second_derivative_at_one",
     "symplectic_basis",
-    "CyclotomicField",
-    "CycElt",
-    "CertifiedSign",
     "certified_signature",
     "SeifertMatrix",
     "SignatureSpectrum",

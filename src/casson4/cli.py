@@ -128,10 +128,12 @@ def load_input(path: str, schema_name: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
+        # the error jsonschema.validate would raise, without re-checking the schema
+        error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    # the error jsonschema.validate would raise, without re-checking the schema
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(data))
+    except RecursionError:  # from the parser, or the schema check's repr of the value
+        raise ParseError(f"{path} nests its JSON too deeply to read") from None
     if error is not None:
         if error.validator == "maxItems":  # name the limit, not the whole array
             error.message = f"{error.json_path} has more than {error.validator_value} items"

@@ -1,14 +1,14 @@
-"""Cyclotomic polynomials, integer cosine tables, and the fields Q(zeta_n).
+"""Cyclotomic polynomials and the fields Q(zeta_n): the tests' elimination oracle.
 
-Signature spectra need only the values 2 cos(2 pi j / n) as fixed-point
-integers within 1 of the truth, read from one bounded table computed in
-integer arithmetic with a proven error bound: their zero tests are exact
-in integer coordinates, so they use no Phi_n and build no field.
+No runtime path loads this module: signature spectra read 2 cos(2 pi j / n)
+from the integer cosine table in casson4.inertia and build no field.
+It stays in src/ only until the benchmark's layer tracer, which wraps
+CycElt.__mul__ and CycElt.inverse, stops importing it; then it moves to
+the tests.
 
-The fields remain only for the tests' elimination oracle.  Elements are
-vectors of rationals over the power basis 1, zeta, ..., zeta^(d-1),
-reduced modulo the n-th cyclotomic polynomial (d = deg Phi_n).  This
-gives exact zero tests, inversion and the Galois automorphisms
+Elements are vectors of rationals over the power basis 1, zeta, ...,
+zeta^(d-1), reduced modulo the n-th cyclotomic polynomial (d = deg Phi_n).
+This gives exact zero tests, inversion and the Galois automorphisms
 zeta -> zeta^m (conjugation is m = -1).
 """
 
@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
-
-from .errors import InternalError
-
-# working bits beyond prec + 2 bitlen(prec) + 2 s; the table's guard checks they suffice
-_GUARD_BITS = 16
 
 
 @lru_cache(maxsize=1024)
@@ -35,78 +30,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
-
-
-def _arctan_inverse(x: int, w: int) -> tuple[int, int]:
-    """(A, N): A is the alternating sum of the N nonzero terms
-    floor(2^w / ((2i + 1) x^(2i + 1))) of 2^w atan(1/x)."""
-    total, power, i = 0, (1 << w) // x, 0
-    while term := power // (2 * i + 1):  # power = floor(2^w / x^(2i + 1)), nested floors
-        total += -term if i % 2 else term
-        power //= x * x
-        i += 1
-    return total, i
-
-
-@lru_cache(maxsize=256)
-def fixed_point_cosines(n: int, prec: int) -> tuple[int, ...]:
-    """Integers C_j with |C_j - 2^prec 2 cos(2 pi j / n)| <= 1, j = 0 .. n-1.
-
-    In integers only, in ulps of 2^-w: w = prec + g, with
-    g = 2 bitlen(prec) + 2 s + _GUARD_BITS and s = isqrt(prec) // 2 + 1
-    (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).  The errors:
-
-    1. pi~ = 4 (4 A_5 - A_239) (Machin).  Each of the N_x terms of A_x is
-       an exact floor, off by less than 1, and the alternating tail is
-       below one ulp, so pi~ is off by E_pi = 16 (N_5 + 1) + 4 (N_239 + 1).
-    2. Up to the sign, 2 pi j / n = pi a / n with 0 <= a / n <= 1/2, as
-       cos is even and cos(pi - x) = -cos x.  x~ = floor(pi~ a / n) is off
-       by E_x = E_pi / 2 + 1.
-    3. u = floor(x~^2 / 2^(w + 2s)) stands for 2^w y^2, y = x / 2^s <= pi / 4,
-       off by E_2 = E_x + 2 + floor(E_x^2 / 2^(w + 2s)), since
-       |x~^2 - X^2| <= E_x (pi 2^w + E_x) for X = 2^w x.
-    4. t_0 = 2^w, t_k = floor(t_(k-1) u / (2^w (2k - 1) 2k)) until t_K = 0,
-       the Taylor terms of cos sqrt(v), v = u / 2^w.  Their ratios are at
-       most v / 2 <= 1/2, so each t_k, and the tail from t_K on, is within
-       2 of the exact one, and |d cos sqrt(v) / dv| <= 1/2: the sum is
-       within E_c = 2K + ceil(E_2 / 2) of 2^w cos y.
-    5. Each of the s doublings c -> floor(c^2 / 2^(w - 1)) - 2^w
-       (cos 2y = 2 cos^2 y - 1) takes an error E to
-       4E + 2 + floor(E^2 / 2^(w - 1)).
-    6. A final error E_s <= 2^(g - 2) gives |c / 2^(g - 1) - 2^prec 2 cos|
-       <= 1/2, and rounding adds 1/2.  It also gives E_2 < 2^(w - 4), so
-       v < 1, as step 4 assumes.
-
-    The guard evaluates E_s from the actual term counts; if it exceeds
-    2^(g - 2), that is an internal error, and no table is built.
-    """
-    s = isqrt(prec) // 2 + 1
-    g = 2 * prec.bit_length() + 2 * s + _GUARD_BITS
-    w = prec + g
-    one = 1 << w
-    a5, n5 = _arctan_inverse(5, w)
-    a239, n239 = _arctan_inverse(239, w)
-    pi = 4 * (4 * a5 - a239)
-    x_error = 8 * (n5 + 1) + 2 * (n239 + 1) + 1
-    u_error = x_error + 2 + (x_error * x_error >> (w + 2 * s))
-    half = []
-    for j in range(n // 2 + 1):
-        a, sign = (2 * j, 1) if 4 * j <= n else (n - 2 * j, -1)
-        x = pi * a // n
-        u = x * x >> (w + 2 * s)
-        c, term, k = one, one, 0
-        while term:
-            k += 1
-            term = (term * u >> w) // ((2 * k - 1) * 2 * k)
-            c += -term if k % 2 else term
-        error = 2 * k + (u_error + 1) // 2
-        for _ in range(s):
-            c = (c * c >> (w - 1)) - one
-            error = 4 * error + 2 + (error * error >> (w - 1))
-        if error > 1 << (g - 2):
-            raise InternalError(f"error bound of cos(2 pi {j}/{n}) is too wide for {prec} bits")
-        half.append(sign * ((c + (1 << (g - 2))) >> (g - 1)))
-    return tuple(half[min(j, n - j)] for j in range(n))
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:

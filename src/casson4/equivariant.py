@@ -17,7 +17,7 @@ from math import gcd
 from operator import index
 from typing import Union
 
-from .errors import NonIntegralInvariant, NotCoprime
+from .errors import NonIntegral, NotCoprime
 from .laurent import second_derivative_at_one
 from .seifert import (
     SeifertMatrix,
@@ -142,16 +142,16 @@ def check_rohlin_congruence(d: QuotientData, rho_sigma: int) -> MappingTorusRepo
     """Report whether the mapping-torus invariant matches rho mod 2.
 
     rho_sigma is the Rohlin invariant of the covering sphere (equal to
-    the Rohlin invariant of the mapping torus).  Raises
-    NonIntegralInvariant when the equivariant invariant is not an
-    integer, which marks the input as non-geometric.
+    the Rohlin invariant of the mapping torus).  Raises NonIntegral when
+    the equivariant invariant is not an integer, which marks the input as
+    non-geometric.
     """
     rho_sigma = index(rho_sigma)
     if rho_sigma not in (0, 1):
         raise ValueError("rho must be a bit")
     lam = furuta_ohta_mapping_torus(d)
     if lam.denominator != 1:
-        raise NonIntegralInvariant(lam)
+        raise NonIntegral(f"invariant is not an integer: {lam}")
     congruent = 1 if int(lam) % 2 == rho_sigma else 0
     return MappingTorusReport(lam, rho_sigma, congruent)
 

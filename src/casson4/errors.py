@@ -37,14 +37,6 @@ class NonIntegral(Casson4Error):
     """A quantity that must be an integer is not (invalid geometric input)."""
 
 
-class NonIntegralInvariant(Casson4Error):
-    """An equivariant invariant came out non-integral; input cannot be geometric."""
-
-    def __init__(self, value, message=None):
-        self.value = value
-        super().__init__(message or f"invariant is not an integer: {value}")
-
-
 # --- Floer bookkeeping ---
 
 class SizeMismatch(Casson4Error):
@@ -101,7 +93,7 @@ class BadEuler(Casson4Error):
 # --- CLI ---
 
 class ParseError(Casson4Error):
-    """Input file is not valid JSON."""
+    """Input file cannot be read as JSON: unreadable, malformed or nested too deeply."""
 
 
 class SchemaError(Casson4Error):

@@ -7,9 +7,11 @@ the Arf invariant of the mod-2 quadratic refinement.
 
 Signatures at roots of unity of every order k >= 2 come from Descartes'
 rule, on the integer coordinates of the coefficients of det(x I - H),
-found modulo one proven prime and signed by fixed-point integer cosines
-(_tl_orbit_cached).  No cyclotomic field is built: inertia.certified_signature
-serves callers' own matrices and the tests, not this path.
+found modulo one proven prime and signed by the fixed-point integer
+cosines of inertia.fixed_point_cosines (_tl_orbit_cached).  No
+cyclotomic field is built or loaded: casson4.cyclotomic is the tests'
+oracle, and inertia.certified_signature serves callers' own matrices
+and the tests, not this path.
 
 The caches hold one entry per mirror pair.  The public readers pass the
 oriented key of _oriented, the smaller of S and -S^T: the mirror has the

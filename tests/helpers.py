@@ -11,8 +11,6 @@ from operator import mul
 from typing import Sequence
 
 from casson4 import (
-    CycElt,
-    CyclotomicField,
     LaurentPolynomial,
     SeifertMatrix,
     alexander_polynomial,
@@ -21,7 +19,7 @@ from casson4 import (
     torus_knot_seifert,
 )
 from casson4 import seifert
-from casson4.cyclotomic import cyclotomic_polynomial
+from casson4.cyclotomic import CycElt, CyclotomicField, cyclotomic_polynomial
 from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import bitrows_rank
 from casson4.inertia import (

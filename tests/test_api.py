@@ -37,6 +37,46 @@ def test_import_leaves_mpmath_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_runtime_paths_leave_the_field_unloaded():
+    # Q(zeta_n) is the tests' elimination oracle: importing casson4, a
+    # spectrum, a signature at order 997 and every fixture request run
+    # without loading it
+    import json
+    import random
+    import subprocess
+    import sys
+
+    from helpers import random_unimodular
+    from test_golden import FIXTURE_COMMANDS, ROOT, _expected
+
+    knot = casson4.torus_knot_seifert(3, 5).congruent(random_unimodular(random.Random(3), 8))
+    argvs = [
+        [command, "--input", str(ROOT / "fixtures" / f"{case}.json")]
+        for case, command in FIXTURE_COMMANDS.items()
+    ]
+    code = """
+import contextlib, io, json, sys
+import casson4, casson4.cli
+entries, argvs = json.load(sys.stdin)
+total = casson4.signature_spectrum(casson4.SeifertMatrix(entries), 61).total()
+unknot = casson4.tl_signature(casson4.preset_knot("unknot"), "1/997")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [casson4.cli.main(argv) for argv in argvs]
+print(json.dumps([total, unknot, codes, "casson4.cyclotomic" in sys.modules]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps([knot.entries, argvs]),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    total, unknot, codes, loaded = json.loads(out.stdout)
+    assert (total, unknot) == (-256, 0)
+    assert codes == [_expected(case, "json")[0] for case in FIXTURE_COMMANDS]
+    assert loaded is False
+
+
 def test_every_cache_keyed_by_caller_input_is_bounded():
     # only caches whose keys the code fixes may grow without a bound
     from helpers import package_caches

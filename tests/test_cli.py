@@ -179,6 +179,21 @@ def test_parse_error_exits_1(tmp_path, capsys):
     code, out, err = run_cli(["knot", "--input", str(bad)], capsys)
     assert code == 1
     assert "not valid JSON" in err
+    # near the recursion limit the parser, or the schema check's repr of the
+    # value, runs out of stack first: either way one error line, no traceback
+    too_deep = f"error: {bad} nests its JSON too deeply to read\n"
+    errors = []
+    for depth in [*range(850, 1001), 5_000]:
+        seifert = "[" * depth + "]" * depth
+        bad.write_text(f'{{"schema": 1, "name": "x", "seifert": {seifert}}}')
+        code, out, err = run_cli(["knot", "--input", str(bad)], capsys)
+        assert (code, out, err.count("\n")) == (1, "", 1), depth
+        assert err.startswith(f"error: {bad}"), depth
+        errors.append(err)
+    assert errors[-1] == too_deep
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["knot", "--input", str(bad)], capsys)
+    assert (code, err) == (1, f"error: {bad} nests its JSON too deeply to read\n")
 
 
 def test_schema_error_exits_1(tmp_path, capsys):
@@ -464,6 +479,21 @@ def test_floer_zero_denominator_is_refused_without_traceback(tmp_path):
         ("sphere", {"schema": 1, "steps": [{"knot": "unknot"}]}),
         ("mapping_torus", {"schema": 1, "type": "free", "n": 0, "quotient_casson": 0}),
         ("mapping_torus", {"schema": 1, "type": "branched", "n": 2, "quotient_casson": 0}),
+        (
+            "mapping_torus",
+            {"schema": 1, "type": "branched", "n": 2, "quotient_casson": 0,
+             "branch_knot": "right_trefoil", "spectrum": [0, 16]},
+        ),
+        (
+            "mapping_torus",
+            {"schema": 1, "type": "free", "n": 2, "q": 1, "quotient_casson": 0,
+             "branch_knot": "right_trefoil", "spectrum": [0, 16]},
+        ),
+        (
+            "mapping_torus",
+            {"schema": 1, "type": "branched", "n": 2, "q": 1, "quotient_casson": 0,
+             "branch_knot": "right_trefoil"},
+        ),
         ("floer", {"schema": 1, "ranks": [1, 2]}),
         ("floer", {"schema": 1, "ranks": [0] * 8, "maps": [[["1/0"]]] * 8}),
         ("torus4", {"schema": 1, "w": "x"}),

@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 import sympy
 
-from casson4 import CyclotomicField, LaurentPolynomial
-from casson4.cyclotomic import cyclotomic_polynomial, fixed_point_cosines
+from casson4 import LaurentPolynomial
+from casson4.cyclotomic import CyclotomicField, cyclotomic_polynomial
+from casson4.inertia import fixed_point_cosines
 from helpers import embed, evaluate_laurent, field_i, phi_divides
 
 
@@ -126,10 +127,10 @@ def test_fixed_point_cosines_are_within_one(prec):
 
 def test_too_wide_enclosures_build_no_cosine_table(monkeypatch):
     # 24 guard bits fewer leave the error bound above 2^(g - 2): the guard refuses
-    from casson4 import cyclotomic
+    from casson4 import inertia
     from casson4.errors import InternalError
 
-    monkeypatch.setattr(cyclotomic, "_GUARD_BITS", -8)
+    monkeypatch.setattr(inertia, "_GUARD_BITS", -8)
     fixed_point_cosines.cache_clear()
     try:
         with pytest.raises(InternalError, match="too wide"):

@@ -17,7 +17,7 @@ from casson4 import (
     preset_knot,
     torus_knot_seifert,
 )
-from casson4.errors import NonIntegralInvariant, NotCoprime
+from casson4.errors import NonIntegral, NotCoprime
 from helpers import corpus_knots
 
 TREFOIL = preset_knot("right_trefoil")
@@ -45,7 +45,7 @@ def test_branched_torus_knot_matches_mubar():
 def test_free_trefoil_is_non_integral():
     data = FreeQuotientData(2, 1, 0, TREFOIL)
     assert equivariant_casson_free(data) == Fraction(3, 4)
-    with pytest.raises(NonIntegralInvariant):
+    with pytest.raises(NonIntegral, match="^invariant is not an integer: 3/4$"):
         check_rohlin_congruence(data, 0)
 
 

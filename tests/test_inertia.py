@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson4 import CyclotomicField, certified_signature
+from casson4 import certified_signature
+from casson4.cyclotomic import CyclotomicField
 from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
     IntervalWitness,
