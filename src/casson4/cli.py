@@ -90,6 +90,7 @@ SCHEMA_VERSION = 1
 _MAX_KNOT_SIZE = 168  # rows of a Seifert matrix, as in defs.json: T(13, 15), the sweep's largest
 # bits of the coefficient bound B, which sets the primes: T(13, 15)'s, the largest torus reference
 _MAX_BOUND_BITS = 390
+_MAX_SHOWN = 200  # characters of an input value that an error line may repeat
 
 
 # --- input plumbing ---
@@ -130,15 +131,17 @@ def load_input(path: str, schema_name: str) -> dict:
         data = json.loads(text)
         # the error jsonschema.validate would raise, without re-checking the schema
         error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(data))
+        if error is None:
+            return data
+        if error.validator == "maxItems":  # name the limit, not the whole array
+            error.message = f"{error.json_path} has more than {error.validator_value} items"
+        elif len(shown := repr(error.instance)) > _MAX_SHOWN:  # name a long value by its path
+            error.message = error.message.replace(shown, error.json_path, 1)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:  # from the parser, or the schema check's repr of the value
         raise ParseError(f"{path} nests its JSON too deeply to read") from None
-    if error is not None:
-        if error.validator == "maxItems":  # name the limit, not the whole array
-            error.message = f"{error.json_path} has more than {error.validator_value} items"
-        raise SchemaError(f"{path}: {error.message}")
-    return data
+    raise SchemaError(f"{path}: {error.message}")
 
 
 def input_digest(data) -> str:
@@ -169,9 +172,7 @@ def resolve_knot(ref) -> SeifertMatrix:
 
 def _frac_json(value: Fraction | int):
     value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    return int(value) if value.denominator == 1 else str(value)
 
 
 # --- reports ---
@@ -295,10 +296,7 @@ def cmd_mapping_torus(data: dict) -> Computed:
         if "branch_knot" in data:
             spectrum = signature_spectrum(resolve_knot(data["branch_knot"]), n)
         else:
-            try:
-                spectrum = SignatureSpectrum(n, data["spectrum"])
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
+            spectrum = SignatureSpectrum(n, data["spectrum"])
         quotient = BranchedQuotientData(n, data["quotient_casson"], spectrum)
     else:
         quotient = FreeQuotientData(
@@ -315,15 +313,13 @@ def cmd_mapping_torus(data: dict) -> Computed:
         rho = invariants["rho"] = data["rho_cover"]
         congruences["lambda_fo_equals_rho_mod2"] = check_rohlin_congruence(quotient, rho).congruent
     if "floer_ranks" in data:
-        pattern = _sign_pattern(data["floer_ranks"], lef)
+        pattern = invariants["sign_pattern"] = _sign_pattern(data["floer_ranks"], lef)
         signs = set(pattern.values())
-        invariants["sign_pattern"] = pattern
-        invariants["pattern"] = (
-            "minus-identity" if signs == {-1} else "identity" if signs == {1} else "mixed"
-        )
-        certificates.append(
-            "sign pattern forced by Lefschetz number on rank-one gradings"
-        )
+        if signs:  # empty when no grading is supported: no pattern to name
+            invariants["pattern"] = (
+                "minus-identity" if signs == {-1} else "identity" if signs == {1} else "mixed"
+            )
+            certificates.append("sign pattern forced by Lefschetz number on rank-one gradings")
     return invariants, congruences, certificates
 
 

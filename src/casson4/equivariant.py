@@ -4,9 +4,10 @@ A finite-order diffeomorphism of a homology sphere is described by its
 quotient data: for a branched quotient, the order n, the Casson invariant
 of the quotient sphere, and the signature spectrum of the branch knot;
 for a free quotient, the order n, the surgery coefficient q coprime to n,
-the Casson invariant of the base sphere, and the surgered knot.  The
-mapping-torus invariant equals the equivariant Casson invariant computed
-from this data.
+the Casson invariant of the base sphere, and the surgered knot.  Both
+records check this data when they are built, so the functions that take
+them do not check it again.  The mapping-torus invariant equals the
+equivariant Casson invariant computed from this data.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class BranchedQuotientData:
     branch_spectrum: SignatureSpectrum
 
     def __post_init__(self):
-        object.__setattr__(self, "quotient_casson", index(self.quotient_casson))
+        for name in ("n", "quotient_casson"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.n < 1:
             raise ValueError("order must be a positive integer")
         if self.branch_spectrum.order != self.n:
@@ -71,9 +73,12 @@ class FreeQuotientData:
     knot: SeifertMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "base_casson", index(self.base_casson))
+        for name in ("n", "q", "base_casson"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.n < 1:
             raise ValueError("order must be a positive integer")
+        if gcd(self.n, self.q) != 1:
+            raise NotCoprime(f"gcd(n = {self.n}, q = {self.q}) != 1")
 
     def reversed_orientation(self) -> "FreeQuotientData":
         """Mirror the knot; negate both the base invariant and the framing."""
@@ -101,8 +106,6 @@ def equivariant_casson_branched(d: BranchedQuotientData) -> Fraction:
 
 def equivariant_casson_free(d: FreeQuotientData) -> Fraction:
     """n * lambda(base) + (1/8) * spectrum total + (q/2) * Delta''(1)."""
-    if gcd(d.n, d.q) != 1:
-        raise NotCoprime(f"gcd(n = {d.n}, q = {d.q}) != 1")
     spectrum = signature_spectrum(d.knot, d.n)
     d2 = second_derivative_at_one(alexander_polynomial(d.knot))
     return Fraction(8 * d.n * d.base_casson + spectrum.total() + 4 * d.q * d2, 8)

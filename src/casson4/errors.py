@@ -57,8 +57,8 @@ class AmbiguousSolution(Casson4Error):
     def __init__(self, candidates):
         self.candidates = list(candidates)
         super().__init__(
-            f"{len(self.candidates)} sign assignments realize the target: "
-            f"{self.candidates}"
+            f"{len(self.candidates)} sign assignments realize the target, among them "
+            + ", ".join(map(str, self.candidates[:2]))
         )
 
 

@@ -8,9 +8,10 @@ integer coordinates c in a basis of the real cyclotomic integers: it is
 zero exactly when c = 0, and any other sign is certified, all of one
 class m in one call (cosine_sum_signs), by an error budget that rests on
 the bound |C_j - 2^prec 2 cos| <= 1 proved for the integer cosine table
-(fixed_point_cosines); no field is built.  For a rational symmetric
-matrix the coefficients are found exactly, in integers after scaling,
-modulo one proven prime (certified_signature).
+(fixed_point_cosines).  Each such sign is its witness, a dyadic interval
+that excludes zero (IntervalWitness.sign); no field is built.  For a
+rational symmetric matrix the coefficients are found exactly, in integers
+after scaling, modulo one proven prime (certified_signature).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ _GUARD_BITS = 16
 class IntervalWitness:
     """The dyadic interval [low, high] / 2^precision, which excludes zero.
 
-    The endpoints stay integers; lower and upper are their Fractions,
-    built only on request.
+    It is the certified sign of the value it encloses: sign is +1 when
+    low > 0 and -1 when high < 0.  The endpoints stay integers; lower and
+    upper are their Fractions, built only on request.
     """
 
     low: int
@@ -51,11 +53,9 @@ class IntervalWitness:
     def upper(self) -> Fraction:
         return Fraction(self.high, 1 << self.precision)
 
-
-@dataclass(slots=True)
-class CertifiedSign:
-    value: int  # -1 or +1
-    witness: IntervalWitness
+    @property
+    def sign(self) -> int:
+        return 1 if self.low > 0 else -1
 
 
 def _arctan_inverse(x: int, w: int) -> tuple[int, int]:
@@ -130,15 +130,16 @@ def fixed_point_cosines(n: int, prec: int) -> tuple[int, ...]:
     return tuple(half[min(j, n - j)] for j in range(n))
 
 
-def cosine_sum_signs(vectors: Sequence[Sequence[int]], n: int, m: int) -> list[CertifiedSign]:
+def cosine_sum_signs(vectors: Sequence[Sequence[int]], n: int, m: int) -> list[IntervalWitness]:
     """Signs of the nonzero reals a_0 + sum_(j>0) a_j 2 cos(2 pi j m / n), one per a.
 
     With the integer cosines C of fixed_point_cosines(n, prec),
     W = a_0 2^prec + sum_j a_j C_(jm mod n) lies within
     budget = sum_(j>0) |a_j| of 2^prec times the value, so |W| > budget
-    certifies the sign, with the dyadic interval (W -+ budget) / 2^prec as
-    witness.  Each precision reads the class's cosines C_(jm mod n) once,
-    for every vector, and doubles only for the vectors still undecided.
+    certifies the sign: the dyadic interval (W -+ budget) / 2^prec
+    excludes zero, and is returned as the sign's IntervalWitness.  Each
+    precision reads the class's cosines C_(jm mod n) once, for every
+    vector, and doubles only for the vectors still undecided.
     The caller has shown each value nonzero by an exact test, so the
     refinement ends.
     """
@@ -156,9 +157,7 @@ def cosine_sum_signs(vectors: Sequence[Sequence[int]], n: int, m: int) -> list[C
             i, head, tail, budget = item
             w = (head << prec) + sum(map(mul, tail, class_cosines))
             if abs(w) > budget:
-                signs[i] = CertifiedSign(
-                    1 if w > 0 else -1, IntervalWitness(w - budget, w + budget, prec)
-                )
+                signs[i] = IntervalWitness(w - budget, w + budget, prec)
             else:
                 undecided.append(item)
         pending = undecided

@@ -334,8 +334,8 @@ def _tl_orbit_cached(
     values = [None] * k
     for m in classes:
         signs = [0] * (d + 1)
-        for r, sign in zip(nonzero, cosine_sum_signs(vectors, k, m)):
-            signs[r] = sign.value
+        for r, witness in zip(nonzero, cosine_sum_signs(vectors, k, m)):
+            signs[r] = witness.sign
         n_plus, n_minus, nullity = descartes_inertia(signs)
         values[m] = values[k - m] = n_plus - n_minus
     return tuple(values), nullity
@@ -414,9 +414,7 @@ class SignatureSpectrum:
 
 
 def signature_spectrum(s: SeifertMatrix, n: int) -> SignatureSpectrum:
-    """Spectrum (sign^(m/n))_{m=0..n-1} of the knot."""
-    if n < 1:
-        raise ValueError("order must be a positive integer")
+    """Spectrum (sign^(m/n))_{m=0..n-1} of the knot; SignatureSpectrum refuses n < 1."""
     key, sign = _oriented(s.entries)
     values = [0] * n
     for k in range(1, n + 1):  # e^(2 pi i a/k) with gcd(a, k) = 1 is m = a n/k

@@ -23,7 +23,6 @@ from casson4.cyclotomic import CycElt, CyclotomicField, cyclotomic_polynomial
 from casson4.errors import Casson4Error, InternalError, NotHermitian
 from casson4.gf2 import bitrows_rank
 from casson4.inertia import (
-    CertifiedSign,
     _charpoly_mod,
     _proth_prime,
     certified_signature,
@@ -389,9 +388,10 @@ def hermitian_pivots(matrix) -> list:
 
 @dataclass(frozen=True)
 class ZeroWitness:
-    """Exact algebraic identity certifying the value is zero."""
+    """Exact algebraic identity certifying the value is zero: its sign is 0."""
 
     reason: str
+    sign = 0
 
 
 @dataclass(frozen=True)
@@ -402,12 +402,16 @@ class RationalWitness:
     upper: Fraction
     precision: int
 
+    @property
+    def sign(self) -> int:
+        return 1 if self.lower > 0 else -1
 
-def certified_sign(x) -> CertifiedSign:
-    """Sign of a real algebraic number, with a checkable witness.
 
-    Zero is detected exactly (never from a small interval); nonzero signs
-    carry a dyadic interval that excludes zero.  A rational CycElt is
+def certified_sign(x) -> ZeroWitness | RationalWitness:
+    """Sign of a real algebraic number, as a checkable witness that carries it.
+
+    Zero is detected exactly (never from a small interval); a nonzero sign
+    is an interval that excludes zero.  A rational CycElt is
     read as its Fraction.  Any other real x = sum_j c_j zeta^j is
     (2 a_0 + sum_(j>0) a_j 2 cos(2 pi j / n)) / 2L with a = L c, L the
     lcm of the denominators; cosine_sum_signs certifies the numerator, and
@@ -418,9 +422,8 @@ def certified_sign(x) -> CertifiedSign:
     if isinstance(x, (int, Fraction)):
         q = Fraction(x)
         if q == 0:
-            return CertifiedSign(0, ZeroWitness("rational value is exactly zero"))
-        sign = 1 if q > 0 else -1
-        return CertifiedSign(sign, RationalWitness(q, q, 0))
+            return ZeroWitness("rational value is exactly zero")
+        return RationalWitness(q, q, 0)
     if not isinstance(x, CycElt):
         raise TypeError(f"cannot certify sign of {type(x)!r}")
     if not x.is_real():
@@ -429,9 +432,9 @@ def certified_sign(x) -> CertifiedSign:
     a = [c.numerator * (scale // c.denominator) for c in x.coeffs]
     a[0] *= 2
     # not rational, hence nonzero: the refinement ends
-    [s] = cosine_sum_signs([a], x.field.n, 1)
-    w, half = s.witness, Fraction(1, 2 * scale)
-    return CertifiedSign(s.value, RationalWitness(w.lower * half, w.upper * half, w.precision))
+    [w] = cosine_sum_signs([a], x.field.n, 1)
+    half = Fraction(1, 2 * scale)
+    return RationalWitness(w.lower * half, w.upper * half, w.precision)
 
 
 def count_pivot_signs(pivots) -> tuple[int, int]:
@@ -439,9 +442,9 @@ def count_pivot_signs(pivots) -> tuple[int, int]:
     n_plus = n_minus = 0
     for p in pivots:
         s = certified_sign(p)
-        if s.value > 0:
+        if s.sign > 0:
             n_plus += 1
-        elif s.value < 0:
+        elif s.sign < 0:
             n_minus += 1
         else:
             raise InternalError("elimination produced an exactly-zero pivot")
@@ -716,7 +719,7 @@ def _descartes_orbit(
             shifted = [x - y for x, y in zip(shifted + [0], [0] + shifted)]
         zero = None
         if phi_divides(k, shifted):
-            zero = CertifiedSign(0, ZeroWitness(f"Phi_{k} divides t^{r} e_{r}(H(t))"))
+            zero = ZeroWitness(f"Phi_{k} divides t^{r} e_{r}(H(t))")
         rows.append((shifted[r:], zero))
     values = [None] * k
     nullity = None
@@ -725,7 +728,7 @@ def _descartes_orbit(
             # zeta^m and zeta^-m give the same cosines: one sign serves both
             certified = iter(cosine_sum_signs([a for a, zero in rows if not zero], k, m))
             signs = [zero or next(certified) for a, zero in rows]
-            n_plus, n_minus, nullity = descartes_inertia([s.value for s in signs])
+            n_plus, n_minus, nullity = descartes_inertia([s.sign for s in signs])
             values[m] = values[-m % k] = n_plus - n_minus
     return tuple(values), nullity
 

@@ -85,3 +85,22 @@ def test_every_cache_keyed_by_caller_input_is_bounded():
         name for name, fn in package_caches().items() if fn.cache_parameters()["maxsize"] is None
     }
     assert unbounded == {"casson4.cli._validator", "casson4.cli.build_parser"}
+
+
+def test_cache_table_is_pinned():
+    # adding, removing or resizing a cache is a decision this table records
+    from helpers import package_caches
+
+    assert {name: fn.cache_parameters()["maxsize"] for name, fn in package_caches().items()} == {
+        "casson4.seifert._alexander_cached": 1024,
+        "casson4.seifert._arf_cached": 1024,
+        "casson4.seifert._minor_sum_bound": 1024,
+        "casson4.seifert._root_of_unity": 1024,
+        "casson4.seifert._tl_orbit_cached": 1024,
+        "casson4.inertia._proth_prime": 1024,
+        "casson4.cyclotomic.cyclotomic_polynomial": 1024,
+        "casson4.inertia.fixed_point_cosines": 256,
+        "casson4.cli._strict_integers": 8,
+        "casson4.cli._validator": None,
+        "casson4.cli.build_parser": None,
+    }

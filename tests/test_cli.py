@@ -691,6 +691,64 @@ def test_knots_above_the_size_limit_exit_1(command, data, message, tmp_path, cap
     assert message in err
 
 
+def _nested(depth: int) -> list:
+    value = [1]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "command,data,reason",
+    [
+        ("mapping-torus", {"torus": (7, 9)}, "$ is valid under each of"),
+        ("mapping-torus", {"torus": (13, 15)}, "$ is valid under each of"),
+        ("knot", {"name": "deep", "seifert": _nested(900)}, "$.seifert[0][0] is not of type 'integer'"),
+        (
+            "mapping-torus",
+            {"type": "branched", "n": 2, "quotient_casson": 0, "spectrum": [0, 0], "floer_ranks": [1] * 8},
+            "70 sign assignments realize the target, among them {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, ",
+        ),
+    ],
+    ids=["t79-and-spectrum", "t1315-and-spectrum", "nested-900", "ambiguous-pattern"],
+)
+def test_error_line_names_a_long_value_by_its_path(command, data, reason, tmp_path, capsys):
+    # a branched request with both a branch_knot matrix and a spectrum once
+    # reprinted the whole request, 7 KB for T(7, 9) and 85 KB for T(13, 15)
+    from casson4 import torus_knot_seifert
+
+    if "torus" in data:
+        rows = [list(row) for row in torus_knot_seifert(*data["torus"]).entries]
+        data = {"type": "branched", "n": 2, "quotient_casson": 0,
+                "branch_knot": {"seifert": rows}, "spectrum": [0, 0]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"schema": 1, **data}))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert len(err.encode()) <= 1000
+
+
+def test_mapping_torus_without_supported_gradings_names_no_pattern(tmp_path, capsys):
+    path = tmp_path / "no_gradings.json"
+    path.write_text(json.dumps({"schema": 1, "type": "branched", "n": 2, "quotient_casson": 0,
+                                "spectrum": [0, 0], "floer_ranks": [0] * 8}))
+    code, report, _ = run_json(["mapping-torus", "--input", str(path)], capsys)
+    assert code == 0
+    assert report["invariants"]["sign_pattern"] == {}
+    assert "pattern" not in report["invariants"]
+    assert report["certificates"] == []
+
+
+def test_mapping_torus_asymmetric_spectrum_exits_1(tmp_path, capsys):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({"schema": 1, "type": "branched", "n": 3, "quotient_casson": 0,
+                                "spectrum": [0, 2, 4]}))
+    code, out, err = run_cli(["mapping-torus", "--input", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: spectrum breaks conjugation symmetry at m = 1\n")
+
+
 def test_bound_limit_is_that_of_the_largest_torus_reference():
     from casson4 import cli, torus_knot_seifert
     from casson4.seifert import _minor_sum_bound

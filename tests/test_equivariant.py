@@ -60,8 +60,9 @@ def test_free_figure_eight_order_three():
 
 
 def test_free_requires_coprime():
-    with pytest.raises(NotCoprime):
-        equivariant_casson_free(FreeQuotientData(2, 4, 0, FIG8))
+    # refused when built, not when evaluated
+    with pytest.raises(NotCoprime, match=r"^gcd\(n = 2, q = 4\) != 1$"):
+        FreeQuotientData(2, 4, 0, FIG8)
 
 
 def test_spectrum_order_must_match():
@@ -166,6 +167,11 @@ def test_float_invariants_refused_not_computed():
         BranchedQuotientData(2, 0.5, spectrum)
     with pytest.raises(TypeError):
         FreeQuotientData(3, 1, 0.1, FIG8)
+    # orders and framings too, when built: 2.0 once failed only when evaluated
+    with pytest.raises(TypeError):
+        FreeQuotientData(3, 1.0, 0, FIG8)
+    with pytest.raises(TypeError):
+        BranchedQuotientData(2.0, 0, spectrum)
     cork = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 16]))
     assert check_rohlin_congruence(cork, 0).congruent == 1
     with pytest.raises(TypeError):

@@ -112,6 +112,11 @@ def test_deduce_pattern_ambiguous():
     assert sorted(info.value.candidates, key=str) == sorted(
         [{1: 1, 3: -1}, {1: -1, 3: 1}], key=str
     )
+    # the message shows two candidates; candidates keeps all 70
+    with pytest.raises(AmbiguousSolution) as info:
+        deduce_sign_pattern((1,) * 8, 0)
+    assert len(info.value.candidates) == 70
+    assert str(info.value).count("{") == 2
 
 
 def test_deduce_pattern_requires_rank_one():

@@ -147,21 +147,21 @@ def test_exact_zero_detection_in_cyclotomic_field():
 
 def test_certified_sign_witnesses():
     s = certified_sign(Fraction(-3, 7))
-    assert s.value == -1
-    assert isinstance(s.witness, RationalWitness)
-    assert s.witness.upper < 0
+    assert s.sign == -1
+    assert isinstance(s, RationalWitness)
+    assert s.upper < 0
 
     field = CyclotomicField(12)
     zero = field.zeta(4) + field.zeta(8) + field.one()  # 1 + z^4 + z^8 = 0
     s0 = certified_sign(zero)
-    assert s0.value == 0
-    assert isinstance(s0.witness, ZeroWitness)
+    assert s0.sign == 0
+    assert isinstance(s0, ZeroWitness)
 
     sqrt3 = field.zeta(1) + field.zeta(11)
     s1 = certified_sign(sqrt3)
-    assert s1.value == 1
-    assert 0 < s1.witness.lower <= s1.witness.upper
-    assert s1.witness.precision >= 64
+    assert s1.sign == 1
+    assert 0 < s1.lower <= s1.upper
+    assert s1.precision >= 64
 
 
 def test_certified_sign_rejects_nonreal():
@@ -182,7 +182,7 @@ def test_certified_sign_leaves_global_interval_precision_alone():
         assert mpmath.iv.prec == 20
     finally:
         mpmath.iv.prec = before
-    assert s.value == 1
+    assert s.sign == 1
 
 
 def test_descartes_inertia_examples():
@@ -231,17 +231,17 @@ def test_cosine_sum_signs_witnesses_enclose_the_values():
         batch = [a for a in batch if abs(value(a)) > 1e-100]
         signs = cosine_sum_signs(batch, n, m)
         assert len(signs) == len(batch)
-        for a, sign in zip(batch, signs):
-            witness = sign.witness
+        for a, witness in zip(batch, signs):
             assert isinstance(witness, IntervalWitness)
-            assert not hasattr(sign, "__dict__") and not hasattr(witness, "__dict__")
+            assert not hasattr(witness, "__dict__")
             assert witness.lower == Fraction(witness.low, 1 << witness.precision)
             assert witness.upper == Fraction(witness.high, 1 << witness.precision)
             lower = ctx.ldexp(witness.low, -witness.precision)
             upper = ctx.ldexp(witness.high, -witness.precision)
             v = value(a)
             assert lower <= v <= upper, (a, n, m)
-            assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
+            assert (lower > 0 and witness.sign == 1) or (upper < 0 and witness.sign == -1)
+            assert witness.sign == (1 if v > 0 else -1)
             if abs(v) > 2**-40:  # decided at the start, whatever else the batch holds
                 assert witness.precision == 64
                 easy += 1
@@ -281,14 +281,13 @@ def test_certified_sign_of_real_cyclotomic_encloses_the_value():
         x = y + y.conjugate()
         if x.is_rational():
             continue
-        sign = certified_sign(x)
-        witness = sign.witness
+        witness = certified_sign(x)
         assert isinstance(witness, RationalWitness)
         lower = ctx.mpf(witness.lower.numerator) / witness.lower.denominator
         upper = ctx.mpf(witness.upper.numerator) / witness.upper.denominator
         assert lower <= value <= upper, (n, coeffs)
-        assert (lower > 0 and sign.value == 1) or (upper < 0 and sign.value == -1)
-        assert sign.value == (1 if value > 0 else -1)
+        assert (lower > 0 and witness.sign == 1) or (upper < 0 and witness.sign == -1)
+        assert witness.sign == (1 if value > 0 else -1)
         checked += 1
     # exact zeros: the sum of all n-th roots of unity, and 2 cos(2 pi / 5),
     # a root of x^2 + x - 1
@@ -298,7 +297,7 @@ def test_certified_sign_of_real_cyclotomic_encloses_the_value():
     zeros.append(c * c + c - 1)
     for x in zeros:
         s = certified_sign(x)
-        assert s.value == 0 and isinstance(s.witness, ZeroWitness)
+        assert s.sign == 0 and isinstance(s, ZeroWitness)
 
 
 def _rational_symmetric(rng, n):

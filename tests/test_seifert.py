@@ -20,7 +20,7 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
-from casson4.inertia import CertifiedSign
+from casson4.inertia import IntervalWitness
 from helpers import (
     _descartes_orbit,
     _minor_sums,
@@ -430,7 +430,7 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
         reached("exceeds the bound", big)
     with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
         patch.setattr(
-            seifert, "cosine_sum_signs", lambda vectors, k, m: [CertifiedSign(1, None)] * len(vectors)
+            seifert, "cosine_sum_signs", lambda vectors, k, m: [IntervalWitness(1, 1, 0)] * len(vectors)
         )
         reached("sign changes", FIG8)
 
@@ -552,6 +552,9 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         SignatureSpectrum(3, [0, 2, 4])  # breaks conjugation symmetry
     SignatureSpectrum(2, [0, 16])
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            signature_spectrum(TREFOIL, order)
 
 
 def test_arf_examples_and_oracle():
