@@ -29,13 +29,11 @@ from .equivariant import (
 )
 from .floer import (
     FloerData,
-    block_diagonal,
     check_evenness,
     deduce_sign_pattern,
     lambda_fo_from_lefschetz,
     lefschetz,
     seifert_tau_floer_data,
-    seifert_tau_lefschetz,
 )
 from .gf2 import symplectic_basis
 from .inertia import certified_signature
@@ -47,7 +45,6 @@ from .seifert import (
     alexander_polynomial,
     arf_invariant,
     connected_sum,
-    mirror,
     preset_knot,
     signature_spectrum,
     tl_nullity,
@@ -92,7 +89,6 @@ __all__ = [
     "signature_spectrum",
     "arf_invariant",
     "torus_knot_seifert",
-    "mirror",
     "connected_sum",
     "preset_knot",
     "PRESET_KNOTS",
@@ -117,9 +113,7 @@ __all__ = [
     "check_evenness",
     "lambda_fo_from_lefschetz",
     "deduce_sign_pattern",
-    "seifert_tau_lefschetz",
     "seifert_tau_floer_data",
-    "block_diagonal",
     "CupRing",
     "ThreeTorusForm",
     "SpinRohlinTable",

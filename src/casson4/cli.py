@@ -135,6 +135,8 @@ def load_input(path: str, schema_name: str) -> dict:
             return data
         if error.validator == "maxItems":  # name the limit, not the whole array
             error.message = f"{error.json_path} has more than {error.validator_value} items"
+        elif error.validator == "additionalProperties" and len(error.message) > _MAX_SHOWN:
+            error.message = f"Additional properties are not allowed in {error.json_path}"
         elif len(shown := repr(error.instance)) > _MAX_SHOWN:  # name a long value by its path
             error.message = error.message.replace(shown, error.json_path, 1)
     except json.JSONDecodeError as exc:

@@ -4,6 +4,8 @@ The eight graded ranks and induced maps are fixture inputs (computing
 instanton groups is out of scope).  This module evaluates the alternating
 trace, enforces the evenness constraint, halves to the mapping-torus
 invariant, and deduces forced sign patterns on rank-one gradings.
+seifert_tau_floer_data builds the data of a Seifert-fibred sphere's
+involution, which lefschetz evaluates like any other.
 """
 
 from __future__ import annotations
@@ -100,33 +102,6 @@ def lambda_fo_from_lefschetz(f: FloerData) -> int:
     return value // 2
 
 
-def block_diagonal(f1: FloerData, f2: FloerData) -> FloerData:
-    """Direct sum of two fixtures; Lefschetz numbers add."""
-    ranks = tuple(a + b for a, b in zip(f1.ranks, f2.ranks))
-    maps = []
-    for k in range(8):
-        m1, m2, b1, b2 = f1.maps[k], f2.maps[k], f1.ranks[k], f2.ranks[k]
-        if isinstance(m1, str) and m1 == m2:
-            maps.append(m1)
-            continue
-        rows1 = _expand(m1, b1)
-        rows2 = _expand(m2, b2)
-        top = [row + (Fraction(0),) * b2 for row in rows1]
-        bottom = [(Fraction(0),) * b1 + row for row in rows2]
-        maps.append(tuple(top + bottom))
-    return FloerData(ranks, tuple(maps))
-
-
-def _expand(spec: MapSpec, rank: int) -> list[tuple[Fraction, ...]]:
-    if isinstance(spec, str):
-        diag = Fraction(1) if spec == IDENTITY else Fraction(-1)
-        return [
-            tuple(diag if i == j else Fraction(0) for j in range(rank))
-            for i in range(rank)
-        ]
-    return [tuple(row) for row in spec]
-
-
 def deduce_sign_pattern(ranks: Sequence[int], target_lef: int) -> dict[int, int]:
     """Sign assignment on the supported gradings forced by the target.
 
@@ -156,21 +131,13 @@ def deduce_sign_pattern(ranks: Sequence[int], target_lef: int) -> dict[int, int]
     return solutions[0]
 
 
-def seifert_tau_lefschetz(b1: int, b3: int, b5: int, b7: int) -> int:
-    """Lefschetz number of the complex-conjugation involution fixture.
-
-    On Seifert fibered homology spheres the graded groups vanish in even
-    degrees and the induced map is the identity in degrees 1 mod 4 and
-    minus the identity in degrees 3 mod 4, giving -b1 + b3 - b5 + b7.
-    """
-    b1, b3, b5, b7 = map(operator.index, (b1, b3, b5, b7))
-    if min(b1, b3, b5, b7) < 0:
-        raise ValueError("ranks must be nonnegative")
-    return -b1 + b3 - b5 + b7
-
-
 def seifert_tau_floer_data(b1: int, b3: int, b5: int, b7: int) -> FloerData:
-    """FloerData fixture with the forced +-identity pattern on odd degrees."""
+    """Floer data of the complex-conjugation involution of a Seifert-fibred sphere.
+
+    The graded groups vanish in even degrees, and the induced map is the
+    identity in degrees 1 mod 4 and minus the identity in degrees 3 mod 4,
+    so the Lefschetz number is -b1 + b3 - b5 + b7.
+    """
     ranks = (0, b1, 0, b3, 0, b5, 0, b7)
     maps = (IDENTITY, IDENTITY, IDENTITY, MINUS_IDENTITY,
             IDENTITY, IDENTITY, IDENTITY, MINUS_IDENTITY)

@@ -4,7 +4,7 @@ Coefficients are stored sparsely as a map from integer exponent to nonzero
 integer coefficient, so negative exponents cost nothing.  Values are
 immutable and hashable.  The invariants read a polynomial and never
 compute with it: they evaluate it, test its symmetry and take its
-derivatives at t = 1, so no ring operations are defined.
+second derivative at t = 1, so no ring operations are defined.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ class LaurentPolynomial:
     def is_palindromic(self) -> bool:
         return self._coeffs == self.reverse()._coeffs
 
-    def derivative_at_one(self, order: int = 1) -> int:
-        """Exact value of the order-th derivative at t = 1.
-
-        The k-th derivative of t^e at 1 is the falling factorial
-        e (e-1) ... (e-k+1).
-        """
-        total = 0
-        for e, c in self._coeffs.items():
-            term = 1
-            for k in range(order):
-                term *= e - k
-            total += c * term
-        return total
-
     def __repr__(self):
         return f"LaurentPolynomial({self._coeffs!r})"
 
@@ -103,4 +89,4 @@ def second_derivative_at_one(p: LaurentPolynomial) -> int:
     """Exact second derivative at t = 1: sum of e(e-1) * coeff(e)."""
     if not isinstance(p, LaurentPolynomial):
         raise TypeError("expected a LaurentPolynomial")
-    return p.derivative_at_one(2)
+    return sum(c * e * (e - 1) for e, c in p._coeffs.items())

@@ -124,11 +124,6 @@ class SeifertMatrix:
         return f"SeifertMatrix({self.to_lists()!r})"
 
 
-def mirror(s: SeifertMatrix) -> SeifertMatrix:
-    """Seifert matrix -S^T of the mirror knot."""
-    return s.mirror()
-
-
 def _minus_transpose(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(neg, col)) for col in zip(*entries))
 

@@ -123,22 +123,6 @@ class CupRing:
         """Symmetric H^2 x H^2 pairing into F_2."""
         return form_value(self.pairing, u, v)
 
-    def eval4(self, x: int, y: int, z: int, w: int) -> int:
-        """Top evaluation (x cup y cup z cup w)[X]."""
-        return self.pair(self.cup(x, y), self.cup(z, w))
-
-    def change_basis(self, rows: Sequence[int]) -> "CupRing":
-        """Ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible)."""
-        P = [operator.index(r) for r in rows]
-        if any(not 0 <= r < 1 << H1_DIM for r in P):
-            raise ValueError("basis rows are 4-bit")
-        if len(P) != H1_DIM or bitrows_rank(list(P)) != H1_DIM:
-            raise ValueError("basis change must be an invertible 4x4 matrix")
-        new_cup = tuple(
-            tuple(self.cup(P[i], P[j]) for j in range(H1_DIM)) for i in range(H1_DIM)
-        )
-        return CupRing(new_cup, self.pairing, self.eval4(*P))
-
 
 @dataclass(frozen=True)
 class ThreeTorusForm:

@@ -7,10 +7,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from casson4 import (
+    CupRing,
+    FloerData,
     LaurentPolynomial,
     SeifertMatrix,
     alexander_polynomial,
@@ -782,6 +784,22 @@ def random_gl4(rng) -> list[int]:
             return rows
 
 
+def change_basis(ring: CupRing, rows: Sequence[int]) -> CupRing:
+    """The ring in a new H^1 basis a_i' = sum_j P[i][j] a_j (P invertible).
+
+    Builds the re-based rings of test_tori.py and test_properties.py: the
+    GL(4) invariance of det4 and four_orbit_count, and half the rings that
+    test_constructor_matches_the_ring_oracle perturbs.
+    """
+    P = [index(r) for r in rows]
+    if any(not 0 <= r < 16 for r in P):
+        raise ValueError("basis rows are 4-bit")
+    if len(P) != 4 or bitrows_rank(P) != 4:
+        raise ValueError("basis change must be an invertible 4x4 matrix")
+    cup2 = [[ring.cup(x, y) for y in P] for x in P]
+    return CupRing(cup2, ring.pairing, ring.pair(cup2[0][1], cup2[2][3]))
+
+
 def admissible_by_enumeration(ring, w: int) -> bool:
     """Oracle for tori.admissible: (w cup xi cup eta)[X] over all 225 pairs."""
     return any(
@@ -872,3 +890,32 @@ def ring_defect(cup2, pairing, eval_top) -> str | None:
             f"pairing evaluation {eval4(*basis)}"
         )
     return None
+
+
+def block_diagonal(f1: FloerData, f2: FloerData) -> FloerData:
+    """Direct sum of two Floer fixtures, whose Lefschetz numbers add.
+
+    test_floer.py::test_block_diagonal_adds_lefschetz_numbers checks that
+    they do, with token maps and with expanded matrices.
+    """
+    ranks = tuple(a + b for a, b in zip(f1.ranks, f2.ranks))
+    maps = []
+    for m1, m2, b1, b2 in zip(f1.maps, f2.maps, f1.ranks, f2.ranks):
+        if isinstance(m1, str) and m1 == m2:
+            maps.append(m1)
+            continue
+        top = [row + (Fraction(0),) * b2 for row in _expand(m1, b1)]
+        bottom = [(Fraction(0),) * b1 + row for row in _expand(m2, b2)]
+        maps.append(tuple(top + bottom))
+    return FloerData(ranks, tuple(maps))
+
+
+def _expand(spec, rank: int) -> list[tuple[Fraction, ...]]:
+    """A map of FloerData as rows: the tokens "id" and "-id" become diagonal matrices."""
+    if isinstance(spec, str):
+        diag = Fraction(1) if spec == "id" else Fraction(-1)
+        return [
+            tuple(diag if i == j else Fraction(0) for j in range(rank))
+            for i in range(rank)
+        ]
+    return [tuple(row) for row in spec]

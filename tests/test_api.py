@@ -104,3 +104,52 @@ def test_cache_table_is_pinned():
         "casson4.cli._validator": None,
         "casson4.cli.build_parser": None,
     }
+
+
+# public names that nothing in src/ or bench/ calls, each with why it stays
+UNCALLED_EXPORTS = {
+    "tl_nullity": "the nullity beside tl_signature: the Tristram-Levine pair of the paper",
+    "connected_sum": "builds composite knots such as the granny and square knots",
+    "seifert_tau_floer_data": "the paper's involution pattern on a Seifert-fibred sphere",
+    "det3": "the determinant of a homology 3-torus, which det4 of its product ring equals",
+    "rho_bar": "the paper's spin-Rohlin aggregate of a homology 4-torus, with no second route",
+}
+
+
+def _callers() -> set[str]:
+    """Names referenced by a src module other than __init__, or named by bench/."""
+    import ast
+    from pathlib import Path
+
+    src = Path(casson4.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    named = set()
+    for path in src.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+    for path in (src.parent.parent / "bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "casson4":
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "casson4":
+                named |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a traced "module.name[.attr]" string
+                module, _, rest = node.value.partition(".")
+                if module in modules and rest:
+                    named.add(rest.split(".")[0])
+    return named
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    callers = _callers()
+    exported = set(casson4.__all__) - {"__version__"}
+    assert sorted(exported - callers - set(UNCALLED_EXPORTS)) == []
+    # a listed name that gains a caller leaves the list
+    assert sorted(set(UNCALLED_EXPORTS) & callers) == []
+    assert set(UNCALLED_EXPORTS) <= exported

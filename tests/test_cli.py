@@ -709,12 +709,18 @@ def _nested(depth: int) -> list:
             {"type": "branched", "n": 2, "quotient_casson": 0, "spectrum": [0, 0], "floer_ranks": [1] * 8},
             "70 sign assignments realize the target, among them {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, ",
         ),
+        (
+            "knot",
+            {"name": "x", "seifert": [[-1, 1], [0, -1]], "k" * 3000: 0},
+            "Additional properties are not allowed in $",
+        ),
     ],
-    ids=["t79-and-spectrum", "t1315-and-spectrum", "nested-900", "ambiguous-pattern"],
+    ids=["t79-and-spectrum", "t1315-and-spectrum", "nested-900", "ambiguous-pattern", "long-extra-key"],
 )
 def test_error_line_names_a_long_value_by_its_path(command, data, reason, tmp_path, capsys):
     # a branched request with both a branch_knot matrix and a spectrum once
-    # reprinted the whole request, 7 KB for T(7, 9) and 85 KB for T(13, 15)
+    # reprinted the whole request, 7 KB for T(7, 9) and 85 KB for T(13, 15);
+    # a 3,000-character unexpected key was repeated in full
     from casson4 import torus_knot_seifert
 
     if "torus" in data:

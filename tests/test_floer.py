@@ -5,15 +5,14 @@ import pytest
 
 from casson4 import (
     FloerData,
-    block_diagonal,
     check_evenness,
     deduce_sign_pattern,
     lambda_fo_from_lefschetz,
     lefschetz,
     seifert_tau_floer_data,
-    seifert_tau_lefschetz,
 )
 from casson4.errors import AmbiguousSolution, NoSolution, OddLefschetz, SizeMismatch
+from helpers import block_diagonal
 
 CORK = FloerData((0, 1, 0, 1, 0, 1, 0, 1), ("-id",) * 8)
 
@@ -125,12 +124,12 @@ def test_deduce_pattern_requires_rank_one():
 
 
 def test_seifert_tau_lefschetz_values():
-    assert seifert_tau_lefschetz(1, 0, 1, 0) == -2
-    assert seifert_tau_lefschetz(0, 0, 0, 0) == 0
+    assert lefschetz(seifert_tau_floer_data(1, 0, 1, 0)) == -2
+    assert lefschetz(seifert_tau_floer_data(0, 0, 0, 0)) == 0
     for a, b in [(1, 2), (3, 5), (2, 2)]:
-        assert seifert_tau_lefschetz(a, a, b, b) == 0
+        assert lefschetz(seifert_tau_floer_data(a, a, b, b)) == 0
     with pytest.raises(ValueError):
-        seifert_tau_lefschetz(-1, 0, 0, 0)
+        seifert_tau_floer_data(-1, 0, 0, 0)
 
 
 def test_seifert_tau_fixture_consistency():
@@ -138,7 +137,7 @@ def test_seifert_tau_fixture_consistency():
     for _ in range(20):
         b = [rng.randint(0, 3) for _ in range(4)]
         fixture = seifert_tau_floer_data(*b)
-        assert lefschetz(fixture) == seifert_tau_lefschetz(*b)
+        assert lefschetz(fixture) == -b[0] + b[1] - b[2] + b[3]
         assert check_evenness(fixture) == (1 if sum(b) % 2 == 0 else 0)
 
 
@@ -151,7 +150,7 @@ def test_fractional_ranks_refused_not_truncated():
 
 def test_float_map_entries_and_targets_refused():
     with pytest.raises(TypeError):
-        seifert_tau_lefschetz(1.5, 0, 0, 0)
+        seifert_tau_floer_data(1.5, 0, 0, 0)
     with pytest.raises(TypeError):
         deduce_sign_pattern(CORK.ranks, -4.0)
     maps = ["id"] * 8

@@ -24,7 +24,13 @@ from casson4 import (
     torus4_ring,
     ThreeTorusForm,
 )
-from helpers import alexander_at_root_of_unity, corpus_knots, random_gl4, random_seifert
+from helpers import (
+    alexander_at_root_of_unity,
+    change_basis,
+    corpus_knots,
+    random_gl4,
+    random_seifert,
+)
 
 
 def test_spectrum_even_where_alexander_nonzero():
@@ -88,7 +94,7 @@ def test_four_orbit_count_is_basis_equivariant():
     for ring in (torus4_ring(), product_ring(ThreeTorusForm(1))):
         for _ in range(10):
             P = random_gl4(rng)
-            changed = ring.change_basis(P)
+            changed = change_basis(ring, P)
             for w in (1, 5, 9, 33):
                 assert four_orbit_count(changed, w) == four_orbit_count(ring, w)
 

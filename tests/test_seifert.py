@@ -11,7 +11,6 @@ from casson4 import (
     alexander_polynomial,
     arf_invariant,
     connected_sum,
-    mirror,
     preset_knot,
     signature_spectrum,
     tl_nullity,
@@ -480,7 +479,7 @@ def test_nullity_at_alexander_roots():
         (torus_knot_seifert(2, 5), Fraction(3, 10), -3, 1),
         (granny, Fraction(1, 6), -2, 2),  # double root of Delta^2
         (sum_tre_fig8, Fraction(1, 6), -1, 1),
-        (mirror(granny), Fraction(5, 6), 2, 2),
+        (granny.mirror(), Fraction(5, 6), 2, 2),
     ]
     for s, a, signature, nullity in cases:
         assert (tl_signature(s, a), tl_nullity(s, a)) == (signature, nullity), (s, a)
@@ -654,7 +653,7 @@ def test_torus_knot_rejects_bad_parameters():
 
 
 def test_mirror_and_connected_sum():
-    assert tl_signature(mirror(TREFOIL), Fraction(1, 2)) == 2
+    assert tl_signature(TREFOIL.mirror(), Fraction(1, 2)) == 2
     assert connected_sum(TREFOIL, UNKNOT) == TREFOIL
     assert alexander_polynomial(connected_sum(TREFOIL, FIG8)) == sympy_laurent_product(
         alexander_polynomial(TREFOIL), alexander_polynomial(FIG8)
@@ -685,7 +684,7 @@ def test_mirror_is_a_valid_minus_transpose():
 
 def test_mirror_properties_across_corpus():
     for _, s in corpus_knots():
-        m = mirror(s)
+        m = s.mirror()
         assert alexander_polynomial(m) == alexander_polynomial(s)
         assert arf_invariant(m) == arf_invariant(s)
         for a in (Fraction(1, 2), Fraction(1, 3)):

@@ -7,7 +7,6 @@ from casson4 import (
     SurgeryPresentation,
     casson,
     check_casson_rohlin,
-    mirror,
     mubar_double_branched,
     preset_knot,
     rohlin,
@@ -76,7 +75,7 @@ def test_mubar_examples():
     t35 = torus_knot_seifert(3, 5)
     assert mubar_double_branched(t35) == Fraction(-1)
     assert mubar_double_branched(preset_knot("unknot")) == 0
-    assert mubar_double_branched(mirror(t35)) == Fraction(1)
+    assert mubar_double_branched(t35.mirror()) == Fraction(1)
 
 
 def test_mubar_rejects_non_divisible_signature():
