@@ -11,20 +11,16 @@ together with mechanical checks of the congruences tying them together.
 from .bundles import (
     BundleVanishingReport,
     CircleBundleData,
-    circle_bundle_furuta_ohta,
     circle_bundle_report,
-    circle_bundle_rho,
 )
 from .equivariant import (
     BranchedQuotientData,
     FreeQuotientData,
-    MappingTorusReport,
     branched_free_relation,
     check_rohlin_congruence,
     equivariant_casson_branched,
     equivariant_casson_free,
     furuta_ohta_mapping_torus,
-    matched_cover_data,
     orientation_reversal_check,
 )
 from .floer import (
@@ -100,12 +96,10 @@ __all__ = [
     "mubar_double_branched",
     "BranchedQuotientData",
     "FreeQuotientData",
-    "MappingTorusReport",
     "equivariant_casson_branched",
     "equivariant_casson_free",
     "furuta_ohta_mapping_torus",
     "branched_free_relation",
-    "matched_cover_data",
     "check_rohlin_congruence",
     "orientation_reversal_check",
     "FloerData",
@@ -127,8 +121,6 @@ __all__ = [
     "admissible",
     "bundle_exists",
     "CircleBundleData",
-    "circle_bundle_rho",
-    "circle_bundle_furuta_ohta",
     "circle_bundle_report",
     "BundleVanishingReport",
     "__version__",

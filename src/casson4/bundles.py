@@ -3,8 +3,9 @@
 The base is a homology S^1 x S^2 obtained by 0-surgery on a knot with
 trivial Alexander polynomial.  Both the Rohlin invariant and the
 mapping-torus-style instanton count of the total space vanish; rather
-than counting anything, these operations verify the preconditions and
-certify the quantities that force the zeros (arf = 0 and Delta''(1) = 0).
+than counting anything, circle_bundle_report computes the quantities
+that force the zeros (arf = 0 and Delta''(1) = 0) and reports both
+invariants with that certificate.
 """
 
 from __future__ import annotations
@@ -40,33 +41,6 @@ class CircleBundleData:
             )
 
 
-def circle_bundle_rho(d: CircleBundleData) -> int:
-    """Rohlin invariant of the bundle: always 0.
-
-    The invariant reduces to the Arf invariant of the induced spin
-    surface, which trivial Alexander polynomial forces to vanish; the
-    Arf value is recomputed here rather than assumed.
-    """
-    if arf_invariant(d.knot) != 0:
-        raise InternalError(
-            "arf = 1 with trivial Alexander polynomial contradicts the "
-            "mod-8 determinant congruence"
-        )
-    return 0
-
-
-def circle_bundle_furuta_ohta(d: CircleBundleData) -> int:
-    """Instanton count of the bundle: always 0.
-
-    Both Stiefel-Whitney sectors of the count reduce to Delta''(1),
-    which vanishes identically for trivial Alexander polynomial; the
-    derivative is recomputed here rather than assumed.
-    """
-    if second_derivative_at_one(alexander_polynomial(d.knot)) != 0:
-        raise InternalError("Delta''(1) != 0 for the constant polynomial 1")
-    return 0
-
-
 @dataclass(frozen=True)
 class BundleVanishingReport:
     """Both invariants with the checks that certify their vanishing."""
@@ -80,15 +54,25 @@ class BundleVanishingReport:
 
 
 def circle_bundle_report(d: CircleBundleData) -> BundleVanishingReport:
-    """Certificate trail for both vanishing results on one input.
+    """Both invariants of the bundle, 0, with the trail that certifies them.
 
-    The congruent flag records the (trivial) mod-2 agreement of the two
+    The Rohlin invariant reduces to the Arf invariant of the induced spin
+    surface, and both Stiefel-Whitney sectors of the instanton count
+    reduce to Delta''(1); trivial Alexander polynomial forces both to
+    vanish, and each is recomputed here rather than assumed.  The
+    congruent flag records the (trivial) mod-2 agreement of the two
     invariants, one more instance of the main congruence.
     """
-    rho = circle_bundle_rho(d)
-    lam = circle_bundle_furuta_ohta(d)
-    # each call raises unless the value that certifies it is 0
-    arf = d2 = 0
+    arf = arf_invariant(d.knot)
+    if arf != 0:
+        raise InternalError(
+            "arf = 1 with trivial Alexander polynomial contradicts the "
+            "mod-8 determinant congruence"
+        )
+    d2 = second_derivative_at_one(alexander_polynomial(d.knot))
+    if d2 != 0:
+        raise InternalError("Delta''(1) != 0 for the constant polynomial 1")
+    rho = lam = 0  # forced by arf = 0 and Delta''(1) = 0
     return BundleVanishingReport(
         rho=rho,
         furuta_ohta=lam,

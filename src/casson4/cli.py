@@ -45,7 +45,6 @@ from .equivariant import (
     branched_free_relation,
     check_rohlin_congruence,
     furuta_ohta_mapping_torus,
-    matched_cover_data,
 )
 from .errors import (
     Casson4Error, HypothesisFails, InternalError, NonIntegral, ParseError, SchemaError
@@ -313,7 +312,7 @@ def cmd_mapping_torus(data: dict) -> Computed:
     lef = invariants["lefschetz"] = 2 * int(lam)
     if "rho_cover" in data:
         rho = invariants["rho"] = data["rho_cover"]
-        congruences["lambda_fo_equals_rho_mod2"] = check_rohlin_congruence(quotient, rho).congruent
+        congruences["lambda_fo_equals_rho_mod2"] = check_rohlin_congruence(lam, rho)
     if "floer_ranks" in data:
         pattern = invariants["sign_pattern"] = _sign_pattern(data["floer_ranks"], lef)
         signs = set(pattern.values())
@@ -417,7 +416,7 @@ def _sweep_torus_knot_covers(params: dict) -> list[dict]:
     r_list = params.get("r")
     pairs = []
     for index, q in enumerate(q_list):
-        if q % 2 == 0 or q < 3:
+        if q % 2 == 0:
             raise SchemaError(f"cover sweep needs odd q >= 3, got {q}")
         if r_list is None:
             r = q + 2
@@ -434,19 +433,18 @@ def _sweep_torus_knot_covers(params: dict) -> list[dict]:
         # the double cover bounds the even form S + S^T, so its Rohlin
         # invariant is sign/8 = mubar mod 2
         rho = int(mubar) % 2
-        data = BranchedQuotientData(2, 0, signature_spectrum(knot, 2))
-        report = check_rohlin_congruence(data, rho)
+        lam = furuta_ohta_mapping_torus(BranchedQuotientData.from_knot(2, 0, knot))
         instances.append(
             {
                 "instance": f"double cover over T({q},{r})",
                 "q": q,
                 "r": r,
                 "cover_is_homology_sphere": int(determinant == 1),
-                "lambda_fo": _frac_json(report.lambda_fo),
+                "lambda_fo": _frac_json(lam),
                 "mubar": _frac_json(mubar),
                 "rho": rho,
-                "congruent": report.congruent,
-                "mubar_agrees": int(mubar == report.lambda_fo),
+                "congruent": check_rohlin_congruence(lam, rho),
+                "mubar_agrees": int(mubar == lam),
             }
         )
     return instances
@@ -466,24 +464,22 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
         except NonIntegral as exc:  # fixed knots: a defect, not bad input
             raise InternalError(f"{name}: {exc}") from None
         arf = arf_invariant(knot)
+        cover = BranchedQuotientData.from_knot(2, 0, knot)
         for q in q_list:
-            if gcd(2, q) != 1:
-                raise SchemaError(f"free quotient of order 2 needs odd q, got {q}")
-            data = FreeQuotientData(2, q, 0, knot)
+            data = FreeQuotientData(2, q, 0, knot)  # NotCoprime for even q
             # rho of the cover: rho of the double branched cover plus
             # q * arf of the lifted knot (arf is preserved by the lift)
             rho = (int(mubar) + q * arf) % 2
-            report = check_rohlin_congruence(data, rho)
-            relation = branched_free_relation(data, matched_cover_data(data))
+            lam = furuta_ohta_mapping_torus(data)
             instances.append(
                 {
                     "instance": f"free quotient: (2/{q})-surgery on {name}",
                     "knot": name,
                     "q": q,
-                    "lambda_fo": _frac_json(report.lambda_fo),
+                    "lambda_fo": _frac_json(lam),
                     "rho": rho,
-                    "congruent": report.congruent,
-                    "cover_relation": relation,
+                    "congruent": check_rohlin_congruence(lam, rho),
+                    "cover_relation": branched_free_relation(data, cover),
                 }
             )
     return instances

@@ -7,7 +7,8 @@ for a free quotient, the order n, the surgery coefficient q coprime to n,
 the Casson invariant of the base sphere, and the surgered knot.  Both
 records check this data when they are built, so the functions that take
 them do not check it again.  The mapping-torus invariant equals the
-equivariant Casson invariant computed from this data.
+equivariant Casson invariant computed from this data; the Rohlin check
+takes that value, not the data.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ class FreeQuotientData:
 QuotientData = Union[BranchedQuotientData, FreeQuotientData]
 
 
-@dataclass(frozen=True)
-class MappingTorusReport:
-    lambda_fo: Fraction
-    rho: int
-    congruent: int
-
-
 def equivariant_casson_branched(d: BranchedQuotientData) -> Fraction:
     """n * lambda(quotient) + (1/8) * sum of the branch signature spectrum.
 
@@ -136,27 +130,21 @@ def branched_free_relation(
     return 1 if free_value - branched_value == Fraction(d.q * d2, 2) else 0
 
 
-def matched_cover_data(d: FreeQuotientData) -> BranchedQuotientData:
-    """Branched data of the n-fold cover implied by free quotient data."""
-    return BranchedQuotientData.from_knot(d.n, d.base_casson, d.knot)
+def check_rohlin_congruence(lam: Fraction | int, rho: int) -> int:
+    """1 iff the mapping-torus invariant lam agrees with rho mod 2, else 0.
 
-
-def check_rohlin_congruence(d: QuotientData, rho_sigma: int) -> MappingTorusReport:
-    """Report whether the mapping-torus invariant matches rho mod 2.
-
-    rho_sigma is the Rohlin invariant of the covering sphere (equal to
-    the Rohlin invariant of the mapping torus).  Raises NonIntegral when
-    the equivariant invariant is not an integer, which marks the input as
-    non-geometric.
+    rho is the Rohlin invariant of the covering sphere (equal to that of
+    the mapping torus).  Raises NonIntegral when lam is not an integer,
+    which marks the input as non-geometric.
     """
-    rho_sigma = index(rho_sigma)
-    if rho_sigma not in (0, 1):
+    rho = index(rho)
+    if rho not in (0, 1):
         raise ValueError("rho must be a bit")
-    lam = furuta_ohta_mapping_torus(d)
+    if not isinstance(lam, (int, Fraction)):
+        raise TypeError(f"expected an exact invariant, got {type(lam).__name__}")
     if lam.denominator != 1:
         raise NonIntegral(f"invariant is not an integer: {lam}")
-    congruent = 1 if int(lam) % 2 == rho_sigma else 0
-    return MappingTorusReport(lam, rho_sigma, congruent)
+    return 1 if int(lam) % 2 == rho else 0
 
 
 def orientation_reversal_check(d: QuotientData) -> int:

@@ -25,9 +25,7 @@ from casson4 import (
     bundle_exists,
     check_casson_rohlin,
     check_evenness,
-    circle_bundle_furuta_ohta,
     circle_bundle_report,
-    circle_bundle_rho,
     connected_sum,
     deduce_sign_pattern,
     det4,
@@ -150,9 +148,8 @@ def test_criterion_5_circle_bundle_vanishing():
     assert len(corpus) >= 5
     for name, knot in corpus:
         data = CircleBundleData(knot, 1)
-        assert circle_bundle_rho(data) == 0, name
-        assert circle_bundle_furuta_ohta(data) == 0, name
         report = circle_bundle_report(data)
+        assert report.rho == 0 and report.furuta_ohta == 0, name
         assert report.arf == 0 and report.second_derivative == 0, name
         assert report.congruent == 1
         assert len(report.certificate) == 4

@@ -7,9 +7,7 @@ from casson4 import (
     LaurentPolynomial,
     alexander_polynomial,
     arf_invariant,
-    circle_bundle_furuta_ohta,
     circle_bundle_report,
-    circle_bundle_rho,
     connected_sum,
     preset_knot,
     second_derivative_at_one,
@@ -47,9 +45,9 @@ def test_corpus_is_large_enough():
 def test_vanishing_on_corpus():
     for name, knot in trivial_alexander_corpus():
         data = CircleBundleData(knot, 1)
-        assert circle_bundle_rho(data) == 0, name
-        assert circle_bundle_furuta_ohta(data) == 0, name
         report = circle_bundle_report(data)
+        assert report.rho == 0, name
+        assert report.furuta_ohta == 0, name
         assert report.arf == 0
         assert report.second_derivative == 0
         assert report.congruent == 1
@@ -68,16 +66,14 @@ def test_forced_vanishing_consistency():
 def test_nontrivial_alexander_rejected():
     trefoil = preset_knot("right_trefoil")
     with pytest.raises(NonTrivialAlexander):
-        circle_bundle_rho(CircleBundleData(trefoil, 1))
-    with pytest.raises(NonTrivialAlexander):
-        circle_bundle_furuta_ohta(CircleBundleData(trefoil, 1))
+        circle_bundle_report(CircleBundleData(trefoil, 1))
 
 
 def test_bad_euler_rejected():
     unknot = preset_knot("unknot")
     for e in (-1, 0, 2, 5):
         with pytest.raises(BadEuler):
-            circle_bundle_rho(CircleBundleData(unknot, e))
+            circle_bundle_report(CircleBundleData(unknot, e))
 
 
 def test_bundle_data_is_checked_at_construction():

@@ -319,6 +319,12 @@ def test_sweep_range_limits_exit_1(family, spec, message, capsys):
     assert err.startswith(f"error: range key {message}") and err.count("\n") == 1
 
 
+def test_free_quotient_sweep_refuses_even_q(capsys):
+    # FreeQuotientData refuses the framing; the sweep does not test it first
+    code, out, err = run_cli(["sweep", "--family", "free-quotients", "--range", "q=4"], capsys)
+    assert (code, out, err) == (1, "", "error: gcd(n = 2, q = 4) != 1\n")
+
+
 def test_unknown_preset_message_has_no_stray_quotes(tmp_path, capsys):
     path = tmp_path / "nope.json"
     path.write_text(json.dumps({"schema": 1, "name": "x", "steps": [{"knot": "nope", "q": -1}]}))
@@ -417,10 +423,17 @@ def test_torus4_reports_unsupported_w_without_parity_check(capsys, tmp_path):
     ],
     ids=["branched", "free"],
 )
-def test_mapping_torus_rho_disagreeing_with_lambda_exits_2(data, capsys, tmp_path):
+def test_mapping_torus_rho_disagreeing_with_lambda_exits_2(data, capsys, tmp_path, monkeypatch):
+    # the congruence judges the lambda the report prints: one evaluation per request
+    from casson4 import equivariant
+
+    name = f"equivariant_casson_{data['type']}"
+    evaluate, calls = getattr(equivariant, name), []
+    monkeypatch.setattr(equivariant, name, lambda d: calls.append(d) or evaluate(d))
     path = tmp_path / "mapping_torus.json"
     path.write_text(json.dumps({"schema": 1, "quotient_casson": 0, "rho_cover": 0, **data}))
     code, report, _ = run_json(["mapping-torus", "--input", str(path)], capsys)
+    assert len(calls) == 1
     assert code == 2
     assert report["invariants"]["lambda_fo"] % 2 == 1
     assert report["congruences"] == {"integral": 1, "lambda_fo_equals_rho_mod2": 0}
@@ -653,6 +666,29 @@ def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
     assert "e_0(H)" in err
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name,value,message",
+    [
+        (
+            "arf_invariant",
+            1,
+            "arf = 1 with trivial Alexander polynomial contradicts the "
+            "mod-8 determinant congruence",
+        ),
+        ("second_derivative_at_one", 2, "Delta''(1) != 0 for the constant polynomial 1"),
+    ],
+    ids=["arf", "second_derivative"],
+)
+def test_circle_bundle_defect_exits_3_in_one_line(name, value, message, monkeypatch, capsys):
+    # trivial Alexander polynomial forces both values to 0; a nonzero one is a defect
+    from casson4 import bundles
+
+    monkeypatch.setattr(bundles, name, lambda _: value)
+    path = FIXTURES / "whitehead_bundle.json"
+    code, out, err = run_cli(["circle-bundle", "--input", str(path)], capsys)
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")
 
 
 def test_mapping_torus_order_above_limit_exits_1(tmp_path, capsys):

@@ -12,7 +12,6 @@ from casson4 import (
     equivariant_casson_branched,
     equivariant_casson_free,
     furuta_ohta_mapping_torus,
-    matched_cover_data,
     orientation_reversal_check,
     preset_knot,
     torus_knot_seifert,
@@ -46,7 +45,7 @@ def test_free_trefoil_is_non_integral():
     data = FreeQuotientData(2, 1, 0, TREFOIL)
     assert equivariant_casson_free(data) == Fraction(3, 4)
     with pytest.raises(NonIntegral, match="^invariant is not an integer: 3/4$"):
-        check_rohlin_congruence(data, 0)
+        check_rohlin_congruence(equivariant_casson_free(data), 0)
 
 
 def test_free_trivial_alexander_zero_spectrum():
@@ -86,33 +85,34 @@ def test_order_one_returns_plain_casson():
 
 def test_branched_free_relation_matched_and_mismatched():
     free = FreeQuotientData(2, 1, 0, TREFOIL)
-    assert branched_free_relation(free, matched_cover_data(free)) == 1
+    cover = BranchedQuotientData.from_knot(free.n, free.base_casson, free.knot)
+    assert branched_free_relation(free, cover) == 1
     mismatched = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 8]))
     assert branched_free_relation(free, mismatched) == 0
 
 
 def test_branched_free_relation_degenerate_q_zero():
     free = FreeQuotientData(1, 0, 2, FIG8)  # gcd(1, 0) = 1
-    cover = matched_cover_data(free)
+    cover = BranchedQuotientData.from_knot(free.n, free.base_casson, free.knot)
     assert branched_free_relation(free, cover) == 1
     assert equivariant_casson_free(free) == equivariant_casson_branched(cover)
 
 
 def test_conjecture1_reports():
     cork = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 16]))
-    report = check_rohlin_congruence(cork, 0)
-    assert (report.lambda_fo, report.rho, report.congruent) == (2, 0, 1)
+    lam = furuta_ohta_mapping_torus(cork)
+    assert (lam, check_rohlin_congruence(lam, 0)) == (2, 1)
 
     poincare = BranchedQuotientData.from_knot(2, 0, torus_knot_seifert(3, 5))
-    report = check_rohlin_congruence(poincare, 1)
-    assert (report.lambda_fo, report.rho, report.congruent) == (-1, 1, 1)
+    lam = furuta_ohta_mapping_torus(poincare)
+    assert (lam, check_rohlin_congruence(lam, 1)) == (-1, 1)
 
     trivial = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 0]))
-    report = check_rohlin_congruence(trivial, 0)
-    assert (report.lambda_fo, report.rho, report.congruent) == (0, 0, 1)
+    lam = furuta_ohta_mapping_torus(trivial)
+    assert (lam, check_rohlin_congruence(lam, 0)) == (0, 1)
 
     with pytest.raises(ValueError):
-        check_rohlin_congruence(cork, 2)
+        check_rohlin_congruence(furuta_ohta_mapping_torus(cork), 2)
 
 
 def test_orientation_reversal_examples():
@@ -173,6 +173,8 @@ def test_float_invariants_refused_not_computed():
     with pytest.raises(TypeError):
         BranchedQuotientData(2.0, 0, spectrum)
     cork = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 16]))
-    assert check_rohlin_congruence(cork, 0).congruent == 1
+    assert check_rohlin_congruence(furuta_ohta_mapping_torus(cork), 0) == 1
     with pytest.raises(TypeError):
-        check_rohlin_congruence(cork, 0.0)
+        check_rohlin_congruence(furuta_ohta_mapping_torus(cork), 0.0)
+    with pytest.raises(TypeError):
+        check_rohlin_congruence(2.0, 0)
