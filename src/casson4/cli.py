@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 
 import jsonschema
 
@@ -56,11 +56,11 @@ from .floer import (
     lambda_fo_from_lefschetz,
     lefschetz,
 )
+from .inertia import ceil_norm
 from .laurent import second_derivative_at_one
 from .seifert import (
     SeifertMatrix,
     SignatureSpectrum,
-    _minor_sum_bound,
     alexander_polynomial,
     arf_invariant,
     preset_knot,
@@ -87,7 +87,7 @@ from .tori import (
 
 SCHEMA_VERSION = 1
 _MAX_KNOT_SIZE = 168  # rows of a Seifert matrix, as in defs.json: T(13, 15), the sweep's largest
-# bits of the coefficient bound B, which sets the primes: T(13, 15)'s, the largest torus reference
+# bits of the cost cap B of _cost_bits: T(13, 15)'s, the largest torus reference
 _MAX_BOUND_BITS = 390
 _MAX_SHOWN = 200  # characters of an input value that an error line may repeat
 
@@ -150,6 +150,18 @@ def input_digest(data) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _cost_bits(rows) -> int:
+    """Bits of B = prod_i (1 + ceil|S_i.| + ceil|S_.i|), the cap on an inline matrix's cost.
+
+    B is at least the part of every prime's bound that the entries set
+    (seifert._coefficient_bound, seifert._minor_sum_bound and the Hadamard
+    bound of S + S^T), so with the size and the order it caps the primes;
+    the primes themselves are sized by those tighter bounds.
+    """
+    norms = (ceil_norm(row) + ceil_norm(col) for row, col in zip(rows, zip(*rows)))
+    return prod(1 + rho for rho in norms).bit_length()
+
+
 def resolve_knot(ref) -> SeifertMatrix:
     if isinstance(ref, str):
         try:
@@ -162,8 +174,7 @@ def resolve_knot(ref) -> SeifertMatrix:
             raise SchemaError(f"torus({p},{q}) has more than {_MAX_KNOT_SIZE} Seifert rows")
         return torus_knot_seifert(p, q)
     rows = ref["seifert"] if isinstance(ref, dict) else ref
-    # on the raw rows, before the constructor's Bareiss determinant: uncached
-    bits = _minor_sum_bound.__wrapped__(rows).bit_length()
+    bits = _cost_bits(rows)  # on the raw rows, before the constructor's Bareiss determinant
     if bits > _MAX_BOUND_BITS:
         raise SchemaError(
             f"the Seifert matrix's coefficient bound has {bits} bits, more than {_MAX_BOUND_BITS}"

@@ -24,13 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt, prod
-from operator import index, neg
+from math import gcd, prod
+from operator import add, index, neg
 from typing import Sequence
 
 from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import form_value, symplectic_basis
 from .inertia import (
+    _charpoly_bound,
     _charpoly_mod,
     _proth_prime,
     ceil_norm,
@@ -151,26 +152,32 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 # --- Alexander polynomial ---
 
-def _row_column_norms(entries: Sequence[Sequence[int]]) -> list[int]:
-    """rho_i = ceil|S_i.| + ceil|S_.i|, in integers: on |t| = 1 row i of
-    t S - S^T has norm at most rho_i."""
-    return [ceil_norm(row) + ceil_norm(col) for row, col in zip(entries, zip(*entries))]
+@lru_cache(maxsize=1024)
+def _row_norms(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """x_i = ceil|(|S_ij| + |S_ji|)_j|, in integers: on |t| = 1 the entry
+    t S_ij - S_ji of row i of t S - S^T has modulus at most |S_ij| + |S_ji|,
+    so the row has norm at most x_i.  By the triangle inequality x_i is at
+    most ceil|S_i.| + ceil|S_.i|.  Cached: both bounds below read it."""
+    return tuple(
+        ceil_norm([abs(a) + abs(b) for a, b in zip(row, col)])
+        for row, col in zip(entries, zip(*entries))
+    )
 
 
 def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     """B >= |c| for every coefficient c of det(t S - S^T), in integers only:
     Hadamard's inequality bounds the determinant on |t| = 1 by the product
-    of the rho_i, and Cauchy's bound carries that to every coefficient."""
-    return prod(_row_column_norms(entries))
+    of the row norms x_i of _row_norms, and Cauchy's bound carries that to
+    every coefficient."""
+    return prod(_row_norms(entries))
 
 
-@lru_cache(maxsize=1024)
 def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
-    """B >= |c| for every coefficient c of every e_r(t S - S^T), r = 0 .. d:
-    on |t| = 1 Hadamard bounds each principal minor on the index set I by
-    the product of rho_i over I, so |e_r| <= e_r(rho) <= prod_i (1 + rho_i)
-    there, and Cauchy's bound carries that to every coefficient."""
-    return prod(1 + rho for rho in _row_column_norms(entries))
+    """B >= |g_r(t)| on |t| = 1 for every g_r(t) = e_r(t S - S^T), r = 0 .. d,
+    and so, by Cauchy's bound, for every coefficient of g_r: Hadamard bounds
+    each principal minor on the index set I by the product of the row norms
+    x_i over I, so |g_r| <= e_r(x) <= prod_i (1 + x_i) there."""
+    return prod(1 + x for x in _row_norms(entries))
 
 
 def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:
@@ -264,6 +271,61 @@ def _principal_sums(entries: tuple[tuple[int, ...], ...], t: int, p: int) -> lis
     return [(-1) ** r * c % p for r, c in enumerate(chi)]
 
 
+def _gram_matrix(k: int) -> list[list[int]]:
+    """G = V^T V for V_(m,0) = 1 and V_(m,j) = 2 cos(2 pi jm/k), j < h, over
+    the h classes m in [1, k/2] prime to k, k >= 3: an integer matrix.
+
+    With the Ramanujan sums c_k(a), the sums of zeta_k^(am) over the units
+    m mod k, G_00 = h, G_0j = c_k(j), G_ij = c_k(i + j) + c_k(i - j) (i, j > 0):
+    the units pair up as the classes m and k - m, so summing
+    2 cos(2 pi am/k) over the classes gives c_k(a), and
+    4 cos x cos y = 2 cos(x + y) + 2 cos(x - y).  The units are the m that
+    no prime q of k divides, so by inclusion and exclusion c_k(a) is the
+    sum of (-1)^|E| k/e, e = prod E, over the sets E of those primes with
+    k/e dividing a.
+    """
+    primes = [q for q in range(2, k + 1) if k % q == 0 and all(q % r for r in range(2, q))]
+    ramanujan = [0] * k
+    for subset in range(1 << len(primes)):
+        e = prod(q for i, q in enumerate(primes) if subset >> i & 1)
+        for a in range(0, k, k // e):
+            ramanujan[a] += (-1) ** subset.bit_count() * (k // e)
+    h = ramanujan[0] // 2
+    return [[h] + ramanujan[1:h]] + [
+        [ramanujan[i]] + [ramanujan[(i + j) % k] + ramanujan[(i - j) % k] for j in range(1, h)]
+        for i in range(1, h)
+    ]
+
+
+@lru_cache(maxsize=1024)
+def _gram_factor(k: int) -> tuple[int, int]:
+    """(a, b) with a / b = F = max_j sum_i |G^-1_ji| w_i, for k >= 3.
+
+    F bounds the solution of V c = v: |c_j| <= F max_m |v_m|.  V of
+    _gram_matrix is real and invertible, so c = G^-1 V^T v, and
+    |(V^T v)_i| <= |V_.i|_1 max|v| <= w_i max|v|, with w_0 = h and
+    w_i = 2h.  G = V^T V is positive definite, so the fraction-free
+    Gauss-Jordan elimination of [G | I] finds every pivot on the diagonal,
+    with exact divisions, and ends with det G times I on the left and the
+    adjugate of G on the right: F is the largest weighted row sum of the
+    adjugate over det G.
+    """
+    G = _gram_matrix(k)
+    h = len(G)
+    rows = [row + [int(i == j) for j in range(h)] for i, row in enumerate(G)]
+    previous = 1
+    for c in range(h):
+        top = rows[c]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i != c:
+                u = row[c]
+                rows[i] = [(x * pivot - u * y) // previous for x, y in zip(row, top)]
+        previous = pivot
+    weights = [h] + [2 * h] * (h - 1)
+    return max(sum(abs(x) * w for x, w in zip(row[h:], weights)) for row in rows), previous
+
+
 @lru_cache(maxsize=1024)
 def _tl_orbit_cached(
     entries: tuple[tuple[int, ...], ...], k: int
@@ -289,41 +351,53 @@ def _tl_orbit_cached(
     first n = min(d + 1, h) classes c solves V c = v, V_(m,0) = 1 and
     V_(m,j) = omega^(jm) + omega^(-jm): a unit-triangular change from the
     Vandermonde matrix in omega^m + omega^-m, which are distinct mod p and
-    over R.  For d + 1 <= h, c holds the Laurent coefficients, at most
-    2^d B in size (B from _minor_sum_bound); else det V^2 is the nonzero
-    discriminant of the basis, and Cramer and Hadamard give
-    |c_j| <= ceil(sqrt h)^h 2^(d+h-1) B.  p exceeds twice the bound, so c
-    is the residues nearest 0.  At k = 2, omega = -1, V = [1], the Cramer
-    factor is 1, and c is the integer e_r(H(-1)) = e_r(2 (S + S^T)).
+    over R.  p exceeds twice a bound on what is lifted, so the lift is the
+    residues nearest 0.  For k >= 3 that is c.  On |t| = 1, |1/t - 1| <= 2
+    and |g_r(t)| <= B (_minor_sum_bound), so |e_r(H(t))| <= 2^d B.  For
+    d + 1 <= h, c holds the Laurent coefficients of e_r(H(t)), which
+    Cauchy's bound keeps within 2^d B; else n = h, and the values
+    v_m = e_r(H(zeta^m)) give |c_j| <= F 2^d B, with F the Gram factor of
+    _gram_factor.  At k = 2, omega = -1 and V = [1]: the integer
+    g_r(-1) = e_r(-(S + S^T)) = (-1)^r e_r(S + S^T) is lifted, within the
+    bound inertia._charpoly_bound(S + S^T), and c is then
+    e_r(H(-1)) = (-2)^r g_r(-1), in integers.
     """
     d = len(entries)
     if k == 1 or not d:
         return tuple(0 if gcd(m, k) == 1 else None for m in range(k)), d
     classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
     n = min(d + 1, len(classes))
-    bound = 2**d * _minor_sum_bound(entries)
-    if n < d + 1:
-        bound *= (isqrt(n - 1) + 1) ** n * 2 ** (n - 1)
+    if k == 2:  # g_r(-1) is lifted, within the Hadamard bound of S + S^T
+        symmetric = [list(map(add, r, c)) for r, c in zip(entries, zip(*entries))]
+        bound = _charpoly_bound(symmetric)
+    else:
+        bound = 2**d * _minor_sum_bound(entries)
+        if n < d + 1:
+            a, b = _gram_factor(k)
+            bound = -(-bound * a // b)
     p = _proth_prime((2 * bound).bit_length(), k)
     omega = _root_of_unity(p, k)
     alexander = _alexander_cached(entries).items()
     powers = _powers(omega, k, p)
-    rows, V = [], []  # e_r(H(omega^m)) mod p, r = 0 .. d, and V, per class used
+    rows, V = [], []  # what is lifted, mod p, r = 0 .. d, and V, per class used
     for m in classes[:n]:
         w, inverse = powers[m], powers[k - m]
         up = [powers[j * m % k] for j in range(d + 1)]
         down = [powers[-j * m % k] for j in range(n)]
-        scale = _powers(inverse - 1, d + 1, p)
         g = _principal_sums(entries, w, p)
         if (g[d] - sum(c * up[e + d // 2] for e, c in alexander)) % p:
             raise InternalError(f"g_{d}(omega^{m}) is not det(t S - S^T) there, mod {p}")
-        rows.append([x * y % p for x, y in zip(g, scale)])
+        if k > 2:  # e_r(H(omega^m)) = (omega^-m - 1)^r g_r(omega^m)
+            g = [x * y % p for x, y in zip(g, _powers(inverse - 1, d + 1, p))]
+        rows.append(g)
         V.append([1] + [x + y for x, y in zip(up[1:n], down[1:n])])
     coords = [tuple(x - p if x > p // 2 else x for x in c) for c in zip(*_solve_mod(V, rows, p))]
     if coords[0] != (1,) + (0,) * (n - 1):
         raise InternalError(f"e_0(H) has coordinates {coords[0]}, not 1")
     if any(abs(x) > bound for c in coords for x in c):
         raise InternalError(f"a coordinate of some e_r(H) exceeds the bound {bound}")
+    if k == 2:
+        coords = [(x * (-2) ** r,) for r, (x,) in enumerate(coords)]
     nonzero = [r for r, c in enumerate(coords) if any(c)]
     vectors = [coords[r] for r in nonzero]
     values = [None] * k

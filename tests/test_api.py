@@ -94,7 +94,8 @@ def test_cache_table_is_pinned():
     assert {name: fn.cache_parameters()["maxsize"] for name, fn in package_caches().items()} == {
         "casson4.seifert._alexander_cached": 1024,
         "casson4.seifert._arf_cached": 1024,
-        "casson4.seifert._minor_sum_bound": 1024,
+        "casson4.seifert._gram_factor": 1024,
+        "casson4.seifert._row_norms": 1024,
         "casson4.seifert._root_of_unity": 1024,
         "casson4.seifert._tl_orbit_cached": 1024,
         "casson4.inertia._proth_prime": 1024,

@@ -622,15 +622,15 @@ def test_singular_class_matrix_exits_3_in_one_line(monkeypatch, tmp_path, capsys
     assert "column 1 has no pivot" in err
 
 
-def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
+def _bound_defect_exits_3(monkeypatch, tmp_path, capsys, bound, order):
     from casson4 import seifert
     from helpers import clear_caches
 
     data = json.loads((FIXTURES / "trefoil.json").read_text())
-    data["spectrum_order"] = 6
-    path = tmp_path / "trefoil6.json"
+    data["spectrum_order"] = order
+    path = tmp_path / f"trefoil{order}.json"
     path.write_text(json.dumps(data))
-    monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
+    monkeypatch.setattr(seifert, bound, lambda entries: 1)
     clear_caches()
     try:
         code, out, err = run_cli(["knot", "--input", str(path)], capsys)
@@ -639,6 +639,17 @@ def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "exceeds the bound" in err
+
+
+def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
+    # orders k >= 3 size their prime by _minor_sum_bound: order 3 trips the check
+    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "_minor_sum_bound", 6)
+
+
+def test_order_two_bound_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
+    # order 2 sizes its prime by the Hadamard bound of S + S^T
+    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "_charpoly_bound", 2)
 
 
 def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
@@ -793,10 +804,9 @@ def test_mapping_torus_asymmetric_spectrum_exits_1(tmp_path, capsys):
 
 def test_bound_limit_is_that_of_the_largest_torus_reference():
     from casson4 import cli, torus_knot_seifert
-    from casson4.seifert import _minor_sum_bound
 
     for p, q in ((13, 15), (15, 13)):
-        assert _minor_sum_bound(torus_knot_seifert(p, q).entries).bit_length() == 390
+        assert cli._cost_bits(torus_knot_seifert(p, q).entries) == 390
     assert cli._MAX_BOUND_BITS == 390
 
 

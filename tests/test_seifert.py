@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import ceil, gcd, sqrt
+from math import ceil, gcd, isqrt, prod
 
 import pytest
 
@@ -30,6 +30,7 @@ from helpers import (
     corpus_knots,
     litherland_torus,
     numpy_inertia,
+    phi_divides,
     pivot_signature,
     random_seifert,
     random_unimodular,
@@ -289,13 +290,42 @@ def _class_count(k):
     return sum(1 for m in range(1, k // 2 + 1) if gcd(m, k) == 1)
 
 
-def _coordinate_bound(entries, k):
-    """The bound _tl_orbit_cached must keep its coordinates within, recomputed."""
+def _ceil_sqrt(n):
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _row_bounds(entries):
+    """(x, rho), recomputed: x_i = ceil|(|S_ij| + |S_ji|)_j| and rho_i = ceil|S_i.| + ceil|S_.i|."""
+    x, rho = [], []
+    for row, col in zip(entries, zip(*entries)):
+        x.append(_ceil_sqrt(sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))))
+        rho.append(_ceil_sqrt(sum(a * a for a in row)) + _ceil_sqrt(sum(b * b for b in col)))
+    return x, rho
+
+
+def _lift_bound(entries, k):
+    """The bound _tl_orbit_cached must keep what it lifts within, recomputed.
+
+    At k = 2 it lifts g_r(-1) = (-1)^r e_r(S + S^T), within the Hadamard bound
+    of S + S^T; at k >= 3 the coordinates c, within 2^d prod_i (1 + x_i),
+    times the Gram factor when h <= d.
+    """
     d, h = len(entries), _class_count(k)
-    bound = 2**d * seifert._minor_sum_bound(entries)
-    if d + 1 > h:
-        bound *= ceil(sqrt(h)) ** h * 2 ** (h - 1)
-    return bound
+    if k == 2:
+        return prod(
+            1 + _ceil_sqrt(sum((a + b) ** 2 for a, b in zip(row, col)))
+            for row, col in zip(entries, zip(*entries))
+        )
+    bound = 2**d * prod(1 + x for x in _row_bounds(entries)[0])
+    return ceil(bound * Fraction(*seifert._gram_factor(k))) if h <= d else bound
+
+
+def _row_column_bound(entries, k):
+    """2^d prod_i (1 + rho_i), times the Cramer factor ceil(sqrt h)^h 2^(h - 1)
+    when h <= d: the looser bound that each bound of _lift_bound must not exceed."""
+    d, h = len(entries), _class_count(k)
+    bound = 2**d * prod(1 + rho for rho in _row_bounds(entries)[1])
+    return bound * _ceil_sqrt(h) ** h * 2 ** (h - 1) if h <= d else bound
 
 
 def _laurent_coordinates(entries, r):
@@ -340,7 +370,8 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
         values, nullity = seifert._tl_orbit_cached.__wrapped__(entries, k)
         assert (values, nullity) == _descartes_orbit(entries, k), (entries, k)
         singular += nullity > 0
-        bound = _coordinate_bound(entries, k)
+        # at k = 2 the coordinates are (-2)^r times the lifted g_r(-1)
+        bound = _lift_bound(entries, k) << (len(entries) if k == 2 else 0)
         assert all(abs(x) <= bound for batch in seen for a in batch for x in a)
         assert len(seen) == _class_count(k) and all(batch == seen[0] for batch in seen)
         d = len(entries)
@@ -373,7 +404,7 @@ def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
             seifert._tl_orbit_cached(s.entries, k)
             bits, order, p = primes[0]  # the orbit asks before Alexander
             assert order == k and (p - 1) % k == 0
-            assert p > 2 * _coordinate_bound(s.entries, k)
+            assert p > 2 * _lift_bound(s.entries, k)
             c, b = p - 1, 0
             while c % 2 == 0:
                 c, b = c // 2, b + 1
@@ -392,6 +423,153 @@ def test_proth_prime_moves_to_the_next_exponent():
     c = (p - 1) >> b
     assert b > 2 and c % 61 == 0 and c % 2 == 1 and c < 1 << b
     assert sympy.isprime(p)
+
+
+def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
+    # every prime is sized by the bound of what it lifts: on seeded matrices and
+    # on ones with entries in the hundreds, at every order 1 .. 64, the realized
+    # |coefficient| or |coordinate| <= that bound <= the row-and-column bound,
+    # and Delta and the spectra are the interpolation oracles'
+    rng = random.Random(2213)
+    knots = [s for s in (random_seifert(rng) for _ in range(8)) if s.size]
+    knots += _minor_sum_oracle_knots()
+    assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
+    lifted, asked = [], []
+    solve, proth = seifert._solve_mod, seifert._proth_prime
+
+    def solve_spy(a_rows, b_rows, p):
+        X = solve(a_rows, b_rows, p)
+        lifted.extend(x - p if x > p // 2 else x for row in X for x in row)
+        return X
+
+    def proth_spy(bits, order=1):
+        asked.append(bits)
+        return proth(bits, order)
+
+    monkeypatch.setattr(seifert, "_proth_prime", proth_spy)
+    for s in knots:
+        e = s.entries
+        clear_caches()
+        asked.clear()
+        delta = seifert._alexander_cached(e)
+        assert delta == alexander_by_interpolation(s)
+        bound = seifert._coefficient_bound(e)
+        x, rho = _row_bounds(e)
+        assert bound == prod(x)
+        assert max(abs(c) for _, c in delta.items()) <= bound <= prod(rho)
+        assert asked == [(2 * bound).bit_length()]
+        with monkeypatch.context() as patch:
+            patch.setattr(seifert, "_solve_mod", solve_spy)
+            for k in range(1, 65):
+                lifted.clear()
+                asked.clear()
+                if k == 1:  # the zero form: nothing is lifted
+                    assert seifert._tl_orbit_cached(e, k) == ((0,), len(e))
+                    assert not lifted and not asked
+                    continue
+                assert seifert._tl_orbit_cached(e, k) == _descartes_orbit(e, k), (e, k)
+                bound = _lift_bound(e, k)
+                assert asked == [(2 * bound).bit_length()]
+                assert max(map(abs, lifted)) <= bound <= _row_column_bound(e, k), (e, k)
+    clear_caches()
+
+
+def _gram_oracle(k):
+    """V^T V summed over the classes m as a polynomial in zeta_k: V_(m,0) = 1 and
+    V_(m,j) = zeta^(jm) + zeta^(-jm), so each product is a sum of powers of zeta."""
+    classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
+    exponents = [[[0]] + [[j * m % k, -j * m % k] for j in range(1, len(classes))] for m in classes]
+    polys = {}
+    for i in range(len(classes)):
+        for j in range(i, len(classes)):
+            poly = [0] * k
+            for powers in exponents:
+                for a in powers[i]:
+                    for b in powers[j]:
+                        poly[(a + b) % k] += 1
+            polys[i, j] = poly
+    return polys
+
+
+def test_gram_matrix_is_the_sum_over_the_classes():
+    # G_ij - sum_m V_mi V_mj vanishes at zeta_k exactly when Phi_k divides it
+    for k in range(3, 65):
+        G = seifert._gram_matrix(k)
+        assert len(G) == _class_count(k) and all(len(row) == len(G) for row in G)
+        for (i, j), poly in _gram_oracle(k).items():
+            assert G[i][j] == G[j][i]
+            assert phi_divides(k, [poly[0] - G[i][j]] + poly[1:]), (k, i, j)
+
+
+def _fraction_inverse(G):
+    """G^-1 by Gauss-Jordan over the rationals."""
+    h = len(G)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(h)]
+            for i, row in enumerate(G)]
+    for c in range(h):
+        pivot = next(i for i in range(c, h) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(h):
+            if i != c and rows[i][c]:
+                u = rows[i][c]
+                rows[i] = [x - u * y for x, y in zip(rows[i], rows[c])]
+    return [row[h:] for row in rows]
+
+
+def test_gram_factor_bounds_the_coordinates_below_the_cramer_factor():
+    import numpy
+
+    rng = numpy.random.default_rng(2311)
+    for k in range(3, 65):
+        G = seifert._gram_matrix(k)
+        h = len(G)
+        weights = [h] + [2 * h] * (h - 1)
+        factor = max(sum(abs(x) * w for x, w in zip(row, weights)) for row in _fraction_inverse(G))
+        assert Fraction(*seifert._gram_factor(k)) == factor
+        assert factor <= _ceil_sqrt(h) ** h * 2 ** (h - 1)  # the Cramer factor
+        # |c_j| <= F max|v| for v = V c, in floats with room for rounding
+        classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
+        V = numpy.array([[1.0] + [2 * numpy.cos(2 * numpy.pi * j * m / k) for j in range(1, h)]
+                         for m in classes])
+        assert numpy.allclose(V.T @ V, numpy.array(G, dtype=float))
+        for c in rng.integers(-1000, 1001, size=(20, h)):
+            assert abs(c).max() <= float(factor) * abs(V @ c).max() * (1 + 1e-9) + 1e-6
+
+
+class _Asked(Exception):
+    pass
+
+
+def _bits_asked(monkeypatch, compute, entries):
+    """The bits the first _proth_prime call asks for, stopping the computation there."""
+    asked = []
+
+    def spy(bits, order=1):
+        asked.append(bits)
+        raise _Asked
+
+    monkeypatch.setattr(seifert, "_proth_prime", spy)
+    with pytest.raises(_Asked):
+        compute(entries)
+    monkeypatch.undo()
+    return asked[0]
+
+
+@pytest.mark.parametrize(
+    "p, q, k, most",  # bits with the row-and-column bound and the Cramer factor: 267, 160, 559
+    [(7, 9, 61, 170), (7, 9, 2, 110), (13, 15, 2, 380)],
+)
+def test_orbit_prime_bits_stay_within_their_guard(monkeypatch, p, q, k, most):
+    entries = torus_knot_seifert(p, q).entries
+    orbit = seifert._tl_orbit_cached.__wrapped__
+    assert _bits_asked(monkeypatch, lambda e: orbit(e, k), entries) <= most
+
+
+@pytest.mark.parametrize("p, q, most", [(7, 9, 90), (13, 15, 320)])  # 97 and 337 with rho_i
+def test_alexander_prime_bits_stay_within_their_guard(monkeypatch, p, q, most):
+    entries = torus_knot_seifert(p, q).entries
+    assert _bits_asked(monkeypatch, seifert._alexander_cached.__wrapped__, entries) <= most
 
 
 def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
@@ -424,8 +602,9 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(seifert, "_charpoly_mod", lead_two)
         reached("not 1")
-    with monkeypatch.context() as patch:  # too small a prime
-        patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
+    with monkeypatch.context() as patch:  # too small a prime: k = 2 reads the
+        patch.setattr(seifert, "_charpoly_bound", lambda M: 1)  # bound of S + S^T,
+        patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)  # k = 5 this one
         reached("exceeds the bound", big)
     with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
         patch.setattr(
