@@ -30,6 +30,9 @@ _START_PREC = 64
 _MAX_PREC = 1 << 16
 # working bits beyond prec + 2 bitlen(prec) + 2 s; the table's guard checks they suffice
 _GUARD_BITS = 16
+# where _charpoly_mod's packed route starts to beat its list route (CHANGES.md)
+_PACKED_MIN_ROWS = 20
+_PACKED_MAX_BITS = 128
 
 
 @dataclass(slots=True)
@@ -263,11 +266,24 @@ def _proth_prime(bits: int, order: int = 1) -> int:
 
 
 def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
-    """Coefficients, constant first, of det(x I - H) mod the prime p.  H, reduced
-    mod p or not, is taken in place to upper Hessenberg form by similarity, then
-    the characteristic polynomials of its leading blocks follow by the usual
-    recurrence (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all."""
+    """Coefficients, constant first, of det(x I - H) mod the prime p, for H
+    reduced mod p or not.  Both routes find T = L^-1 H L upper Hessenberg, then
+    the characteristic polynomials of T's leading blocks by the usual recurrence
+    (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
+
+    Below _PACKED_MIN_ROWS rows, or for p of more than _PACKED_MAX_BITS bits,
+    the list route takes H to T in place by similarity, one entry at a time,
+    and so overwrites the caller's H.  Otherwise the packed route,
+    _charpoly_packed, builds T from products H L on residues packed many to one
+    integer, in slots of w >= 2 bitlen(p) + bitlen(2 n) bits (derived there),
+    and only reads H.  The selection reads only n and p.  The list route skips
+    zeros and the packed route gains little from them, so the two constants
+    are where the packed route stops beating the list route on dense matrices
+    and on the sparse pencils t S - S^T alike (measured in CHANGES.md).
+    """
     n = len(H)
+    if n >= _PACKED_MIN_ROWS and p.bit_length() <= _PACKED_MAX_BITS:
+        return _charpoly_packed(H, p)
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if H[i][m - 1] % p), None)
         if pivot is None:
@@ -302,6 +318,75 @@ def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
                 poly[: i + 1] = [x - c * y for x, y in zip(poly, polys[i])]
         polys.append([x % p for x in poly])
     return polys[n]
+
+
+def _charpoly_packed(H: list[list[int]], p: int) -> list[int]:
+    """det(x I - H) mod p, constant first, by the Krylov process (Dumas, Pernet &
+    Wan, ISSAC 2005) on packed residues (Dumas, Fousse & Salvy, J. Symb. Comp.
+    46 (2011)).  H is only read.
+
+    H L = L T with T upper Hessenberg, and L's columns built in turn: l_0 = e_0,
+    and l_(j+1) is what is left of H l_j once T[i][j] l_i is taken off for
+    i = 0 .. j in that order, T[i][j] being the remainder's entry at l_i's
+    pivot over l_i's own.  Each l_i is 0 at every earlier pivot, so the rest
+    is 0 at all of them, and its first nonzero entry is its pivot, with
+    T[j+1][j] = 1.  A zero rest restarts on the first unit vector off the
+    pivots, with T[j+1][j] = 0, so the recurrence reads no column of T left
+    of it.
+
+    A vector of n residues is one integer with slot i in bits [i w, (i + 1) w),
+    so each product H l_j is one sum of n scalar multiples of packed columns,
+    and each elimination step and recurrence term one multiply-add.  Each is
+    made non-negative by adding c = -t mod p times a packed vector in place of
+    subtracting t, so no slot ever borrows.  Every packed operand has its
+    slots below p: the sums are unpacked, reduced and packed again after
+    each column.
+    For b = bitlen(p), w >= 2 b + bitlen(2 n) keeps every slot below 2^w, so
+    no carry crosses into the next: a slot of H l_j is at most n (p - 1)^2 and
+    the at most n elimination steps add at most n (p - 1)^2 to it, and a
+    polynomial's slot is at most p - 1 plus n terms of at most (p - 1)^2: both
+    below 2 n p^2 < 2^(bitlen(2 n) + 2 b).  w is that rounded up to whole
+    bytes, the unit of int.to_bytes.
+    """
+    n = len(H)
+    size = (2 * p.bit_length() + (2 * n).bit_length() + 7) // 8  # bytes per slot
+    width = 8 * size
+    mask = (1 << width) - 1
+
+    def pack(v):
+        return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in v]), "little")
+
+    def unpack(packed, count):
+        data = packed.to_bytes(count * size, "little")
+        return [int.from_bytes(data[s : s + size], "little") % p for s in range(0, count * size, size)]
+
+    columns = [pack([x % p for x in column]) for column in zip(*H)]
+    pivots = [0]
+    basis = [(0, 1, 1)]  # per column of L: its pivot's bit offset, 1 / its pivot entry, packed
+    v = [1] + [0] * (n - 1)  # the last column of L
+    polys = [1]  # det(x I - T) of T's leading j x j block, packed, j = 0 .. n
+    start = 0  # the column that began the current block of T
+    for j in range(n):
+        product = sum(map(mul, v, columns))
+        column = []  # -T[i][j] mod p
+        for offset, inverse, l in basis:
+            c = -(product >> offset & mask) * inverse % p
+            column.append(c)
+            if c:
+                product += c * l
+        poly = (polys[j] << width) + sum(map(mul, column[start:], polys[start:]))
+        polys.append(pack(unpack(poly, j + 2)))
+        if j == n - 1:
+            break
+        v = unpack(product, n)
+        pivot = next((k for k, x in enumerate(v) if x), None)
+        if pivot is None:
+            pivot = next(k for k in range(n) if k not in pivots)
+            v[pivot] = 1
+            start = j + 1
+        pivots.append(pivot)
+        basis.append((pivot * width, pow(v[pivot], -1, p), pack(v)))
+    return unpack(polys[n], n + 1)
 
 
 def _charpoly_bound(M: list[list[int]]) -> int:

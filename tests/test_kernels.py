@@ -2,17 +2,20 @@
 
 integer_determinant is checked against sympy's determinant, _solve_mod by
 A X = B mod p, and _charpoly_mod against sympy's characteristic polynomial
-reduced mod p.  The inputs put zeros where the pivots would go, make
-matrices singular, and shift entries by multiples of p, so that a pivot
-chosen by an unreduced value shows.
+reduced mod p, on both of its routes.  The inputs put zeros where the pivots
+would go, make matrices singular, close Krylov spaces early, and shift
+entries by multiples of p, so that a pivot chosen by an unreduced value
+shows.
 """
 
 import random
 
 import pytest
+import sympy
 
+from casson4 import inertia
 from casson4.errors import InternalError
-from casson4.inertia import _charpoly_mod, _proth_prime, integer_determinant
+from casson4.inertia import _charpoly_mod, _charpoly_packed, _proth_prime, integer_determinant
 from casson4.seifert import _solve_mod
 
 PRIMES = (10007, _proth_prime(90))
@@ -23,8 +26,6 @@ def _random_matrix(rng, n, low=-3, high=3):
 
 
 def _sympy_det(M):
-    import sympy
-
     return int(sympy.Matrix(len(M), len(M), [x for row in M for x in row]).det())
 
 
@@ -110,10 +111,13 @@ def test_solve_mod_names_the_column_of_a_singular_matrix():
 
 
 def _sympy_charpoly_mod(H, p):
-    import sympy
-
     poly = sympy.Matrix(len(H), len(H), [x for row in H for x in row]).charpoly()
     return [int(c) % p for c in reversed(poly.all_coeffs())]
+
+
+N0, B0 = inertia._PACKED_MIN_ROWS, inertia._PACKED_MAX_BITS
+# with primes of B0 and of B0 + 1 bits: _charpoly_mod packs for the first only
+CHARPOLY_PRIMES = PRIMES + (sympy.prevprime(1 << B0), sympy.nextprime(1 << B0))
 
 
 def _charpoly_cases(p):
@@ -130,13 +134,33 @@ def _charpoly_cases(p):
     yield H
     yield [row[:3] + [0] * 3 for row in _random_matrix(rng, 6)]  # singular
     yield [[int(i + 1 == j) for j in range(7)] for i in range(7)]  # nilpotent
+    # the sizes around the packed route's limit, and Krylov spaces of e_0 that
+    # close early: every column of the packed route restarts on the zero
+    # matrix, the identity and the nilpotent shift, which takes e_(j+1) to e_j
+    for n in (N0 - 1, N0, 24, 48):
+        yield [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    n, half = N0, N0 // 2
+    yield _random_matrix(rng, n)
+    yield [[0] * n for _ in range(n)]
+    yield [[int(i == j) for j in range(n)] for i in range(n)]
+    yield [[int(i + 1 == j) for j in range(n)] for i in range(n)]
+    B = [[rng.randrange(p) for _ in range(half)] for _ in range(half)]
+    yield [row + [0] * half for row in B] + [[0] * half + row for row in B]  # diag(B, B)
+    # block upper triangular: e_0's space closes in the leading 3 x 3 block,
+    # and every later vector has a part in it to eliminate
+    H = _random_matrix(rng, n)
+    for row in H[3:]:
+        row[:3] = [0, 0, 0]
+    yield H
+    for n in (N0, 48):  # every slot of the packed route at its largest
+        yield [[p - 1] * n for _ in range(n)]
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_charpoly_mod_matches_sympy(p):
+@pytest.mark.parametrize("p", CHARPOLY_PRIMES)
+def test_charpoly_mod_matches_sympy(p, monkeypatch):
     rng = random.Random(p + 2)
-    for H in _charpoly_cases(p):
-        expected = _sympy_charpoly_mod(H, p)
+    cases = [(H, _sympy_charpoly_mod(H, p)) for H in _charpoly_cases(p)]
+    for H, expected in cases:
         assert _charpoly_mod([row[:] for row in H], p) == expected, H
         # the same matrix mod p, with every entry moved by a multiple of p and
         # each zero of the first column turned into p: no such p may be a pivot
@@ -144,4 +168,20 @@ def test_charpoly_mod_matches_sympy(p):
         for row in shifted[1:]:
             if row[0] % p == 0:
                 row[0] = p
+        if len(H) >= N0:  # the packed route, at either prime, only reads H
+            before = [row[:] for row in shifted]
+            assert _charpoly_packed(shifted, p) == expected, H
+            assert shifted == before
         assert _charpoly_mod(shifted, p) == expected, H
+    monkeypatch.setattr(inertia, "_PACKED_MIN_ROWS", 1 << 30)  # the list route only
+    for H, expected in cases:
+        assert _charpoly_mod([row[:] for row in H], p) == expected, H
+
+
+def test_charpoly_route_is_chosen_by_size_and_prime_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(inertia, "_charpoly_packed", lambda H, p: calls.append((len(H), p)) or [])
+    small, large = CHARPOLY_PRIMES[-2:]
+    for n, p in ((N0 - 1, small), (N0, small), (N0, large), (48, small), (48, large)):
+        _charpoly_mod([[0] * n for _ in range(n)], p)
+    assert calls == [(N0, small), (48, small)]
