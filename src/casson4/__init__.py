@@ -25,7 +25,6 @@ from .equivariant import (
 )
 from .floer import (
     FloerData,
-    check_evenness,
     deduce_sign_pattern,
     lambda_fo_from_lefschetz,
     lefschetz,
@@ -104,7 +103,6 @@ __all__ = [
     "orientation_reversal_check",
     "FloerData",
     "lefschetz",
-    "check_evenness",
     "lambda_fo_from_lefschetz",
     "deduce_sign_pattern",
     "seifert_tau_floer_data",

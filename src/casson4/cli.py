@@ -44,18 +44,14 @@ from .equivariant import (
     FreeQuotientData,
     branched_free_relation,
     check_rohlin_congruence,
+    equivariant_casson_branched,
     furuta_ohta_mapping_torus,
 )
 from .errors import (
-    Casson4Error, HypothesisFails, InternalError, NonIntegral, ParseError, SchemaError
+    Casson4Error, HypothesisFails, InternalError, NonIntegral, OddLefschetz, ParseError,
+    SchemaError,
 )
-from .floer import (
-    FloerData,
-    check_evenness,
-    deduce_sign_pattern,
-    lambda_fo_from_lefschetz,
-    lefschetz,
-)
+from .floer import FloerData, deduce_sign_pattern, lambda_fo_from_lefschetz, lefschetz
 from .inertia import ceil_norm
 from .laurent import second_derivative_at_one
 from .seifert import (
@@ -336,13 +332,13 @@ def cmd_mapping_torus(data: dict) -> Computed:
 
 
 def cmd_floer(data: dict) -> Computed:
-    fixture = FloerData(data["ranks"], data.get("maps"))
-    lef = lefschetz(fixture)
-    even = check_evenness(fixture)
-    invariants = {"lefschetz": _frac_json(lef), "even": even}
-    congruences = {"evenness": even} if data.get("geometric", True) else {}
-    if even:
-        invariants["lambda_fo"] = lambda_fo_from_lefschetz(fixture)
+    lef = lefschetz(FloerData(data["ranks"], data.get("maps")))
+    invariants = {"lefschetz": _frac_json(lef), "even": 1}
+    try:
+        invariants["lambda_fo"] = lambda_fo_from_lefschetz(lef)
+    except OddLefschetz:
+        invariants["even"] = 0
+    congruences = {"evenness": invariants["even"]} if data.get("geometric", True) else {}
     if "target_lef" in data:
         invariants["sign_pattern"] = _sign_pattern(data["ranks"], data["target_lef"])
     return invariants, congruences, []
@@ -475,7 +471,9 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
         except NonIntegral as exc:  # fixed knots: a defect, not bad input
             raise InternalError(f"{name}: {exc}") from None
         arf = arf_invariant(knot)
-        cover = BranchedQuotientData.from_knot(2, 0, knot)
+        # the double branched cover's invariant and Delta''(1) are the same for every q
+        branched = equivariant_casson_branched(BranchedQuotientData.from_knot(2, 0, knot))
+        d2 = second_derivative_at_one(alexander_polynomial(knot))
         for q in q_list:
             data = FreeQuotientData(2, q, 0, knot)  # NotCoprime for even q
             # rho of the cover: rho of the double branched cover plus
@@ -490,7 +488,7 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
                     "lambda_fo": _frac_json(lam),
                     "rho": rho,
                     "congruent": check_rohlin_congruence(lam, rho),
-                    "cover_relation": branched_free_relation(data, cover),
+                    "cover_relation": branched_free_relation(lam, branched, q, d2),
                 }
             )
     return instances

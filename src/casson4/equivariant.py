@@ -8,7 +8,7 @@ the Casson invariant of the base sphere, and the surgered knot.  Both
 records check this data when they are built, so the functions that take
 them do not check it again.  The mapping-torus invariant equals the
 equivariant Casson invariant computed from this data; the Rohlin check
-takes that value, not the data.
+and the branched-free covering relation take values, not the data.
 """
 
 from __future__ import annotations
@@ -115,19 +115,18 @@ def furuta_ohta_mapping_torus(d: QuotientData) -> Fraction:
 
 
 def branched_free_relation(
-    d: FreeQuotientData, cover_data: BranchedQuotientData
+    free: Fraction | int, branched: Fraction | int, q: int, d2: int
 ) -> int:
-    """Check the covering relation between the free and branched formulas.
+    """Check the covering relation between the free and branched invariants.
 
-    When cover_data describes the n-fold branched cover of the base along
-    the same knot, the free invariant exceeds the branched invariant of
-    the cover by exactly (q/2) * Delta''(1).  Returns 1 when the identity
-    holds for the supplied data, 0 otherwise.
+    free is the invariant of free quotient data (n, q, base, K), branched
+    that of the n-fold branched cover of the base along K, and d2 is
+    Delta_K''(1).  The free invariant exceeds the branched one by exactly
+    (q/2) * d2.  Returns 1 when the identity holds for the supplied
+    values, 0 otherwise; like check_rohlin_congruence, it judges the
+    values it is given and evaluates none of them again.
     """
-    free_value = equivariant_casson_free(d)
-    branched_value = equivariant_casson_branched(cover_data)
-    d2 = second_derivative_at_one(alexander_polynomial(d.knot))
-    return 1 if free_value - branched_value == Fraction(d.q * d2, 2) else 0
+    return 1 if free - branched == Fraction(index(q) * index(d2), 2) else 0
 
 
 def check_rohlin_congruence(lam: Fraction | int, rho: int) -> int:

@@ -2,8 +2,10 @@
 
 The eight graded ranks and induced maps are fixture inputs (computing
 instanton groups is out of scope).  This module evaluates the alternating
-trace, enforces the evenness constraint, halves to the mapping-torus
-invariant, and deduces forced sign patterns on rank-one gradings.
+trace (lefschetz), halves it to the mapping-torus invariant
+(lambda_fo_from_lefschetz, the one judge of the evenness constraint,
+which takes the Lefschetz number and does not sum the traces again), and
+deduces forced sign patterns on rank-one gradings.
 seifert_tau_floer_data builds the data of a Seifert-fibred sphere's
 involution, which lefschetz evaluates like any other.
 """
@@ -73,33 +75,27 @@ class FloerData:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "maps", maps)
 
-    def traces(self) -> list[Fraction]:
-        return [_trace(m, b) for m, b in zip(self.maps, self.ranks)]
-
 
 def lefschetz(f: FloerData) -> int | Fraction:
     """Alternating trace sum over the eight gradings, exact."""
     total = sum(
-        ((-1) ** k * t for k, t in enumerate(f.traces())), Fraction(0)
+        ((-1) ** k * _trace(m, b) for k, (m, b) in enumerate(zip(f.maps, f.ranks))),
+        Fraction(0),
     )
     return int(total) if total.denominator == 1 else total
 
 
-def check_evenness(f: FloerData) -> int:
-    """1 iff the Lefschetz number is an even integer.
+def lambda_fo_from_lefschetz(lef: int | Fraction) -> int:
+    """Half the Lefschetz number lef; raises OddLefschetz unless it is an even integer.
 
-    Geometric fixtures must pass; a failure flags non-geometric input.
+    Geometric fixtures have an even Lefschetz number, so OddLefschetz
+    flags non-geometric input.
     """
-    value = lefschetz(f)
-    return 1 if isinstance(value, int) and value % 2 == 0 else 0
-
-
-def lambda_fo_from_lefschetz(f: FloerData) -> int:
-    """Half the Lefschetz number; raises OddLefschetz when not even."""
-    value = lefschetz(f)
-    if not isinstance(value, int) or value % 2:
-        raise OddLefschetz(f"Lefschetz number {value} is not an even integer")
-    return value // 2
+    if not isinstance(lef, (int, Fraction)):
+        raise TypeError(f"expected an exact Lefschetz number, got {type(lef).__name__}")
+    if lef % 2:
+        raise OddLefschetz(f"Lefschetz number {lef} is not an even integer")
+    return int(lef) // 2
 
 
 def deduce_sign_pattern(ranks: Sequence[int], target_lef: int) -> dict[int, int]:

@@ -40,21 +40,12 @@ class IntervalWitness:
     """The dyadic interval [low, high] / 2^precision, which excludes zero.
 
     It is the certified sign of the value it encloses: sign is +1 when
-    low > 0 and -1 when high < 0.  The endpoints stay integers; lower and
-    upper are their Fractions, built only on request.
+    low > 0 and -1 when high < 0.  The endpoints stay integers.
     """
 
     low: int
     high: int
     precision: int
-
-    @property
-    def lower(self) -> Fraction:
-        return Fraction(self.low, 1 << self.precision)
-
-    @property
-    def upper(self) -> Fraction:
-        return Fraction(self.high, 1 << self.precision)
 
     @property
     def sign(self) -> int:

@@ -54,12 +54,9 @@ class LaurentPolynomial:
             return int(total)
         return total
 
-    def reverse(self) -> "LaurentPolynomial":
-        """Substitute t -> t^-1."""
-        return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
-
     def is_palindromic(self) -> bool:
-        return self._coeffs == self.reverse()._coeffs
+        """p(t) = p(1/t): each coefficient equals the one at the negated exponent."""
+        return all(self._coeffs.get(-e) == c for e, c in self._coeffs.items())
 
     def __repr__(self):
         return f"LaurentPolynomial({self._coeffs!r})"

@@ -84,35 +84,6 @@ class SeifertMatrix:
         out.entries = _minus_transpose(self.entries)
         return out
 
-    def congruent(self, p_rows: Sequence[Sequence[int]]) -> "SeifertMatrix":
-        """P^T S P for a unimodular integer matrix P."""
-        n = self.size
-        P = [list(map(index, row)) for row in p_rows]
-        if len(P) != n or any(len(r) != n for r in P):
-            raise ValueError("P must match the matrix size")
-        if abs(integer_determinant(P)) != 1:
-            raise ValueError("P must be unimodular")
-        SP = [[sum(self.entries[i][k] * P[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        PtSP = [[sum(P[k][i] * SP[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        return SeifertMatrix(PtSP)
-
-    def stabilized(self, column: Sequence[int] | None = None) -> "SeifertMatrix":
-        """Add a trivial hyperbolic pair (with optional linking column).
-
-        The result presents the same knot; all invariants computed here
-        are unchanged.
-        """
-        n = self.size
-        col = list(column) if column is not None else [0] * n
-        if len(col) != n:
-            raise ValueError("column length must match matrix size")
-        out = [list(row) + [col[i], 0] for i, row in enumerate(self.entries)]
-        out.append([0] * n + [0, 1])
-        out.append([0] * n + [0, 0])
-        return SeifertMatrix(out)
-
     def __eq__(self, other):
         if not isinstance(other, SeifertMatrix):
             return NotImplemented

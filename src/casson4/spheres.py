@@ -3,7 +3,8 @@
 Each step adds a knot (given by a Seifert matrix, interpreted in the
 sphere built so far) with framing 1/q.  The Casson invariant accumulates
 (q/2) * Delta''(1) per step and the Rohlin invariant accumulates
-q * arf mod 2; the two reduce to each other mod 2.
+q * arf mod 2; the two reduce to each other mod 2.  A presentation
+holds its steps as (knot, q) pairs and checks each q when it is built.
 """
 
 from __future__ import annotations
@@ -18,37 +19,23 @@ from .laurent import second_derivative_at_one
 from .seifert import SeifertMatrix, alexander_polynomial, arf_invariant, tl_signature
 
 
-@dataclass(frozen=True)
-class SurgeryStep:
-    knot: SeifertMatrix
-    q: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", operator.index(self.q))
-        if self.q == 0:
-            raise ValueError("surgery coefficient 1/q requires q != 0")
-
-
 class SurgeryPresentation:
-    """Ordered chain of (knot, 1/q) surgeries starting from S^3."""
+    """Ordered chain of (knot, 1/q) surgeries starting from S^3.
+
+    steps holds (knot, q) pairs; q is an integer (operator.index, so a
+    float or Fraction raises TypeError) and not 0 (ValueError).
+    """
 
     __slots__ = ("steps",)
 
-    def __init__(self, steps: Sequence[tuple[SeifertMatrix, int] | SurgeryStep] = ()):
+    def __init__(self, steps: Sequence[tuple[SeifertMatrix, int]] = ()):
         out = []
-        for step in steps:
-            if not isinstance(step, SurgeryStep):
-                knot, q = step
-                step = SurgeryStep(knot, q)
-            out.append(step)
+        for knot, q in steps:
+            q = operator.index(q)
+            if q == 0:
+                raise ValueError("surgery coefficient 1/q requires q != 0")
+            out.append((knot, q))
         self.steps = tuple(out)
-
-    def reversed_orientation(self) -> "SurgeryPresentation":
-        """Negate every framing; models reversing the chain's orientation."""
-        return SurgeryPresentation([(s.knot, -s.q) for s in self.steps])
-
-    def concatenated(self, other: "SurgeryPresentation") -> "SurgeryPresentation":
-        return SurgeryPresentation(self.steps + other.steps)
 
     def __len__(self):
         return len(self.steps)
@@ -79,15 +66,15 @@ def casson(p: SurgeryPresentation) -> int:
     halving is exact and the result is an integer.
     """
     total = 0
-    for step in p.steps:
-        d2 = second_derivative_at_one(alexander_polynomial(step.knot))
-        total += step.q * (d2 // 2)
+    for knot, q in p.steps:
+        d2 = second_derivative_at_one(alexander_polynomial(knot))
+        total += q * (d2 // 2)
     return total
 
 
 def rohlin(p: SurgeryPresentation) -> int:
     """Rohlin invariant: sum of q * arf(knot) mod 2."""
-    return sum(step.q * arf_invariant(step.knot) for step in p.steps) % 2
+    return sum(q * arf_invariant(knot) for knot, q in p.steps) % 2
 
 
 def check_casson_rohlin(p: SurgeryPresentation) -> SphereInvariants:

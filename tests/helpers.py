@@ -15,6 +15,7 @@ from casson4 import (
     FloerData,
     LaurentPolynomial,
     SeifertMatrix,
+    SurgeryPresentation,
     alexander_polynomial,
     connected_sum,
     preset_knot,
@@ -58,6 +59,28 @@ def clear_caches() -> None:
     for fn in package_caches().values():
         if fn.cache_parameters()["maxsize"] is not None:
             fn.cache_clear()
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap the casson4 function ``name`` wherever a loaded casson4 module holds it.
+
+    Returns the list each call appends its arguments to, so a module that
+    imported the function by name is counted as well as its own module.
+    """
+    import sys
+
+    calls = []
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "casson4"]
+    [original] = {vars(m)[name] for m in modules if name in vars(m)}
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class NotSymmetrizable(Casson4Error):
@@ -121,6 +144,46 @@ BASE_KNOTS = [
 ]
 
 
+def congruent(s: SeifertMatrix, p_rows: Sequence[Sequence[int]]) -> SeifertMatrix:
+    """P^T S P for a unimodular integer matrix P: the same knot in another basis."""
+    n = s.size
+    P = [list(map(index, row)) for row in p_rows]
+    if len(P) != n or any(len(r) != n for r in P):
+        raise ValueError("P must match the matrix size")
+    if abs(integer_determinant(P)) != 1:
+        raise ValueError("P must be unimodular")
+    SP = [[sum(s.entries[i][k] * P[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    PtSP = [[sum(P[k][i] * SP[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    return SeifertMatrix(PtSP)
+
+
+def stabilized(s: SeifertMatrix, column: Sequence[int] | None = None) -> SeifertMatrix:
+    """S with a trivial hyperbolic pair added (with optional linking column).
+
+    The result presents the same knot, so every invariant is unchanged.
+    """
+    n = s.size
+    col = list(column) if column is not None else [0] * n
+    if len(col) != n:
+        raise ValueError("column length must match matrix size")
+    out = [list(row) + [col[i], 0] for i, row in enumerate(s.entries)]
+    out.append([0] * n + [0, 1])
+    out.append([0] * n + [0, 0])
+    return SeifertMatrix(out)
+
+
+def reversed_orientation(p: SurgeryPresentation) -> SurgeryPresentation:
+    """Every framing negated: the chain with its orientation reversed."""
+    return SurgeryPresentation([(knot, -q) for knot, q in p.steps])
+
+
+def concatenated(a: SurgeryPresentation, b: SurgeryPresentation) -> SurgeryPresentation:
+    """The chain of a's steps followed by b's."""
+    return SurgeryPresentation(a.steps + b.steps)
+
+
 def random_seifert(rng, max_stabilizations=2) -> SeifertMatrix:
     """Random Seifert matrix: preset or torus base, stabilized and twisted."""
     choice = rng.randrange(len(BASE_KNOTS) + 2)
@@ -132,9 +195,9 @@ def random_seifert(rng, max_stabilizations=2) -> SeifertMatrix:
         s = torus_knot_seifert(3, rng.choice([4, 5]))
     for _ in range(rng.randrange(max_stabilizations + 1)):
         column = [rng.randrange(-1, 2) for _ in range(s.size)]
-        s = s.stabilized(column)
+        s = stabilized(s, column)
     if s.size:
-        s = s.congruent(random_unimodular(rng, s.size))
+        s = congruent(s, random_unimodular(rng, s.size))
     return s
 
 
@@ -435,8 +498,8 @@ def certified_sign(x) -> ZeroWitness | RationalWitness:
     a[0] *= 2
     # not rational, hence nonzero: the refinement ends
     [w] = cosine_sum_signs([a], x.field.n, 1)
-    half = Fraction(1, 2 * scale)
-    return RationalWitness(w.lower * half, w.upper * half, w.precision)
+    unit = Fraction(1, 2 * scale << w.precision)  # one ulp of the witness, over 2L
+    return RationalWitness(w.low * unit, w.high * unit, w.precision)
 
 
 def count_pivot_signs(pivots) -> tuple[int, int]:

@@ -46,10 +46,10 @@ def test_runtime_paths_leave_the_field_unloaded():
     import subprocess
     import sys
 
-    from helpers import random_unimodular
+    from helpers import congruent, random_unimodular
     from test_golden import FIXTURE_COMMANDS, ROOT, _expected
 
-    knot = casson4.torus_knot_seifert(3, 5).congruent(random_unimodular(random.Random(3), 8))
+    knot = congruent(casson4.torus_knot_seifert(3, 5), random_unimodular(random.Random(3), 8))
     argvs = [
         [command, "--input", str(ROOT / "fixtures" / f"{case}.json")]
         for case, command in FIXTURE_COMMANDS.items()
@@ -154,3 +154,47 @@ def test_every_public_name_has_a_caller_or_a_reason():
     # a listed name that gains a caller leaves the list
     assert sorted(set(UNCALLED_EXPORTS) & callers) == []
     assert set(UNCALLED_EXPORTS) <= exported
+
+
+# public methods of exported classes that nothing in src/ or bench/ calls,
+# each with why it stays
+UNCALLED_METHODS: dict[str, str] = {}
+
+
+def _public_methods() -> set[str]:
+    """Class.member for every public function or property in an exported class's body."""
+    import inspect
+
+    return {
+        f"{name}.{member}"
+        for name in casson4.__all__
+        if inspect.isclass(cls := getattr(casson4, name))
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+    }
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    # a method is called when a src module other than __init__, or a bench/
+    # file, names it as an attribute, x.member.  The match is by name alone,
+    # so members that share a name hide each other: a caller of
+    # FreeQuotientData.reversed_orientation also counts for any other
+    # class's reversed_orientation, and result.congruent, which reads the
+    # field SphereInvariants.congruent, counted for a SeifertMatrix.congruent
+    import ast
+    from pathlib import Path
+
+    src = Path(casson4.__file__).parent
+    paths = [path for path in src.glob("*.py") if path.stem != "__init__"]
+    paths += (src.parent.parent / "bench").glob("*.py")
+    attributes = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    uncalled = {method for method in _public_methods() if method.split(".")[1] not in attributes}
+    assert sorted(uncalled - set(UNCALLED_METHODS)) == []
+    # a listed method that gains a caller leaves the list
+    assert sorted(set(UNCALLED_METHODS) - uncalled) == []

@@ -13,7 +13,7 @@ from casson4 import (
     second_derivative_at_one,
 )
 from casson4.errors import BadEuler, NonTrivialAlexander
-from helpers import random_unimodular
+from helpers import congruent, random_unimodular, stabilized
 
 
 def trivial_alexander_corpus():
@@ -26,11 +26,11 @@ def trivial_alexander_corpus():
         ("untwisted double", double),
         ("mirror double", double.mirror()),
         ("double # double", connected_sum(double, double)),
-        ("stabilized double", double.stabilized([1, -1])),
-        ("double-stabilized unknot", unknot.stabilized().stabilized([0, 1])),
+        ("stabilized double", stabilized(double, [1, -1])),
+        ("double-stabilized unknot", stabilized(stabilized(unknot), [0, 1])),
         (
             "twisted double",
-            double.stabilized([2, 0]).congruent(random_unimodular(rng, 4)),
+            congruent(stabilized(double, [2, 0]), random_unimodular(rng, 4)),
         ),
     ]
     for name, s in corpus:

@@ -89,6 +89,15 @@ def test_floer_cork(capsys):
     assert report["congruences"]["evenness"] == 1
 
 
+def test_floer_request_sums_its_traces_once(monkeypatch, capsys):
+    # lambda_fo_from_lefschetz judges the number cmd_floer computed
+    from helpers import count_calls
+
+    calls = count_calls(monkeypatch, "lefschetz")
+    code, report, _ = run_json(["floer", "--input", str(FIXTURES / "floer_cork.json")], capsys)
+    assert (code, report["invariants"]["even"], len(calls)) == (0, 1, 1)
+
+
 def test_floer_odd_lint_is_not_an_error(capsys):
     code, report, _ = run_json(
         ["floer", "--input", str(FIXTURES / "floer_odd_lint.json")], capsys
@@ -240,6 +249,23 @@ def test_sweep_families(capsys):
     assert code == 0
     assert payload["summary"]["congruence_failures"] == 0
     assert all(inst["cover_relation"] == 1 for inst in payload["instances"])
+
+
+def test_free_quotient_sweep_evaluates_each_invariant_once(monkeypatch, capsys):
+    # one free invariant per row, one branched cover's per knot: the
+    # covering relation takes them and evaluates neither again
+    from helpers import count_calls
+    from test_golden import SWEEPS
+
+    free = count_calls(monkeypatch, "equivariant_casson_free")
+    branched = count_calls(monkeypatch, "equivariant_casson_branched")
+    code, payload, _ = run_json(
+        ["sweep", "--family", "free-quotients", "--range", SWEEPS["free-quotients"]], capsys
+    )
+    assert code == 0
+    assert payload["summary"]["instances"] == 15
+    assert all(row["cover_relation"] == 1 for row in payload["instances"])
+    assert (len(free), len(branched)) == (15, 3)
 
 
 def test_sweep_empty_family_range(capsys):

@@ -7,6 +7,7 @@ from casson4 import (
     BranchedQuotientData,
     FreeQuotientData,
     SignatureSpectrum,
+    alexander_polynomial,
     branched_free_relation,
     check_rohlin_congruence,
     equivariant_casson_branched,
@@ -14,6 +15,7 @@ from casson4 import (
     furuta_ohta_mapping_torus,
     orientation_reversal_check,
     preset_knot,
+    second_derivative_at_one,
     torus_knot_seifert,
 )
 from casson4.errors import NonIntegral, NotCoprime
@@ -86,15 +88,20 @@ def test_order_one_returns_plain_casson():
 def test_branched_free_relation_matched_and_mismatched():
     free = FreeQuotientData(2, 1, 0, TREFOIL)
     cover = BranchedQuotientData.from_knot(free.n, free.base_casson, free.knot)
-    assert branched_free_relation(free, cover) == 1
+    d2 = second_derivative_at_one(alexander_polynomial(TREFOIL))
+    lam = equivariant_casson_free(free)
+    assert branched_free_relation(lam, equivariant_casson_branched(cover), free.q, d2) == 1
     mismatched = BranchedQuotientData(2, 0, SignatureSpectrum(2, [0, 8]))
-    assert branched_free_relation(free, mismatched) == 0
+    assert branched_free_relation(lam, equivariant_casson_branched(mismatched), free.q, d2) == 0
+    assert branched_free_relation(lam, equivariant_casson_branched(cover), 3, d2) == 0
 
 
 def test_branched_free_relation_degenerate_q_zero():
     free = FreeQuotientData(1, 0, 2, FIG8)  # gcd(1, 0) = 1
     cover = BranchedQuotientData.from_knot(free.n, free.base_casson, free.knot)
-    assert branched_free_relation(free, cover) == 1
+    d2 = second_derivative_at_one(alexander_polynomial(FIG8))
+    free_value = equivariant_casson_free(free)
+    assert branched_free_relation(free_value, equivariant_casson_branched(cover), 0, d2) == 1
     assert equivariant_casson_free(free) == equivariant_casson_branched(cover)
 
 

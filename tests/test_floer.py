@@ -5,7 +5,6 @@ import pytest
 
 from casson4 import (
     FloerData,
-    check_evenness,
     deduce_sign_pattern,
     lambda_fo_from_lefschetz,
     lefschetz,
@@ -19,8 +18,7 @@ CORK = FloerData((0, 1, 0, 1, 0, 1, 0, 1), ("-id",) * 8)
 
 def test_cork_lefschetz():
     assert lefschetz(CORK) == 4
-    assert check_evenness(CORK) == 1
-    assert lambda_fo_from_lefschetz(CORK) == 2
+    assert lambda_fo_from_lefschetz(lefschetz(CORK)) == 2
 
 
 def test_identity_maps_give_euler_characteristic():
@@ -33,14 +31,25 @@ def test_identity_maps_give_euler_characteristic():
 def test_product_over_poincare_sphere():
     data = FloerData((0, 1, 0, 0, 0, 1, 0, 0))
     assert lefschetz(data) == -2
-    assert lambda_fo_from_lefschetz(data) == -1
+    assert lambda_fo_from_lefschetz(lefschetz(data)) == -1
 
 
 def test_odd_lefschetz_is_flagged_and_refused():
     data = FloerData((1, 0, 0, 0, 0, 0, 0, 0))
-    assert check_evenness(data) == 0
+    assert lefschetz(data) == 1
     with pytest.raises(OddLefschetz):
-        lambda_fo_from_lefschetz(data)
+        lambda_fo_from_lefschetz(lefschetz(data))
+
+
+def test_lambda_fo_from_lefschetz_judges_the_number_it_is_given():
+    # the one judge of evenness: it halves an even integer and refuses the rest
+    assert lambda_fo_from_lefschetz(4) == 2
+    assert lambda_fo_from_lefschetz(Fraction(-6)) == -3
+    for odd in (1, -3, Fraction(1, 2), Fraction(4, 3)):
+        with pytest.raises(OddLefschetz):
+            lambda_fo_from_lefschetz(odd)
+    with pytest.raises(TypeError):
+        lambda_fo_from_lefschetz(4.0)
 
 
 def test_explicit_matrices_and_size_mismatch():
@@ -137,8 +146,13 @@ def test_seifert_tau_fixture_consistency():
     for _ in range(20):
         b = [rng.randint(0, 3) for _ in range(4)]
         fixture = seifert_tau_floer_data(*b)
-        assert lefschetz(fixture) == -b[0] + b[1] - b[2] + b[3]
-        assert check_evenness(fixture) == (1 if sum(b) % 2 == 0 else 0)
+        lef = lefschetz(fixture)
+        assert lef == -b[0] + b[1] - b[2] + b[3]
+        if sum(b) % 2:
+            with pytest.raises(OddLefschetz):
+                lambda_fo_from_lefschetz(lef)
+        else:
+            assert lambda_fo_from_lefschetz(lef) == lef // 2
 
 
 def test_fractional_ranks_refused_not_truncated():

@@ -13,7 +13,7 @@ import random
 import pytest
 import sympy
 
-from casson4 import inertia
+from casson4 import inertia, torus_knot_seifert
 from casson4.errors import InternalError
 from casson4.inertia import _charpoly_mod, _charpoly_packed, _proth_prime, integer_determinant
 from casson4.seifert import _solve_mod
@@ -154,6 +154,12 @@ def _charpoly_cases(p):
     yield H
     for n in (N0, 48):  # every slot of the packed route at its largest
         yield [[p - 1] * n for _ in range(n)]
+    # symmetric tridiagonal pencils -(S + S^T) of T(2, 21) and T(2, 49), 20 and
+    # 48 rows: the list similarity has no multiplier to apply, while every
+    # packed Krylov column stays sparse
+    for q in (21, 49):
+        S = torus_knot_seifert(2, q).entries
+        yield [[-(a + b) for a, b in zip(row, col)] for row, col in zip(S, zip(*S))]
 
 
 @pytest.mark.parametrize("p", CHARPOLY_PRIMES)

@@ -24,7 +24,7 @@ def test_normalize_rejects_non_palindromic():
 def test_normalize_shifts_quadratic():
     q = laurent_normalize_symmetric(L({2: 1, 1: -1, 0: 1}))
     assert q == L({1: 1, 0: -1, -1: 1})
-    assert q == q.reverse()
+    assert q.is_palindromic()
     assert q(1) == 1
 
 
@@ -89,11 +89,16 @@ def test_leibniz_rule_for_second_derivative(ac, bc):
 
 
 def test_evaluation_and_reverse():
+    # the reverse p(1/t) equals p exactly when p is palindromic
     p = L({2: 3, -1: 5})
     assert p(1) == 8
     assert p(-1) == 3 - 5
     assert p(Fraction(1, 2)) == Fraction(3, 4) + 10
-    assert p.reverse() == L({-2: 3, 1: 5})
+    assert not p.is_palindromic()
+    # each coefficient must match the one at the negated exponent, not just its support
+    assert not L({2: 3, -2: 5}).is_palindromic()
+    assert not L({2: 3, 0: 1}).is_palindromic()
+    assert L({2: 3, 0: -1, -2: 3}).is_palindromic() and L({}).is_palindromic()
 
 
 def test_evaluation_refuses_float():

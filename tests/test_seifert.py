@@ -27,6 +27,7 @@ from helpers import (
     alexander_by_interpolation,
     brute_force_arf,
     clear_caches,
+    congruent,
     corpus_knots,
     litherland_torus,
     numpy_inertia,
@@ -36,6 +37,7 @@ from helpers import (
     random_unimodular,
     rank_over_field,
     skew_alexander_charpoly,
+    stabilized,
     sympy_alexander,
     sympy_laurent_product,
     sympy_minor_sums,
@@ -175,9 +177,9 @@ def _mirror_oracle_knots():
     knots = []
     for s in _descartes_oracle_knots():
         column = [rng.randrange(-1, 2) for _ in range(s.size)]
-        knots += [s, s.stabilized(column)]
+        knots += [s, stabilized(s, column)]
         if s.size:
-            knots.append(s.congruent(random_unimodular(rng, s.size)))
+            knots.append(congruent(s, random_unimodular(rng, s.size)))
     return knots
 
 
@@ -245,7 +247,7 @@ def _minor_sum_oracle_knots():
         if not 0 < s.size <= 6:
             continue  # 2^d principal minors each
         if len(knots) % 2:
-            s = s.congruent(random_unimodular(rng, s.size, 12 * s.size))
+            s = congruent(s, random_unimodular(rng, s.size, 12 * s.size))
         knots.append(s)
     return knots
 
@@ -274,7 +276,7 @@ def test_minor_sums_with_too_small_a_prime_raise_internal_error(monkeypatch, bou
     # goes wrong and a post-check catches it
     rng = random.Random(2)
     s = torus_knot_seifert(2, 5)
-    s = s.congruent(random_unimodular(rng, s.size, 12 * s.size))
+    s = congruent(s, random_unimodular(rng, s.size, 12 * s.size))
     assert max(abs(c) for g in _minor_sums(s.entries) for c in g) > 100
     monkeypatch.setattr(seifert, "_minor_sum_bound", lambda entries: bound)
     clear_caches()
@@ -576,7 +578,7 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
     # each post-check of _tl_orbit_cached, reached by one defect at orders 2 and 5
     from casson4 import LaurentPolynomial as Laurent
 
-    big = torus_knot_seifert(2, 5).congruent(random_unimodular(random.Random(2), 4, 48))
+    big = congruent(torus_knot_seifert(2, 5), random_unimodular(random.Random(2), 4, 48))
     for knot in (TREFOIL, FIG8, big):  # cached before _charpoly_mod is patched,
         seifert._alexander_cached(knot.entries)  # under the entries the orbit reads
 
@@ -679,7 +681,7 @@ def test_spectra_match_litherland_count():
 
 def test_conjugated_spectrum_matches_the_torus_knot():
     # no field is built or loaded on this path: test_api.py checks that in a fresh interpreter
-    s = torus_knot_seifert(3, 5).congruent(random_unimodular(random.Random(3), 8))
+    s = congruent(torus_knot_seifert(3, 5), random_unimodular(random.Random(3), 8))
     seifert._tl_orbit_cached.cache_clear()
     assert signature_spectrum(s, 61).total() == -256
     assert signature_spectrum(s, 12) == signature_spectrum(torus_knot_seifert(3, 5), 12)
@@ -760,14 +762,14 @@ def _alexander_oracle_knots() -> list[SeifertMatrix]:
     knots = [s for _, s in corpus_knots()]
     for p, q in [(2, 3), (3, 4), (3, 5), (5, 7), (7, 9)]:
         fiber = torus_knot_seifert(p, q)
-        knots += [fiber, fiber.congruent(random_unimodular(rng, fiber.size))]
+        knots += [fiber, congruent(fiber, random_unimodular(rng, fiber.size))]
     knots += [random_seifert(rng) for _ in range(30)]
     large = []
     while len(large) < 12:
         # many more moves than random_seifert makes: entries in the hundreds
         s = random_seifert(rng)
         if s.size:
-            large.append(s.congruent(random_unimodular(rng, s.size, 12 * s.size)))
+            large.append(congruent(s, random_unimodular(rng, s.size, 12 * s.size)))
     return knots + large
 
 
@@ -845,9 +847,9 @@ def test_mirror_is_a_valid_minus_transpose():
     rng = random.Random(2137)
     knots = list(seifert.PRESET_KNOTS.values())
     knots += [torus_knot_seifert(p, q) for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 9))]
-    knots += [s.stabilized() for s in knots[:6]]
-    knots += [s.stabilized([rng.randint(-3, 3) for _ in range(s.size)]) for s in knots[5:10]]
-    knots += [s.congruent(random_unimodular(rng, s.size)) for s in knots if s.size]
+    knots += [stabilized(s) for s in knots[:6]]
+    knots += [stabilized(s, [rng.randint(-3, 3) for _ in range(s.size)]) for s in knots[5:10]]
+    knots += [congruent(s, random_unimodular(rng, s.size)) for s in knots if s.size]
 
     def skew(e):
         return [[e[i][j] - e[j][i] for j in range(len(e))] for i in range(len(e))]
@@ -884,7 +886,7 @@ def test_congruence_invariance():
         s = random_seifert(rng, max_stabilizations=1)
         if s.size == 0:
             continue
-        t = s.congruent(random_unimodular(rng, s.size))
+        t = congruent(s, random_unimodular(rng, s.size))
         assert alexander_polynomial(t) == alexander_polynomial(s)
         assert arf_invariant(t) == arf_invariant(s)
         assert tl_signature(t, Fraction(1, 2)) == tl_signature(s, Fraction(1, 2))
@@ -895,7 +897,7 @@ def test_stabilization_preserves_invariants():
     rng = random.Random(71)
     for _, s in corpus_knots()[:6]:
         column = [rng.randint(-1, 1) for _ in range(s.size)]
-        t = s.stabilized(column)
+        t = stabilized(s, column)
         assert t.size == s.size + 2
         assert alexander_polynomial(t) == alexander_polynomial(s)
         assert arf_invariant(t) == arf_invariant(s)
@@ -935,12 +937,27 @@ def test_half_second_derivative_matches_arf_mod2():
         assert (d2 // 2) % 2 == arf_invariant(s), name
 
 
+def test_basis_moves_keep_their_refusals():
+    # helpers.congruent and helpers.stabilized build only valid Seifert matrices
+    trefoil = preset_knot("left_trefoil")
+    with pytest.raises(ValueError, match="unimodular"):
+        congruent(trefoil, [[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="size"):
+        congruent(trefoil, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="size"):
+        congruent(trefoil, [[1, 0], [0]])
+    with pytest.raises(ValueError, match="column length"):
+        stabilized(trefoil, [1, 0, 0])
+    assert congruent(trefoil, [[0, 1], [1, 0]]) == SeifertMatrix([[1, 1], [0, 1]])
+    assert stabilized(trefoil).entries == ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+
+
 def test_fractional_entries_refused_not_truncated():
     # int() would read this as the left trefoil [[1, 0], [1, 1]]
     with pytest.raises(TypeError):
         SeifertMatrix([[1.7, 0.2], [1.9, 1.0]])
     trefoil = preset_knot("left_trefoil")
     with pytest.raises(TypeError):
-        trefoil.congruent([[1, 0.0], [0, 1]])
+        congruent(trefoil, [[1, 0.0], [0, 1]])
     with pytest.raises(TypeError):
         SignatureSpectrum(3, [0, -2.0, -2.0])

@@ -13,7 +13,7 @@ from casson4 import (
     torus_knot_seifert,
 )
 from casson4.errors import NonIntegral
-from helpers import corpus_knots
+from helpers import concatenated, corpus_knots, reversed_orientation
 
 
 def test_empty_presentation_is_the_sphere():
@@ -58,7 +58,7 @@ def test_reversal_negates_casson_preserves_rohlin():
                 for _ in range(rng.randint(0, 5))
             ]
         )
-        rev = chain.reversed_orientation()
+        rev = reversed_orientation(chain)
         assert casson(rev) == -casson(chain)
         assert rohlin(rev) == rohlin(chain)
 
@@ -66,7 +66,7 @@ def test_reversal_negates_casson_preserves_rohlin():
 def test_additivity_under_concatenation():
     a = SurgeryPresentation([(preset_knot("left_trefoil"), -1)])
     b = SurgeryPresentation([(preset_knot("figure_eight"), 2)])
-    ab = a.concatenated(b)
+    ab = concatenated(a, b)
     assert casson(ab) == casson(a) + casson(b)
     assert rohlin(ab) == (rohlin(a) + rohlin(b)) % 2
 
@@ -97,12 +97,20 @@ def test_congruence_across_random_chains():
 
 
 def test_fractional_framing_refused_not_truncated():
-    from casson4.spheres import SurgeryStep
-
     trefoil = preset_knot("left_trefoil")
-    with pytest.raises(TypeError):
-        SurgeryStep(trefoil, 1.9)
+    with pytest.raises(ValueError):
+        SurgeryPresentation([(trefoil, 0)])
     with pytest.raises(TypeError):
         SurgeryPresentation([(trefoil, 1.9)])
     with pytest.raises(TypeError):
         SurgeryPresentation([(trefoil, Fraction(3, 1))])
+
+
+def test_presentation_holds_knot_and_integer_framing_pairs():
+    trefoil = preset_knot("left_trefoil")
+    chain = SurgeryPresentation([(trefoil, True), (trefoil, -2)])
+    assert chain.steps == ((trefoil, 1), (trefoil, -2))
+    assert type(chain.steps[0][1]) is int
+    assert chain == SurgeryPresentation(list(chain.steps))
+    assert reversed_orientation(reversed_orientation(chain)) == chain
+    assert concatenated(chain, SurgeryPresentation()) == chain
