@@ -48,7 +48,7 @@ from .equivariant import (
     furuta_ohta_mapping_torus,
 )
 from .errors import (
-    Casson4Error, HypothesisFails, InternalError, NonIntegral, OddLefschetz, ParseError,
+    Casson4Error, HypothesisFails, InternalError, OddLefschetz, ParseError,
     SchemaError,
 )
 from .floer import FloerData, deduce_sign_pattern, lambda_fo_from_lefschetz, lefschetz
@@ -466,19 +466,17 @@ def _sweep_free_quotients(params: dict) -> list[dict]:
     ]
     instances = []
     for name, knot in knots:
-        try:
-            mubar = mubar_double_branched(knot)
-        except NonIntegral as exc:  # fixed knots: a defect, not bad input
-            raise InternalError(f"{name}: {exc}") from None
-        arf = arf_invariant(knot)
-        # the double branched cover's invariant and Delta''(1) are the same for every q
+        # the double branched cover's invariant, sigma/8, and Delta''(1) serve every q
         branched = equivariant_casson_branched(BranchedQuotientData.from_knot(2, 0, knot))
+        if branched.denominator != 1:  # fixed knots: a defect, not bad input
+            raise InternalError(f"{name}: signature {8 * branched} is not divisible by 8")
+        arf = arf_invariant(knot)
         d2 = second_derivative_at_one(alexander_polynomial(knot))
         for q in q_list:
             data = FreeQuotientData(2, q, 0, knot)  # NotCoprime for even q
             # rho of the cover: rho of the double branched cover plus
             # q * arf of the lifted knot (arf is preserved by the lift)
-            rho = (int(mubar) + q * arf) % 2
+            rho = (int(branched) + q * arf) % 2
             lam = furuta_ohta_mapping_torus(data)
             instances.append(
                 {
@@ -610,27 +608,19 @@ def cmd_sweep(family: str, range_spec: str | None) -> tuple[dict, int]:
     return payload, (2 if failed else 0)
 
 
-@dataclass
-class SweepReport:
-    payload: dict
-
-    def render_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2)
-
-    def render_human(self) -> str:
-        payload = self.payload
-        lines = [f"sweep: {payload['family']}"]
-        for inst in payload["instances"]:
-            status = "ok" if inst["congruent"] == 1 else "CONGRUENCE FAIL"
-            fields = ", ".join(
-                f"{k}={v}" for k, v in inst.items() if k not in ("instance", "congruent")
-            )
-            lines.append(f"  {inst['instance']}: {fields} [{status}]")
-        summary = payload["summary"]
-        lines.append(
-            f"summary: {summary['congruence_passes']}/{summary['instances']} congruences hold"
+def _sweep_human(payload: dict) -> str:
+    lines = [f"sweep: {payload['family']}"]
+    for inst in payload["instances"]:
+        status = "ok" if inst["congruent"] == 1 else "CONGRUENCE FAIL"
+        fields = ", ".join(
+            f"{k}={v}" for k, v in inst.items() if k not in ("instance", "congruent")
         )
-        return "\n".join(lines)
+        lines.append(f"  {inst['instance']}: {fields} [{status}]")
+    summary = payload["summary"]
+    lines.append(
+        f"summary: {summary['congruence_passes']}/{summary['instances']} congruences hold"
+    )
+    return "\n".join(lines)
 
 
 # --- entry point ---
@@ -675,11 +665,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             payload, code = cmd_sweep(args.family, args.range)
-            report = SweepReport(payload)
+            if args.format == "json":
+                print(json.dumps(payload, sort_keys=True, indent=2))
+            else:
+                print(_sweep_human(payload))
         else:
             data = load_input(args.input, _COMMANDS[args.command][0])
             report, code = build_report(args.command, data)
-        print(report.render_json() if args.format == "json" else report.render_human())
+            print(report.render_json() if args.format == "json" else report.render_human())
         return code
     except (Casson4Error, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

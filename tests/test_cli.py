@@ -253,19 +253,20 @@ def test_sweep_families(capsys):
 
 def test_free_quotient_sweep_evaluates_each_invariant_once(monkeypatch, capsys):
     # one free invariant per row, one branched cover's per knot: the
-    # covering relation takes them and evaluates neither again
+    # covering relation and rho take them and evaluate neither again
     from helpers import count_calls
     from test_golden import SWEEPS
 
     free = count_calls(monkeypatch, "equivariant_casson_free")
     branched = count_calls(monkeypatch, "equivariant_casson_branched")
+    mubar = count_calls(monkeypatch, "mubar_double_branched")
     code, payload, _ = run_json(
         ["sweep", "--family", "free-quotients", "--range", SWEEPS["free-quotients"]], capsys
     )
     assert code == 0
     assert payload["summary"]["instances"] == 15
     assert all(row["cover_relation"] == 1 for row in payload["instances"])
-    assert (len(free), len(branched)) == (15, 3)
+    assert (len(free), len(branched), len(mubar)) == (15, 3, 0)
 
 
 def test_sweep_empty_family_range(capsys):
@@ -891,9 +892,11 @@ def test_help_exits_0(capsys):
 
 def test_free_quotient_signature_defect_exits_3_in_one_line(monkeypatch, capsys):
     # the family's knots are fixed: a signature off 8Z is a defect, not bad input
-    from casson4 import spheres
+    from fractions import Fraction
 
-    monkeypatch.setattr(spheres, "tl_signature", lambda knot, a: 4)
+    from casson4 import cli
+
+    monkeypatch.setattr(cli, "equivariant_casson_branched", lambda d: Fraction(1, 2))
     code, out, err = run_cli(["sweep", "--family", "free-quotients"], capsys)
     assert (code, out) == (3, "")
     assert err == "internal error: torus(3,5): signature 4 is not divisible by 8\n"

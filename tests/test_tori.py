@@ -220,6 +220,59 @@ def test_constructor_matches_the_ring_oracle():
     }
 
 
+def _random_table(rng):
+    """Whole random ring data: a symmetric cup table with zero diagonal
+    (one stray bit flip in one case in ten), a random symmetric pairing
+    or a preset's in half the cases, and a random top bit."""
+    cup2 = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cup2[i][j] = cup2[j][i] = rng.randrange(64)
+    if rng.random() < 0.1:
+        cup2[rng.randrange(4)][rng.randrange(4)] ^= 1 << rng.randrange(6)
+    if rng.random() < 0.5:
+        pairing = list(rng.choice(ALL_RINGS)[1].pairing)
+    else:
+        pairing = [0] * 6
+        for i in range(6):
+            for j in range(i, 6):
+                if rng.randrange(2):
+                    pairing[i] |= 1 << j
+                    pairing[j] |= 1 << i
+    return cup2, pairing, rng.randrange(2)
+
+
+def test_constructor_matches_the_ring_oracle_on_whole_tables():
+    # several defects at once: CupRing names the one the 256-quadruple
+    # oracle meets first
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(2000):
+        cup2, pairing, top = _random_table(rng)
+        expected = ring_defect(cup2, pairing, top)
+        try:
+            CupRing(cup2, pairing, top)
+        except InconsistentRing as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+        seen.add(expected)
+    assert {
+        "top form must vanish on repeated arguments",
+        "top form is not symmetric under argument permutations",
+    } <= seen
+
+
+def test_constructor_pairs_each_pair_of_two_classes_once(monkeypatch):
+    # one evaluation for the top value and one per pair of basis 2-classes
+    evaluate, calls = CupRing.pair, []
+    monkeypatch.setattr(CupRing, "pair", lambda *args: calls.append(args) or evaluate(*args))
+    for make in (torus4_ring, lambda: product_ring(ThreeTorusForm(1))):
+        calls.clear()
+        make()
+        assert len(calls) == 22
+
+
 def test_inconsistent_ring_never_reaches_its_consumers():
     cup2 = [list(row) for row in T4.cup2]
     cup2[0][1] ^= 1 << 4
