@@ -30,6 +30,8 @@ _START_PREC = 64
 _MAX_PREC = 1 << 16
 # working bits beyond prec + 2 bitlen(prec) + 2 s; the table's guard checks they suffice
 _GUARD_BITS = 16
+# fraction bits beyond bitlen(n) of _root_product_bound's factors
+_ROOT_GUARD_BITS = 8
 # where _charpoly_mod's packed route starts to beat its list route (CHANGES.md)
 _PACKED_MIN_ROWS = 20
 _PACKED_MAX_BITS = 128
@@ -207,10 +209,27 @@ def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * M[-1][-1] if M else 1
 
 
-def ceil_norm(vector: Sequence[int]) -> int:
-    """The Euclidean norm of an integer vector, rounded up (by an integer square root)."""
-    square = sum(map(mul, vector, vector))
+def _ceil_sqrt(square: int) -> int:
+    """The square root of a non-negative integer, rounded up."""
     return isqrt(square - 1) + 1 if square else 0
+
+
+def ceil_norm(vector: Sequence[int]) -> int:
+    """The Euclidean norm of an integer vector, rounded up."""
+    return _ceil_sqrt(sum(map(mul, vector, vector)))
+
+
+def _root_product_bound(squares: Sequence[int]) -> int:
+    """An integer B >= prod_i (1 + sqrt(a_i)) for non-negative integers a_i.
+
+    One fixed-point product: each factor is rounded up to f fraction bits,
+    f = bitlen(n) + _ROOT_GUARD_BITS, and only the product is rounded to an
+    integer.  Each factor is at least 1 and gains less than 2^-f, so B is
+    below (1 + 2^-f)^n < e^(2^-_ROOT_GUARD_BITS) times the product, plus 1.
+    """
+    f = len(squares).bit_length() + _ROOT_GUARD_BITS
+    scaled = prod((1 << f) + _ceil_sqrt(a << 2 * f) for a in squares)
+    return -(-scaled >> f * len(squares))
 
 
 def _odd_prime_product(limit: int) -> int:
@@ -227,13 +246,19 @@ _SMALL_ODD_PRIMES = _odd_prime_product(1000)
 
 @lru_cache(maxsize=1024)
 def _proth_prime(bits: int, order: int = 1) -> int:
-    """A prime c 2^b + 1 with b >= bits and odd c < 2^b, proven prime by Proth's theorem.
+    """The least prime N = c 2^b + 1 > 2^bits with c < 2^b and order | N - 1
+    that Proth's theorem proves with one of the witnesses 3, 5, 7, 11, 13.
 
     Proth: such an N is prime if a^((N-1)/2) = -1 mod N for some a.  A
     prime N gives +-1 for every a prime to it, so any other value shows
-    that N is composite and the search moves on, to the next b once no c
-    is left.  Every c is a multiple of the odd part of order, and
-    2^b >= its even part, so order divides N - 1.
+    that N is composite and the search moves on.  N - 1 >= 2^bits and
+    N - 1 < 2^(2b) give b > bits / 2, so the search starts at
+    b = bits // 2 + 1, or at the exponent of 2 in order if that is larger,
+    and there meets every such N up to 2^(2b) in increasing order, c
+    running over the multiples of order's odd part: an N with a larger
+    exponent is some c 2^b with c even.  It moves to the next b only once
+    no c is left, past every N it has tried.  As 2^(bits + 1) <= 2^(2b),
+    N has bits + 1 bits whenever a proven one has.
 
     Before any power, a sieve skips N when g = gcd(N, P) is neither 1 nor
     N, P the product of the odd primes below 1000: then g is a proper
@@ -243,8 +268,10 @@ def _proth_prime(bits: int, order: int = 1) -> int:
     unsieved search finds.
     """
     odd = order // (order & -order)
-    for b in count(max(bits, (order & -order).bit_length() - 1)):
-        for c in range(odd, 1 << b, 2 * odd):
+    low = 1 << bits  # the least N - 1 not yet tried
+    for b in count(max(bits // 2 + 1, (order & -order).bit_length() - 1)):
+        first = -(-low >> b)
+        for c in range(first + -first % odd, 1 << b, odd):
             candidate = (c << b) + 1
             if gcd(candidate, _SMALL_ODD_PRIMES) not in (1, candidate):
                 continue
@@ -254,6 +281,7 @@ def _proth_prime(bits: int, order: int = 1) -> int:
                     return candidate
                 if power != 1:
                     break
+        low = 1 << 2 * b
 
 
 def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
@@ -262,18 +290,26 @@ def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
     the characteristic polynomials of T's leading blocks by the usual recurrence
     (Cohen, GTM 138, Algorithm 2.2.9): O(n^3) in all.
 
-    Below _PACKED_MIN_ROWS rows, or for p of more than _PACKED_MAX_BITS bits,
-    the list route takes H to T in place by similarity, one entry at a time,
-    and so overwrites the caller's H.  Otherwise the packed route,
-    _charpoly_packed, builds T from products H L on residues packed many to one
-    integer, in slots of w >= 2 bitlen(p) + bitlen(2 n) bits (derived there),
-    and only reads H.  The selection reads only n and p.  The list route skips
-    zeros and the packed route gains little from them, so the two constants
-    are where the packed route stops beating the list route on dense matrices
-    and on the sparse pencils t S - S^T alike (measured in CHANGES.md).
+    Below _PACKED_MIN_ROWS rows, for p of more than _PACKED_MAX_BITS bits, or
+    for an H that is already upper Hessenberg, the list route takes H to T in
+    place by similarity, one entry at a time, and so overwrites the caller's
+    H.  Otherwise the packed route, _charpoly_packed, builds T from products
+    H L on residues packed many to one integer, in slots of
+    w >= 2 bitlen(p) + bitlen(2 n) bits (derived there), and only reads H.
+    The list route skips zeros and the packed route gains little from them,
+    so the two constants are where the packed route stops beating the list
+    route on dense matrices and on the sparse pencils t S - S^T alike, and
+    on a Hessenberg H, such as the tridiagonal pencils of T(2, q), the list
+    route has nothing to eliminate (measured in CHANGES.md).  The shape is
+    read from the entries as given: a nonzero multiple of p below the
+    subdiagonal sends H to the packed route, which is as exact.
     """
     n = len(H)
-    if n >= _PACKED_MIN_ROWS and p.bit_length() <= _PACKED_MAX_BITS:
+    if (
+        n >= _PACKED_MIN_ROWS
+        and p.bit_length() <= _PACKED_MAX_BITS
+        and any(any(row[: i - 1]) for i, row in enumerate(H[2:], 2))
+    ):
         return _charpoly_packed(H, p)
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if H[i][m - 1] % p), None)
@@ -384,10 +420,10 @@ def _charpoly_bound(M: list[list[int]]) -> int:
     """B >= |e_r(M)| for every r, for a symmetric integer matrix M.
 
     Hadamard bounds each principal minor on the index set I by the
-    product of rho_i = ceil|M_i.| over I, so |e_r| <= e_r(rho) <=
-    prod_i (1 + rho_i).
+    product of the row norms |M_i.| over I, so |e_r| <= e_r(|M_i.|) <=
+    prod_i (1 + |M_i.|), which _root_product_bound rounds up once.
     """
-    return prod(1 + ceil_norm(row) for row in M)
+    return _root_product_bound([sum(map(mul, row, row)) for row in M])
 
 
 def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:

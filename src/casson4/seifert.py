@@ -31,10 +31,11 @@ from typing import Sequence
 from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import form_value, symplectic_basis
 from .inertia import (
+    _ceil_sqrt,
     _charpoly_bound,
     _charpoly_mod,
     _proth_prime,
-    ceil_norm,
+    _root_product_bound,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
@@ -124,13 +125,12 @@ def connected_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 # --- Alexander polynomial ---
 
 @lru_cache(maxsize=1024)
-def _row_norms(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """x_i = ceil|(|S_ij| + |S_ji|)_j|, in integers: on |t| = 1 the entry
-    t S_ij - S_ji of row i of t S - S^T has modulus at most |S_ij| + |S_ji|,
-    so the row has norm at most x_i.  By the triangle inequality x_i is at
-    most ceil|S_i.| + ceil|S_.i|.  Cached: both bounds below read it."""
+def _row_squares(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """a_i = sum_j (|S_ij| + |S_ji|)^2: on |t| = 1 the entry t S_ij - S_ji of
+    row i of t S - S^T has modulus at most |S_ij| + |S_ji|, so the row has
+    norm at most sqrt(a_i).  Cached: both bounds below read it."""
     return tuple(
-        ceil_norm([abs(a) + abs(b) for a, b in zip(row, col)])
+        sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))
         for row, col in zip(entries, zip(*entries))
     )
 
@@ -138,17 +138,18 @@ def _row_norms(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 def _coefficient_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     """B >= |c| for every coefficient c of det(t S - S^T), in integers only:
     Hadamard's inequality bounds the determinant on |t| = 1 by the product
-    of the row norms x_i of _row_norms, and Cauchy's bound carries that to
-    every coefficient."""
-    return prod(_row_norms(entries))
+    of the row norms, at most sqrt(prod_i a_i) with a_i of _row_squares,
+    rounded up once, and Cauchy's bound carries that to every coefficient."""
+    return _ceil_sqrt(prod(_row_squares(entries)))
 
 
 def _minor_sum_bound(entries: tuple[tuple[int, ...], ...]) -> int:
     """B >= |g_r(t)| on |t| = 1 for every g_r(t) = e_r(t S - S^T), r = 0 .. d,
     and so, by Cauchy's bound, for every coefficient of g_r: Hadamard bounds
     each principal minor on the index set I by the product of the row norms
-    x_i over I, so |g_r| <= e_r(x) <= prod_i (1 + x_i) there."""
-    return prod(1 + x for x in _row_norms(entries))
+    over I, so |g_r| <= prod_i (1 + sqrt(a_i)) there, with a_i of
+    _row_squares, which _root_product_bound rounds up once."""
+    return _root_product_bound(_row_squares(entries))
 
 
 def _solve_mod(a_rows, b_rows, p: int) -> list[list[int]]:

@@ -633,8 +633,10 @@ def tl_orbit_by_elimination(entries, k: int):
 def proth_prime_unsieved(bits: int, order: int = 1) -> int:
     """inertia._proth_prime without its small-prime sieve: every candidate takes the power test."""
     odd = order // (order & -order)
-    for b in count(max(bits, (order & -order).bit_length() - 1)):
-        for c in range(odd, 1 << b, 2 * odd):
+    low = 1 << bits
+    for b in count(max(bits // 2 + 1, (order & -order).bit_length() - 1)):
+        first = -(-low >> b)
+        for c in range(first + -first % odd, 1 << b, odd):
             candidate = (c << b) + 1
             for a in (3, 5, 7, 11, 13):
                 power = pow(a, candidate >> 1, candidate)
@@ -642,6 +644,13 @@ def proth_prime_unsieved(bits: int, order: int = 1) -> int:
                     return candidate
                 if power != 1:
                     break
+        low = 1 << 2 * b
+
+
+def proth_split(p: int) -> tuple[int, int]:
+    """(c, b) with p - 1 = c 2^b and c odd: Proth's theorem proves p only when c < 2^b."""
+    b = ((p - 1) & (1 - p)).bit_length() - 1
+    return (p - 1) >> b, b
 
 
 def phi_divides(n: int, poly: Sequence[int]) -> bool:

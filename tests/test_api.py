@@ -95,7 +95,7 @@ def test_cache_table_is_pinned():
         "casson4.seifert._alexander_cached": 1024,
         "casson4.seifert._arf_cached": 1024,
         "casson4.seifert._gram_factor": 1024,
-        "casson4.seifert._row_norms": 1024,
+        "casson4.seifert._row_squares": 1024,
         "casson4.seifert._root_of_unity": 1024,
         "casson4.seifert._tl_orbit_cached": 1024,
         "casson4.inertia._proth_prime": 1024,

@@ -837,6 +837,29 @@ def test_bound_limit_is_that_of_the_largest_torus_reference():
     assert cli._MAX_BOUND_BITS == 390
 
 
+def test_cost_cap_holds_every_bound_the_entries_set():
+    # the cap of _cost_bits is at least each part of a prime's bound that the
+    # entries set: on seeded matrices, on their conjugates with entries in
+    # the hundreds, and on T(13, 15)
+    import random
+
+    from casson4 import cli, seifert, torus_knot_seifert
+    from casson4.inertia import _charpoly_bound
+    from helpers import congruent, random_seifert, random_unimodular
+
+    rng = random.Random(2411)
+    knots = [s for s in (random_seifert(rng) for _ in range(40)) if s.size]
+    knots += [congruent(s, random_unimodular(rng, s.size, 12 * s.size)) for s in knots]
+    knots.append(torus_knot_seifert(13, 15))
+    assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
+    for s in knots:
+        e = s.entries
+        symmetric = [[a + b for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
+        bounds = (seifert._coefficient_bound(e), seifert._minor_sum_bound(e),
+                  _charpoly_bound(symmetric))
+        assert max(b.bit_length() for b in bounds) <= cli._cost_bits(e), s
+
+
 _HUGE = 2**1000  # a 4 x 4 matrix of such entries once took over 600 s at order 64
 
 

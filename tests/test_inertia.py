@@ -12,8 +12,10 @@ from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
     IntervalWitness,
     _SMALL_ODD_PRIMES,
+    _ceil_sqrt,
     _charpoly_bound,
     _proth_prime,
+    _root_product_bound,
     cosine_sum_signs,
     descartes_inertia,
 )
@@ -26,6 +28,7 @@ from helpers import (
     numpy_inertia,
     pivot_signature,
     proth_prime_unsieved,
+    proth_split,
 )
 
 
@@ -351,13 +354,35 @@ def test_charpoly_bound_and_prime_hold_the_coefficients():
         assert max(abs(int(c)) for c in coeffs) <= bound
         bits = (2 * bound).bit_length()
         p = _proth_prime(bits)
-        assert p > 2 * bound
-        k, rest = divmod(p - 1, 1 << bits)
-        assert rest == 0 and k % 2 == 1 and k < 1 << bits
-        assert sympy.isprime(p)
+        assert 2 * bound < 1 << bits < p
+        c, b = proth_split(p)
+        assert c < 1 << b and sympy.isprime(p)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 61, 64, 97])
+def test_root_product_bound_is_one_rounding_above_the_product():
+    # B >= prod (1 + sqrt a_i), enclosed by mpmath's interval arithmetic, and
+    # B < e^(2^-8) times it plus 1; never above rounding each root up first
+    from mpmath import iv
+
+    iv.prec = 2000
+    rng = random.Random(1021)
+    cases = [[], [0], [0, 0, 1], [4, 9, 16], [2] * 168, [10**60, 3]]
+    cases += [[rng.randint(0, 10 ** rng.randint(1, 8)) for _ in range(rng.randint(1, 48))]
+              for _ in range(200)]
+    cases += [[rng.randint(1, 40) ** 2 for _ in range(rng.randint(1, 48))] for _ in range(50)]
+    for squares in cases:
+        bound = _root_product_bound(squares)
+        exact = iv.mpf(1)
+        for a in squares:
+            exact *= 1 + iv.sqrt(a)
+        assert exact.a <= bound < exact.b * iv.exp(iv.mpf(2) ** -8) + 1, squares
+        assert bound <= prod(1 + _ceil_sqrt(a) for a in squares)
+
+
+PROTH_ORDERS = [1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 61, 64, 97]
+
+
+@pytest.mark.parametrize("order", PROTH_ORDERS)
 def test_sieved_proth_prime_is_the_unsieved_one(order):
     # from bits = 1 on, so the answers and the rejected candidates below 1000 are covered
     import sympy
@@ -374,10 +399,20 @@ def test_sieve_passes_primes_and_products_of_distinct_small_primes():
 
     assert _SMALL_ODD_PRIMES == prod(sympy.primerange(3, 1000))
     search = _proth_prime.__wrapped__
-    # 5 and 13 share all of their factors with the sieve and are still found; 9 and
-    # 25 are skipped before 41; 57 = 3 * 19 divides the product, so the power test
-    # rejects it before 113 is found
-    assert [search(1), search(1, 3), search(3), search(3, 7)] == [5, 13, 41, 113]
+    # 5 and 13 share all of their factors with the sieve and are still found; 3
+    # divides the product and is its own witness, so the power test rejects it
+    # before 5; 9 is skipped before 13; 57 = 3 * 19 divides the product, so the
+    # power test rejects it before 113 is found
+    assert [search(1), search(1, 3), search(3), search(3, 7)] == [5, 13, 13, 113]
+
+
+@pytest.mark.parametrize("order", PROTH_ORDERS)
+def test_proth_prime_has_one_bit_more_than_asked(order):
+    # the least Proth prime above 2^bits lies below 2^(bits + 1) at every size
+    # the bounds ask for, so no prime carries a bit its lift does not need
+    for bits in range(32, 561):
+        p = _proth_prime(bits, order)
+        assert p.bit_length() == bits + 1 and (p - 1) % order == 0, (bits, order)
 
 
 def test_too_small_a_prime_fails_the_determinant_check(monkeypatch):

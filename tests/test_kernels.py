@@ -18,7 +18,7 @@ from casson4.errors import InternalError
 from casson4.inertia import _charpoly_mod, _charpoly_packed, _proth_prime, integer_determinant
 from casson4.seifert import _solve_mod
 
-PRIMES = (10007, _proth_prime(90))
+PRIMES = (10007, 135 * 2**90 + 1)  # a small prime and a 98-bit Proth prime
 
 
 def _random_matrix(rng, n, low=-3, high=3):
@@ -154,12 +154,17 @@ def _charpoly_cases(p):
     yield H
     for n in (N0, 48):  # every slot of the packed route at its largest
         yield [[p - 1] * n for _ in range(n)]
-    # symmetric tridiagonal pencils -(S + S^T) of T(2, 21) and T(2, 49), 20 and
-    # 48 rows: the list similarity has no multiplier to apply, while every
-    # packed Krylov column stays sparse
-    for q in (21, 49):
-        S = torus_knot_seifert(2, q).entries
-        yield [[-(a + b) for a, b in zip(row, col)] for row, col in zip(S, zip(*S))]
+    # symmetric tridiagonal pencils -(S + S^T) of T(2, q), 20 to 66 rows: the
+    # list similarity has no multiplier to apply, while every packed Krylov
+    # column stays sparse
+    for q in (21, 41, 49, 67):
+        yield _half_pencil(2, q)
+
+
+def _half_pencil(p, q):
+    """-(S + S^T) for T(p, q)'s Seifert matrix S: the pencil t S - S^T at t = -1."""
+    S = torus_knot_seifert(p, q).entries
+    return [[-(a + b) for a, b in zip(row, col)] for row, col in zip(S, zip(*S))]
 
 
 @pytest.mark.parametrize("p", CHARPOLY_PRIMES)
@@ -184,10 +189,22 @@ def test_charpoly_mod_matches_sympy(p, monkeypatch):
         assert _charpoly_mod([row[:] for row in H], p) == expected, H
 
 
-def test_charpoly_route_is_chosen_by_size_and_prime_alone(monkeypatch):
+def test_charpoly_route_is_chosen_by_size_prime_and_shape(monkeypatch):
     calls = []
     monkeypatch.setattr(inertia, "_charpoly_packed", lambda H, p: calls.append((len(H), p)) or [])
     small, large = CHARPOLY_PRIMES[-2:]
     for n, p in ((N0 - 1, small), (N0, small), (N0, large), (48, small), (48, large)):
-        _charpoly_mod([[0] * n for _ in range(n)], p)
+        corner = [[0] * n for _ in range(n)]
+        corner[-1][0] = 1  # one entry below the subdiagonal
+        _charpoly_mod(corner, p)
     assert calls == [(N0, small), (48, small)]
+    # a matrix that is already upper Hessenberg takes the list route at any
+    # size: the tridiagonal pencils of T(2, 41) and T(2, 67), 40 and 66 rows,
+    # at their own packable primes; T(7, 9)'s banded pencil, 48 rows, packs
+    calls.clear()
+    for p, q in ((2, 41), (2, 67), (7, 9)):
+        H = _half_pencil(p, q)
+        prime = _proth_prime((2 * inertia._charpoly_bound(H)).bit_length(), 2)
+        assert len(H) >= N0 and prime.bit_length() <= B0
+        _charpoly_mod(H, prime)
+    assert [n for n, _ in calls] == [48]

@@ -19,7 +19,7 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
-from casson4.inertia import IntervalWitness
+from casson4.inertia import IntervalWitness, _root_product_bound
 from helpers import (
     _descartes_orbit,
     _minor_sums,
@@ -33,6 +33,7 @@ from helpers import (
     numpy_inertia,
     phi_divides,
     pivot_signature,
+    proth_split,
     random_seifert,
     random_unimodular,
     rank_over_field,
@@ -264,10 +265,9 @@ def test_minor_sums_match_principal_minors_within_the_bound():
         assert max(abs(c) for g in expected for c in g) <= bound
         bits = (2 * bound).bit_length()
         p = seifert._proth_prime(bits)
-        assert p > 2 * bound
-        k, rest = divmod(p - 1, 1 << bits)
-        assert rest == 0 and k % 2 == 1 and k < 1 << bits
-        assert sympy.isprime(p)
+        assert 2 * bound < 1 << bits < p
+        c, b = proth_split(p)
+        assert c < 1 << b and sympy.isprime(p)
 
 
 @pytest.mark.parametrize("bound", [1, 10])
@@ -297,28 +297,28 @@ def _ceil_sqrt(n):
 
 
 def _row_bounds(entries):
-    """(x, rho), recomputed: x_i = ceil|(|S_ij| + |S_ji|)_j| and rho_i = ceil|S_i.| + ceil|S_.i|."""
-    x, rho = [], []
+    """(a, rho), recomputed: a_i = sum_j (|S_ij| + |S_ji|)^2 and rho_i = ceil|S_i.| + ceil|S_.i|."""
+    a, rho = [], []
     for row, col in zip(entries, zip(*entries)):
-        x.append(_ceil_sqrt(sum((abs(a) + abs(b)) ** 2 for a, b in zip(row, col))))
-        rho.append(_ceil_sqrt(sum(a * a for a in row)) + _ceil_sqrt(sum(b * b for b in col)))
-    return x, rho
+        a.append(sum((abs(x) + abs(y)) ** 2 for x, y in zip(row, col)))
+        rho.append(_ceil_sqrt(sum(x * x for x in row)) + _ceil_sqrt(sum(y * y for y in col)))
+    return a, rho
 
 
 def _lift_bound(entries, k):
     """The bound _tl_orbit_cached must keep what it lifts within, recomputed.
 
     At k = 2 it lifts g_r(-1) = (-1)^r e_r(S + S^T), within the Hadamard bound
-    of S + S^T; at k >= 3 the coordinates c, within 2^d prod_i (1 + x_i),
-    times the Gram factor when h <= d.
+    of S + S^T; at k >= 3 the coordinates c, within 2^d prod_i (1 + sqrt(a_i)),
+    times the Gram factor when h <= d.  Each product of 1 + sqrt is rounded up
+    by _root_product_bound, which test_inertia checks against an enclosure.
     """
     d, h = len(entries), _class_count(k)
     if k == 2:
-        return prod(
-            1 + _ceil_sqrt(sum((a + b) ** 2 for a, b in zip(row, col)))
-            for row, col in zip(entries, zip(*entries))
+        return _root_product_bound(
+            [sum((a + b) ** 2 for a, b in zip(row, col)) for row, col in zip(entries, zip(*entries))]
         )
-    bound = 2**d * prod(1 + x for x in _row_bounds(entries)[0])
+    bound = 2**d * _root_product_bound(_row_bounds(entries)[0])
     return ceil(bound * Fraction(*seifert._gram_factor(k))) if h <= d else bound
 
 
@@ -407,22 +407,19 @@ def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
             bits, order, p = primes[0]  # the orbit asks before Alexander
             assert order == k and (p - 1) % k == 0
             assert p > 2 * _lift_bound(s.entries, k)
-            c, b = p - 1, 0
-            while c % 2 == 0:
-                c, b = c // 2, b + 1
-            assert b >= bits and c < 1 << b and sympy.isprime(p)
+            c, b = proth_split(p)
+            assert p > 1 << bits and c < 1 << b and sympy.isprime(p)
             omega = seifert._root_of_unity(p, k)
             assert [j for j in range(1, k + 1) if pow(omega, j, p) == 1] == [k]
     clear_caches()
 
 
 def test_proth_prime_moves_to_the_next_exponent():
-    # no odd multiple of 61 lies below 2^2, so the search moves past b = 2
+    # no multiple of 61 lies below 2^2, so the search moves past b = 2
     import sympy
 
     p = seifert._proth_prime(2, 61)
-    b = ((p - 1) & (1 - p)).bit_length() - 1
-    c = (p - 1) >> b
+    c, b = proth_split(p)
     assert b > 2 and c % 61 == 0 and c % 2 == 1 and c < 1 << b
     assert sympy.isprime(p)
 
@@ -431,7 +428,10 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
     # every prime is sized by the bound of what it lifts: on seeded matrices and
     # on ones with entries in the hundreds, at every order 1 .. 64, the realized
     # |coefficient| or |coordinate| <= that bound <= the row-and-column bound,
-    # and Delta and the spectra are the interpolation oracles'
+    # the one prime asked for is a prime above twice that bound, 1 mod the
+    # order, and Delta and the spectra are the interpolation oracles'
+    import sympy
+
     rng = random.Random(2213)
     knots = [s for s in (random_seifert(rng) for _ in range(8)) if s.size]
     knots += _minor_sum_oracle_knots()
@@ -445,8 +445,13 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
         return X
 
     def proth_spy(bits, order=1):
-        asked.append(bits)
-        return proth(bits, order)
+        asked.append((bits, order, proth(bits, order)))
+        return asked[-1][2]
+
+    def sized_by(bound, order):
+        [(bits, k, p)] = asked
+        assert (bits, k) == ((2 * bound).bit_length(), order)
+        assert 2 * bound < p and sympy.isprime(p) and (p - 1) % order == 0
 
     monkeypatch.setattr(seifert, "_proth_prime", proth_spy)
     for s in knots:
@@ -456,10 +461,10 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
         delta = seifert._alexander_cached(e)
         assert delta == alexander_by_interpolation(s)
         bound = seifert._coefficient_bound(e)
-        x, rho = _row_bounds(e)
-        assert bound == prod(x)
+        a, rho = _row_bounds(e)
+        assert bound == _ceil_sqrt(prod(a))
         assert max(abs(c) for _, c in delta.items()) <= bound <= prod(rho)
-        assert asked == [(2 * bound).bit_length()]
+        sized_by(bound, 1)
         with monkeypatch.context() as patch:
             patch.setattr(seifert, "_solve_mod", solve_spy)
             for k in range(1, 65):
@@ -471,7 +476,7 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
                     continue
                 assert seifert._tl_orbit_cached(e, k) == _descartes_orbit(e, k), (e, k)
                 bound = _lift_bound(e, k)
-                assert asked == [(2 * bound).bit_length()]
+                sized_by(bound, k)
                 assert max(map(abs, lifted)) <= bound <= _row_column_bound(e, k), (e, k)
     clear_caches()
 
@@ -788,10 +793,9 @@ def test_alexander_matches_interpolation_oracle_within_the_bound():
         assert max(abs(c) for _, c in expected.items()) <= bound
         bits = (2 * bound).bit_length()
         p = seifert._proth_prime(bits)
-        assert p > 2 * bound
-        k, rest = divmod(p - 1, 1 << bits)
-        assert rest == 0 and k % 2 == 1 and k < 1 << bits
-        assert sympy.isprime(p)
+        assert 2 * bound < 1 << bits < p
+        c, b = proth_split(p)
+        assert c < 1 << b and sympy.isprime(p)
 
 
 def test_alexander_post_check_raises_internal_error(monkeypatch):
