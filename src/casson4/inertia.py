@@ -10,8 +10,8 @@ class m in one call (cosine_sum_signs), by an error budget that rests on
 the bound |C_j - 2^prec 2 cos| <= 1 proved for the integer cosine table
 (fixed_point_cosines).  Each such sign is its witness, a dyadic interval
 that excludes zero (IntervalWitness.sign); no field is built.  For a
-rational symmetric matrix the coefficients are found exactly, in integers
-after scaling, modulo one proven prime (certified_signature).
+symmetric integer matrix, such as S + S^T at order 2, the coefficients
+are found exactly modulo one proven prime (_symmetric_inertia).
 """
 
 from __future__ import annotations
@@ -179,9 +179,7 @@ def descartes_inertia(signs: Sequence[int]) -> tuple[int, int, int]:
     n_plus = sum(1 for (r, s), (q, t) in pairs if s * t * (-1) ** (q - r) < 0)
     rank = nonzero[-1][0]
     if n_plus + n_minus != rank:
-        raise InternalError(
-            f"{n_plus} + {n_minus} sign changes, but the rank is {rank}"
-        )
+        raise InternalError(f"{n_plus} + {n_minus} sign changes, but the rank is {rank}")
     return n_plus, n_minus, len(signs) - 1 - rank
 
 
@@ -426,17 +424,34 @@ def _charpoly_bound(M: list[list[int]]) -> int:
     return _root_product_bound([sum(map(mul, row, row)) for row in M])
 
 
+def _symmetric_inertia(M: list[list[int]], det: int) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix M with determinant det.
+
+    e_r(M), (-1)^r times the x^(n - r) coefficient of det(x I - M), is read
+    modulo a Proth prime p > 2 B (B from _charpoly_bound) as the residue
+    nearest zero: |e_r| > B, e_0 != 1 or e_n != det is an internal error.
+    """
+    bound = _charpoly_bound(M)
+    p = _proth_prime((2 * bound).bit_length())
+    chi = _charpoly_mod([[x % p for x in row] for row in M], p)
+    e = [(-1) ** r * (c - p if c > p // 2 else c) for r, c in enumerate(reversed(chi))]
+    if any(abs(x) > bound for x in e):
+        raise InternalError(f"some e_r(M) exceeds the bound {bound}")
+    if e[0] != 1:
+        raise InternalError(f"e_0(M) came out {e[0]}, not 1")
+    if e[-1] != det:
+        raise InternalError(f"e_{len(M)}(M) came out {e[-1]}, not det M = {det}")
+    return descartes_inertia([(x > 0) - (x < 0) for x in e])
+
+
 def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
     """Exact inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
 
     Entries may be ints and Fractions.  Raises ValueError for a matrix
     that is not square, TypeError for any other kind of entry, and
-    NotHermitian when the matrix differs from its transpose.
-
-    M = L h, with L the lcm of the denominators, has the same inertia
-    and integer e_r(M).  They are read from det(x I - M) modulo a Proth
-    prime p > 2 B (B from _charpoly_bound), as the residues nearest zero,
-    and e_n must equal det M, taken apart by Bareiss.
+    NotHermitian when the matrix differs from its transpose.  M = L h,
+    with L the lcm of the denominators, has the same inertia, and
+    _symmetric_inertia checks e_n(M) against det M, taken by Bareiss.
     """
     n = len(h)
     for row in h:
@@ -451,11 +466,4 @@ def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
         for j in range(i + 1, n):
             if M[i][j] != M[j][i]:
                 raise NotHermitian(f"entry ({i},{j}) breaks symmetry")
-    p = _proth_prime((2 * _charpoly_bound(M)).bit_length())
-    chi = _charpoly_mod([[x % p for x in row] for row in M], p)
-    # the x^(n - r) coefficient is (-1)^r e_r
-    e = [(-1) ** r * (c - p if c > p // 2 else c) for r, c in enumerate(reversed(chi))]
-    det = integer_determinant(M)
-    if e[n] != det:
-        raise InternalError(f"e_{n}(M) came out {e[n]}, not det M = {det}")
-    return descartes_inertia([(x > 0) - (x < 0) for x in e])
+    return _symmetric_inertia(M, integer_determinant(M))

@@ -6,12 +6,11 @@ points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
 
 Signatures at roots of unity of every order k >= 2 come from Descartes'
-rule, on the integer coordinates of the coefficients of det(x I - H),
-found modulo one proven prime and signed by the fixed-point integer
-cosines of inertia.fixed_point_cosines (_tl_orbit_cached).  No
-cyclotomic field is built or loaded: casson4.cyclotomic is the tests'
-oracle, and inertia.certified_signature serves callers' own matrices
-and the tests, not this path.
+rule on det(x I - H), found modulo one proven prime (_tl_orbit_cached):
+at k = 2 on the integer form S + S^T (inertia._symmetric_inertia), at
+k >= 3 on the integer coordinates of its coefficients, signed by the
+integer cosines of inertia.fixed_point_cosines.  No cyclotomic field is
+built or loaded: casson4.cyclotomic is the tests' oracle.
 
 The caches hold one entry per mirror pair.  The public readers pass the
 oriented key of _oriented, the smaller of S and -S^T: the mirror has the
@@ -32,10 +31,10 @@ from .errors import InternalError, InvalidSeifertMatrix, NotCoprime
 from .gf2 import form_value, symplectic_basis
 from .inertia import (
     _ceil_sqrt,
-    _charpoly_bound,
     _charpoly_mod,
     _proth_prime,
     _root_product_bound,
+    _symmetric_inertia,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
@@ -305,17 +304,17 @@ def _tl_orbit_cached(
     """Signatures at every primitive k-th root of unity, and their nullity.
 
     Returns (values, nullity): values[m] is the signature at zeta_k^m for
-    gcd(m, k) = 1 and None otherwise.  At k = 1, and for d = 0, the form
-    is zero; every other order takes Descartes' rule.  The readers pass
-    the oriented key of _oriented and multiply by its sign, since -S^T
-    has the form -conj(H): negated signatures, the same nullity.  Called
-    on any other valid matrix it is the direct route.
+    gcd(m, k) = 1 and None otherwise.  The readers pass the key of
+    _oriented and apply its sign; on any other valid matrix it is the
+    direct route.  At k = 1, and for d = 0, the form is zero.  At k = 2,
+    H = 2 (S + S^T) has the inertia of S + S^T, which _symmetric_inertia
+    reads, checked against det(S + S^T) = (-1)^(d/2) Delta(-1).
 
-    H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t), an
-    integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
+    For k >= 3, H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t),
+    an integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it
     has integer coordinates c over the basis 1, u_1, .., u_(h-1) of
-    Z[zeta + 1/zeta], where h is the number of classes m in [1, k/2] prime
-    to k: phi(k)/2 for k >= 3, and 1 at k = 2.  Its value at zeta^m is
+    Z[zeta + 1/zeta], where h = phi(k)/2 is the number of classes m in
+    [1, k/2] prime to k.  Its value at zeta^m is
     c_0 + sum_j c_j 2 cos(2 pi jm/k): zero exactly when c = 0, else signed
     by cosine_sum_signs, one call per class for all the nonzero c.
     Modulo a Proth prime p = 1 mod k, zeta becomes omega, and one
@@ -323,53 +322,46 @@ def _tl_orbit_cached(
     first n = min(d + 1, h) classes c solves V c = v, V_(m,0) = 1 and
     V_(m,j) = omega^(jm) + omega^(-jm): a unit-triangular change from the
     Vandermonde matrix in omega^m + omega^-m, which are distinct mod p and
-    over R.  p exceeds twice a bound on what is lifted, so the lift is the
-    residues nearest 0.  For k >= 3 that is c.  On |t| = 1, |1/t - 1| <= 2
-    and |g_r(t)| <= B (_minor_sum_bound), so |e_r(H(t))| <= 2^d B.  For
-    d + 1 <= h, c holds the Laurent coefficients of e_r(H(t)), which
-    Cauchy's bound keeps within 2^d B; else n = h, and the values
-    v_m = e_r(H(zeta^m)) give |c_j| <= F 2^d B, with F the Gram factor of
-    _gram_factor.  At k = 2, omega = -1 and V = [1]: the integer
-    g_r(-1) = e_r(-(S + S^T)) = (-1)^r e_r(S + S^T) is lifted, within the
-    bound inertia._charpoly_bound(S + S^T), and c is then
-    e_r(H(-1)) = (-2)^r g_r(-1), in integers.
+    over R.  p exceeds twice a bound on c, so the lift is the residues
+    nearest 0.  On |t| = 1, |1/t - 1| <= 2 and |g_r(t)| <= B
+    (_minor_sum_bound), so |e_r(H(t))| <= 2^d B.  For d + 1 <= h, c holds
+    the Laurent coefficients of e_r(H(t)), which Cauchy's bound keeps
+    within 2^d B; else n = h, and the values v_m = e_r(H(zeta^m)) give
+    |c_j| <= F 2^d B, with F the Gram factor of _gram_factor.
     """
     d = len(entries)
     if k == 1 or not d:
         return tuple(0 if gcd(m, k) == 1 else None for m in range(k)), d
+    if k == 2:  # H(-1) = 2 (S + S^T), and det(S + S^T) = (-1)^(d/2) Delta(-1)
+        det = sum(c * (-1) ** (e + d // 2) for e, c in _alexander_cached(entries).items())
+        symmetric = [list(map(add, r, c)) for r, c in zip(entries, zip(*entries))]
+        n_plus, n_minus, nullity = _symmetric_inertia(symmetric, det)
+        return (None, n_plus - n_minus), nullity
     classes = [m for m in range(1, k // 2 + 1) if gcd(m, k) == 1]
     n = min(d + 1, len(classes))
-    if k == 2:  # g_r(-1) is lifted, within the Hadamard bound of S + S^T
-        symmetric = [list(map(add, r, c)) for r, c in zip(entries, zip(*entries))]
-        bound = _charpoly_bound(symmetric)
-    else:
-        bound = 2**d * _minor_sum_bound(entries)
-        if n < d + 1:
-            a, b = _gram_factor(k)
-            bound = -(-bound * a // b)
+    bound = 2**d * _minor_sum_bound(entries)
+    if n < d + 1:
+        a, b = _gram_factor(k)
+        bound = -(-bound * a // b)
     p = _proth_prime((2 * bound).bit_length(), k)
     omega = _root_of_unity(p, k)
     alexander = _alexander_cached(entries).items()
     powers = _powers(omega, k, p)
     rows, V = [], []  # what is lifted, mod p, r = 0 .. d, and V, per class used
     for m in classes[:n]:
-        w, inverse = powers[m], powers[k - m]
         up = [powers[j * m % k] for j in range(d + 1)]
         down = [powers[-j * m % k] for j in range(n)]
-        g = _principal_sums(entries, w, p)
+        g = _principal_sums(entries, powers[m], p)
         if (g[d] - sum(c * up[e + d // 2] for e, c in alexander)) % p:
             raise InternalError(f"g_{d}(omega^{m}) is not det(t S - S^T) there, mod {p}")
-        if k > 2:  # e_r(H(omega^m)) = (omega^-m - 1)^r g_r(omega^m)
-            g = [x * y % p for x, y in zip(g, _powers(inverse - 1, d + 1, p))]
-        rows.append(g)
+        # e_r(H(omega^m)) = (omega^-m - 1)^r g_r(omega^m)
+        rows.append([x * y % p for x, y in zip(g, _powers(powers[k - m] - 1, d + 1, p))])
         V.append([1] + [x + y for x, y in zip(up[1:n], down[1:n])])
     coords = [tuple(x - p if x > p // 2 else x for x in c) for c in zip(*_solve_mod(V, rows, p))]
     if coords[0] != (1,) + (0,) * (n - 1):
         raise InternalError(f"e_0(H) has coordinates {coords[0]}, not 1")
     if any(abs(x) > bound for c in coords for x in c):
         raise InternalError(f"a coordinate of some e_r(H) exceeds the bound {bound}")
-    if k == 2:
-        coords = [(x * (-2) ** r,) for r, (x,) in enumerate(coords)]
     nonzero = [r for r, c in enumerate(coords) if any(c)]
     vectors = [coords[r] for r in nonzero]
     values = [None] * k

@@ -28,7 +28,6 @@ from casson4.gf2 import bitrows_rank
 from casson4.inertia import (
     _charpoly_mod,
     _proth_prime,
-    certified_signature,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
@@ -756,20 +755,20 @@ def _minor_sums(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
         )
     # an exact anchor for every r: at t = -1 the form H is 2 (S + S^T) and
     # e_r(H(-1)) = (-2)^r g_r(-1) is an integer, so Descartes' rule must
-    # give the inertia that certified_signature finds for that form, from
-    # a characteristic polynomial taken with its own bound and prime
+    # give the inertia that one elimination of S + S^T over Q finds (not
+    # certified_signature, whose core is the order-2 route under test)
     signs = []
     for r, g in enumerate(sums):
         value = (-2) ** r * sum(c if j % 2 == 0 else -c for j, c in enumerate(g))
         signs.append((value > 0) - (value < 0))
     inertia = descartes_inertia(signs)
-    expected = certified_signature(
+    expected = pivot_signature(
         [[a + b for a, b in zip(row, col)] for row, col in zip(entries, columns)]
     )
     if inertia != expected:
         raise InternalError(
             f"e_r(t S - S^T) at t = -1 give inertia {inertia}; "
-            f"certified_signature of S + S^T gives {expected}"
+            f"eliminating S + S^T gives {expected}"
         )
     return tuple(sums)
 

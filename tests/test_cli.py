@@ -649,15 +649,14 @@ def test_singular_class_matrix_exits_3_in_one_line(monkeypatch, tmp_path, capsys
     assert "column 1 has no pivot" in err
 
 
-def _bound_defect_exits_3(monkeypatch, tmp_path, capsys, bound, order):
-    from casson4 import seifert
+def _bound_defect_exits_3(monkeypatch, tmp_path, capsys, module, bound, order):
     from helpers import clear_caches
 
     data = json.loads((FIXTURES / "trefoil.json").read_text())
     data["spectrum_order"] = order
     path = tmp_path / f"trefoil{order}.json"
     path.write_text(json.dumps(data))
-    monkeypatch.setattr(seifert, bound, lambda entries: 1)
+    monkeypatch.setattr(f"casson4.{module}.{bound}", lambda entries: 1)
     clear_caches()
     try:
         code, out, err = run_cli(["knot", "--input", str(path)], capsys)
@@ -671,22 +670,22 @@ def _bound_defect_exits_3(monkeypatch, tmp_path, capsys, bound, order):
 
 def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     # orders k >= 3 size their prime by _minor_sum_bound: order 3 trips the check
-    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "_minor_sum_bound", 6)
+    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "seifert", "_minor_sum_bound", 6)
 
 
 def test_order_two_bound_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
-    # order 2 sizes its prime by the Hadamard bound of S + S^T
-    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "_charpoly_bound", 2)
+    # order 2 sizes its prime by the Hadamard bound of S + S^T, in inertia
+    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "inertia", "_charpoly_bound", 2)
 
 
 def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
-    # the order-2 signature of the fixture reads g_0 = 2 from a skewed
-    # characteristic polynomial; its Alexander polynomial is cached first
-    from casson4 import SeifertMatrix, alexander_polynomial, seifert
+    # the order-2 signature of the fixture reads e_0 = 2 from a skewed
+    # characteristic polynomial of S + S^T; its Alexander polynomial is cached first
+    from casson4 import SeifertMatrix, alexander_polynomial, inertia
     from helpers import clear_caches
 
     path = FIXTURES / "trefoil.json"
-    charpoly = seifert._charpoly_mod
+    charpoly = inertia._charpoly_mod
 
     def lead_two(H, p):
         coeffs = charpoly(H, p)
@@ -695,15 +694,33 @@ def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
 
     clear_caches()
     alexander_polynomial(SeifertMatrix(json.loads(path.read_text())["seifert"]))
-    monkeypatch.setattr(seifert, "_charpoly_mod", lead_two)
+    monkeypatch.setattr(inertia, "_charpoly_mod", lead_two)
     try:
         code, out, err = run_cli(["knot", "--input", str(path)], capsys)
     finally:
         clear_caches()
     assert code == 3
-    assert "e_0(H)" in err
+    assert "e_0(M) came out 2, not 1" in err
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_wrong_delta_at_minus_one_exits_3_in_one_line(monkeypatch, capsys):
+    # order 2 checks det(S + S^T) = 3 against -Delta(-1): a Delta with
+    # Delta(1) = 1 and the trefoil's Arf invariant, but Delta(-1) = -11, not -3
+    from casson4 import LaurentPolynomial, seifert
+    from helpers import clear_caches
+
+    wrong = LaurentPolynomial({-1: 3, 0: -5, 1: 3})
+    monkeypatch.setattr(seifert, "_alexander_cached", lambda entries: wrong)
+    clear_caches()
+    try:
+        code, out, err = run_cli(["knot", "--input", str(FIXTURES / "trefoil.json")], capsys)
+    finally:
+        clear_caches()
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: e_2(M) came out 3, not det M = 11\n"
 
 
 @pytest.mark.parametrize(

@@ -416,6 +416,13 @@ def test_proth_prime_has_one_bit_more_than_asked(order):
 
 
 def test_too_small_a_prime_fails_the_determinant_check(monkeypatch):
-    monkeypatch.setattr("casson4.inertia._charpoly_bound", lambda M: 1)
-    with pytest.raises(InternalError):
+    # every e_r lifts within the true bound, so the Bareiss determinant decides
+    monkeypatch.setattr("casson4.inertia._proth_prime", lambda bits, order=1: 5)
+    with pytest.raises(InternalError, match=r"e_2\(M\) came out -2, not det M = 3$"):
         certified_signature([[-2, 1], [1, -2]])  # det 3 lifts to -2 mod 5
+
+
+def test_too_small_a_bound_fails_the_bound_check(monkeypatch):
+    monkeypatch.setattr("casson4.inertia._charpoly_bound", lambda M: 1)
+    with pytest.raises(InternalError, match=r"some e_r\(M\) exceeds the bound 1$"):
+        certified_signature([[-2, 1], [1, -2]])  # e_2 = 3 lifts to -2 mod 5

@@ -19,7 +19,7 @@ from casson4 import (
 )
 from casson4 import seifert
 from casson4.errors import InternalError, InvalidSeifertMatrix, NotCoprime
-from casson4.inertia import IntervalWitness, _root_product_bound
+from casson4.inertia import IntervalWitness, _root_product_bound, integer_determinant
 from helpers import (
     _descartes_orbit,
     _minor_sums,
@@ -140,18 +140,88 @@ def test_galois_orbit_spectrum_matches_direct_eliminations(n):
             assert tl_nullity(s, Fraction(m, n)) == n_zero, (s, n, m)
 
 
-def test_half_signature_matches_elimination_oracle():
-    # the slow path it replaced: one elimination of H(-1) = 2 (S + S^T);
-    # the mirror -S^T has the negated form
+def _order_two_oracle_knots():
+    """The corpus, 200 seeded knots and a seeded conjugate P^T S P of each."""
     rng = random.Random(2011)
     knots = [s for _, s in corpus_knots()] + [random_seifert(rng) for _ in range(200)]
-    for s in knots:
+    return knots + [congruent(s, random_unimodular(rng, s.size)) for s in knots if s.size]
+
+
+def test_half_signature_matches_elimination_oracle():
+    # the slow path it replaced: one elimination over Q of S + S^T, which
+    # H(-1) doubles.  Order 2 shares its core with certified_signature, so
+    # this is its independent check; the mirror -S^T has the negated form
+    for s in _order_two_oracle_knots():
         for t in (s, s.mirror()):
             d = t.size
-            H = [[2 * (t.entries[i][j] + t.entries[j][i]) for j in range(d)] for i in range(d)]
-            n_plus, n_minus, n_zero = pivot_signature(H)
+            M = [[t.entries[i][j] + t.entries[j][i] for j in range(d)] for i in range(d)]
+            n_plus, n_minus, n_zero = pivot_signature(M)
             assert tl_signature(t, Fraction(1, 2)) == n_plus - n_minus, t
             assert tl_nullity(t, Fraction(1, 2)) == n_zero, t
+
+
+def test_det_s_plus_s_transpose_is_signed_delta_at_minus_one():
+    # the order-2 check rests on det(S + S^T) = (-1)^(d/2) Delta(-1)
+    import sympy
+
+    for s in _order_two_oracle_knots():
+        d = s.size
+        M = sympy.Matrix(d, d, lambda i, j: s.entries[i][j] + s.entries[j][i])
+        delta = alexander_polynomial(s)
+        value = sum(c * (-1) ** (e % 2) for e, c in delta.items())
+        assert (M.det() if d else 1) == (-1) ** (d // 2) * value, s
+
+
+def test_order_two_is_one_symmetric_inertia(monkeypatch):
+    # k = 2 finds no root of unity, signs no cosine sum, solves no V c = v and
+    # takes no pencil: it hands S + S^T and its determinant to
+    # inertia._symmetric_inertia, which asks one prime, of order 1, above twice
+    # the Hadamard bound of S + S^T.  k = 3 keeps the class route: one class,
+    # one call of each, and no symmetric inertia
+    from casson4 import inertia
+
+    calls, asked = [], []
+
+    def counted(name):
+        real = getattr(seifert, name)
+
+        def spy(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(seifert, name, spy)
+
+    for name in ("_root_of_unity", "cosine_sum_signs", "_solve_mod", "_principal_sums",
+                 "_symmetric_inertia"):
+        counted(name)
+    proth = seifert._proth_prime
+
+    def proth_spy(bits, order=1):
+        asked.append((bits, order, proth(bits, order)))
+        return asked[-1][2]
+
+    monkeypatch.setattr(seifert, "_proth_prime", proth_spy)
+    monkeypatch.setattr(inertia, "_proth_prime", proth_spy)
+    rng = random.Random(2027)
+    knots = [TREFOIL, FIG8, torus_knot_seifert(7, 9)] + [random_seifert(rng) for _ in range(8)]
+    for s in filter(lambda s: s.size, knots):
+        e = s.entries
+        seifert._alexander_cached(e)
+        symmetric = [[a + b for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
+        calls.clear()
+        asked.clear()
+        seifert._tl_orbit_cached.__wrapped__(e, 2)
+        assert calls == [("_symmetric_inertia", (symmetric, integer_determinant(symmetric)))], s
+        bound = inertia._charpoly_bound(symmetric)
+        [(bits, order, p)] = asked
+        assert (bits, order) == ((2 * bound).bit_length(), 1) and p > 2 * bound, s
+        calls.clear()
+        asked.clear()
+        seifert._tl_orbit_cached.__wrapped__(e, 3)
+        assert sorted(name for name, _ in calls) == sorted(
+            ["_root_of_unity", "_principal_sums", "_solve_mod", "cosine_sum_signs"]
+        ), s
+        assert [order for _, order, _ in asked] == [3], s
 
 
 def _descartes_oracle_knots():
@@ -308,7 +378,7 @@ def _row_bounds(entries):
 def _lift_bound(entries, k):
     """The bound _tl_orbit_cached must keep what it lifts within, recomputed.
 
-    At k = 2 it lifts g_r(-1) = (-1)^r e_r(S + S^T), within the Hadamard bound
+    At k = 2 it lifts e_r(S + S^T) = (-1)^r g_r(-1), within the Hadamard bound
     of S + S^T; at k >= 3 the coordinates c, within 2^d prod_i (1 + sqrt(a_i)),
     times the Gram factor when h <= d.  Each product of 1 + sqrt is rounded up
     by _root_product_bound, which test_inertia checks against an enclosure.
@@ -357,7 +427,8 @@ def _conjugate_oracle_cases():
 def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
     # where d + 1 <= h the coordinates are the Laurent coefficients
     # of e_r(H(t)); each class passes every nonzero one, in the order of r,
-    # to one cosine_sum_signs call, and a zero one means e_r(H) = 0
+    # to one cosine_sum_signs call, and a zero one means e_r(H) = 0; k = 2
+    # signs no coordinate, and lifts e_r(S + S^T) = (-1)^r g_r(-1)
     seen = []
     signs = seifert.cosine_sum_signs
 
@@ -372,8 +443,12 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
         values, nullity = seifert._tl_orbit_cached.__wrapped__(entries, k)
         assert (values, nullity) == _descartes_orbit(entries, k), (entries, k)
         singular += nullity > 0
-        # at k = 2 the coordinates are (-2)^r times the lifted g_r(-1)
-        bound = _lift_bound(entries, k) << (len(entries) if k == 2 else 0)
+        bound = _lift_bound(entries, k)
+        if k == 2:
+            assert seen == []
+            minus_one = [sum(c * (-1) ** j for j, c in enumerate(g)) for g in _minor_sums(entries)]
+            assert max(map(abs, minus_one)) <= bound, entries
+            continue
         assert all(abs(x) <= bound for batch in seen for a in batch for x in a)
         assert len(seen) == _class_count(k) and all(batch == seen[0] for batch in seen)
         d = len(entries)
@@ -386,7 +461,12 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
 
 
 def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
+    # at k >= 3 the orbit's prime is 1 mod k and holds an omega of order k;
+    # at k = 2 the one prime, asked of inertia with order 1, is odd, and -1
+    # is the root of unity that _symmetric_inertia never needs to find
     import sympy
+
+    from casson4 import inertia
 
     primes = []
     proth = seifert._proth_prime
@@ -396,20 +476,22 @@ def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
         return primes[-1][2]
 
     monkeypatch.setattr(seifert, "_proth_prime", spy)
+    monkeypatch.setattr(inertia, "_proth_prime", spy)
     rng = random.Random(2113)
     knots = [torus_knot_seifert(3, 5), torus_knot_seifert(2, 9)]
     knots += [random_seifert(rng) for _ in range(6)]
     for s in filter(lambda s: s.size, knots):
         for k in (2, 3, 4, 7, 12, 16, 30, 61, 64):
             clear_caches()
+            seifert._alexander_cached(s.entries)
             primes.clear()
             seifert._tl_orbit_cached(s.entries, k)
-            bits, order, p = primes[0]  # the orbit asks before Alexander
-            assert order == k and (p - 1) % k == 0
+            [(bits, order, p)] = primes
+            assert order == (1 if k == 2 else k) and (p - 1) % k == 0
             assert p > 2 * _lift_bound(s.entries, k)
             c, b = proth_split(p)
             assert p > 1 << bits and c < 1 << b and sympy.isprime(p)
-            omega = seifert._root_of_unity(p, k)
+            omega = p - 1 if k == 2 else seifert._root_of_unity(p, k)
             assert [j for j in range(1, k + 1) if pow(omega, j, p) == 1] == [k]
     clear_caches()
 
@@ -429,20 +511,28 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
     # on ones with entries in the hundreds, at every order 1 .. 64, the realized
     # |coefficient| or |coordinate| <= that bound <= the row-and-column bound,
     # the one prime asked for is a prime above twice that bound, 1 mod the
-    # order, and Delta and the spectra are the interpolation oracles'
+    # order (order 1 at k = 2, where inertia lifts e_r(S + S^T)), and Delta
+    # and the spectra are the interpolation oracles'
     import sympy
+
+    from casson4 import inertia
 
     rng = random.Random(2213)
     knots = [s for s in (random_seifert(rng) for _ in range(8)) if s.size]
     knots += _minor_sum_oracle_knots()
     assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
     lifted, asked = [], []
-    solve, proth = seifert._solve_mod, seifert._proth_prime
+    solve, proth, charpoly = seifert._solve_mod, seifert._proth_prime, inertia._charpoly_mod
 
     def solve_spy(a_rows, b_rows, p):
         X = solve(a_rows, b_rows, p)
         lifted.extend(x - p if x > p // 2 else x for row in X for x in row)
         return X
+
+    def charpoly_spy(H, p):
+        chi = charpoly(H, p)
+        lifted.extend(x - p if x > p // 2 else x for x in chi)
+        return chi
 
     def proth_spy(bits, order=1):
         asked.append((bits, order, proth(bits, order)))
@@ -454,6 +544,7 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
         assert 2 * bound < p and sympy.isprime(p) and (p - 1) % order == 0
 
     monkeypatch.setattr(seifert, "_proth_prime", proth_spy)
+    monkeypatch.setattr(inertia, "_proth_prime", proth_spy)
     for s in knots:
         e = s.entries
         clear_caches()
@@ -467,6 +558,7 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
         sized_by(bound, 1)
         with monkeypatch.context() as patch:
             patch.setattr(seifert, "_solve_mod", solve_spy)
+            patch.setattr(inertia, "_charpoly_mod", charpoly_spy)
             for k in range(1, 65):
                 lifted.clear()
                 asked.clear()
@@ -476,7 +568,7 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
                     continue
                 assert seifert._tl_orbit_cached(e, k) == _descartes_orbit(e, k), (e, k)
                 bound = _lift_bound(e, k)
-                sized_by(bound, k)
+                sized_by(bound, 1 if k == 2 else k)
                 assert max(map(abs, lifted)) <= bound <= _row_column_bound(e, k), (e, k)
     clear_caches()
 
@@ -549,7 +641,10 @@ class _Asked(Exception):
 
 
 def _bits_asked(monkeypatch, compute, entries):
-    """The bits the first _proth_prime call asks for, stopping the computation there."""
+    """The bits the first _proth_prime call asks for, in seifert or in inertia,
+    stopping the computation there."""
+    from casson4 import inertia
+
     asked = []
 
     def spy(bits, order=1):
@@ -557,6 +652,7 @@ def _bits_asked(monkeypatch, compute, entries):
         raise _Asked
 
     monkeypatch.setattr(seifert, "_proth_prime", spy)
+    monkeypatch.setattr(inertia, "_proth_prime", spy)
     with pytest.raises(_Asked):
         compute(entries)
     monkeypatch.undo()
@@ -569,6 +665,9 @@ def _bits_asked(monkeypatch, compute, entries):
 )
 def test_orbit_prime_bits_stay_within_their_guard(monkeypatch, p, q, k, most):
     entries = torus_knot_seifert(p, q).entries
+    # order 2 sums Delta(-1) before it asks for its prime: a stub Delta keeps
+    # the Alexander prime out of the count, and nothing is checked before the ask
+    monkeypatch.setattr(seifert, "_alexander_cached", lambda e: LaurentPolynomial.one())
     orbit = seifert._tl_orbit_cached.__wrapped__
     assert _bits_asked(monkeypatch, lambda e: orbit(e, k), entries) <= most
 
@@ -580,15 +679,19 @@ def test_alexander_prime_bits_stay_within_their_guard(monkeypatch, p, q, most):
 
 
 def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
-    # each post-check of _tl_orbit_cached, reached by one defect at orders 2 and 5
+    # each post-check of _tl_orbit_cached, reached by one defect at orders 2 and
+    # 5: order 2 makes its checks in inertia._symmetric_inertia, so its defects
+    # are injected there
     from casson4 import LaurentPolynomial as Laurent
+    from casson4 import inertia
 
     big = congruent(torus_knot_seifert(2, 5), random_unimodular(random.Random(2), 4, 48))
-    for knot in (TREFOIL, FIG8, big):  # cached before _charpoly_mod is patched,
+    t25 = torus_knot_seifert(2, 5)
+    for knot in (TREFOIL, FIG8, big, t25):  # cached before _charpoly_mod is patched,
         seifert._alexander_cached(knot.entries)  # under the entries the orbit reads
 
-    def reached(match, knot=TREFOIL):  # the Alexander polynomials stay cached
-        for k in (2, 5):
+    def reached(messages, knot=TREFOIL):  # the Alexander polynomials stay cached
+        for k, match in messages.items():
             seifert._tl_orbit_cached.cache_clear()
             try:
                 with pytest.raises(InternalError, match=match):
@@ -596,9 +699,10 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
             finally:
                 seifert._tl_orbit_cached.cache_clear()
 
-    with monkeypatch.context() as patch:  # Delta disagrees with g_d
+    # Delta disagrees with g_d; at k = 2, det(S + S^T) = 3 is not -Delta(-1) = -2
+    with monkeypatch.context() as patch:
         patch.setattr(seifert, "_alexander_cached", lambda entries: Laurent({0: 2}))
-        reached("is not det")
+        reached({2: r"e_2\(M\) came out 3, not det M = -2", 5: "is not det"})
     charpoly = seifert._charpoly_mod
 
     def lead_two(H, p):
@@ -608,22 +712,32 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(seifert, "_charpoly_mod", lead_two)
-        reached("not 1")
+        patch.setattr(inertia, "_charpoly_mod", lead_two)
+        reached({2: r"e_0\(M\) came out 2, not 1", 5: r"e_0\(H\) has coordinates .*, not 1"})
     with monkeypatch.context() as patch:  # too small a prime: k = 2 reads the
-        patch.setattr(seifert, "_charpoly_bound", lambda M: 1)  # bound of S + S^T,
+        patch.setattr(inertia, "_charpoly_bound", lambda M: 1)  # bound of S + S^T,
         patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)  # k = 5 this one
-        reached("exceeds the bound", big)
+        reached({2: r"some e_r\(M\) exceeds the bound 1$", 5: "exceeds the bound"}, big)
     with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
         patch.setattr(
             seifert, "cosine_sum_signs", lambda vectors, k, m: [IntervalWitness(1, 1, 0)] * len(vectors)
         )
-        reached("sign changes", FIG8)
+        reached({5: "sign changes"}, FIG8)
+
+    def traceless(H, p):
+        coeffs = charpoly(H, p)
+        coeffs[-2] = 0  # e_1 = 0 in the definite S + S^T of T(2, 5): signs +, 0, +, -, +
+        return coeffs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(inertia, "_charpoly_mod", traceless)
+        reached({2: "2 sign changes, but the rank is 4"}, t25)
 
 
 def test_every_order_takes_the_class_route(monkeypatch):
     # certified_signature is off the signature path: with it raising in
     # every module that holds it, orders 1 .. 12 still give the oracle's
-    # signatures and nullities, k = 2 included
+    # signatures and nullities, k = 2 included, which shares only its core
     import sys
 
     rng = random.Random(2137)

@@ -65,3 +65,24 @@ def test_only_the_cli_and_the_test_field_are_unimported_src_modules():
     for name, path in paths.items():
         imported |= _imported_modules(ast.parse(path.read_text())) - {name}
     assert modules - imported == {"cli", "cyclotomic"}
+
+
+def test_every_imported_name_is_used():
+    # a name a src module imports and never reads is a leftover of a removed
+    # route; __init__ is exempt, since it imports to re-export
+    import casson4
+
+    unused = []
+    for path in sorted(Path(casson4.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unused == []
