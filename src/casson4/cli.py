@@ -150,9 +150,9 @@ def _cost_bits(rows) -> int:
     """Bits of B = prod_i (1 + ceil|S_i.| + ceil|S_.i|), the cap on an inline matrix's cost.
 
     B is at least the part of every prime's bound that the entries set
-    (seifert._coefficient_bound, seifert._minor_sum_bound and the Hadamard
-    bound of S + S^T), so with the size and the order it caps the primes;
-    the primes themselves are sized by those tighter bounds.
+    (seifert._coefficient_bound and seifert._minor_sum_bound), so with the
+    size and the order it caps the primes; the primes themselves are sized
+    by those tighter bounds.
     """
     norms = (ceil_norm(row) + ceil_norm(col) for row, col in zip(rows, zip(*rows)))
     return prod(1 + rho for rho in norms).bit_length()

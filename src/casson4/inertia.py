@@ -1,4 +1,5 @@
-"""Certified inertia of Hermitian matrices, by Descartes' rule of signs.
+"""Certified inertia of Hermitian matrices: by Descartes' rule of signs, or by
+elimination for integer ones.
 
 The characteristic polynomial of a Hermitian matrix has only real roots,
 so the signs of its coefficients give the inertia exactly
@@ -9,9 +10,11 @@ zero exactly when c = 0, and any other sign is certified, all of one
 class m in one call (cosine_sum_signs), by an error budget that rests on
 the bound |C_j - 2^prec 2 cos| <= 1 proved for the integer cosine table
 (fixed_point_cosines).  Each such sign is its witness, a dyadic interval
-that excludes zero (IntervalWitness.sign); no field is built.  For a
-symmetric integer matrix, such as S + S^T at order 2, the coefficients
-are found exactly modulo one proven prime (_symmetric_inertia).
+that excludes zero (IntervalWitness.sign); no field is built.  A
+symmetric integer matrix, such as S + S^T at order 2, takes no
+characteristic polynomial and no prime: one fraction-free symmetric
+elimination reads its inertia from the signs of its pivots
+(_symmetric_inertia).
 """
 
 from __future__ import annotations
@@ -414,34 +417,62 @@ def _charpoly_packed(H: list[list[int]], p: int) -> list[int]:
     return unpack(polys[n], n + 1)
 
 
-def _charpoly_bound(M: list[list[int]]) -> int:
-    """B >= |e_r(M)| for every r, for a symmetric integer matrix M.
-
-    Hadamard bounds each principal minor on the index set I by the
-    product of the row norms |M_i.| over I, so |e_r| <= e_r(|M_i.|) <=
-    prod_i (1 + |M_i.|), which _root_product_bound rounds up once.
-    """
-    return _root_product_bound([sum(map(mul, row, row)) for row in M])
-
-
 def _symmetric_inertia(M: list[list[int]], det: int) -> tuple[int, int, int]:
-    """Inertia of a symmetric integer matrix M with determinant det.
+    """Inertia of a symmetric integer matrix M with determinant det, by one
+    fraction-free symmetric elimination: Bareiss's (Math. Comp. 22, 1968),
+    with the 2 x 2 pivots of Bunch & Kaufman (Math. Comp. 31, 1977).
 
-    e_r(M), (-1)^r times the x^(n - r) coefficient of det(x I - M), is read
-    modulo a Proth prime p > 2 B (B from _charpoly_bound) as the residue
-    nearest zero: |e_r| > B, e_0 != 1 or e_n != det is an internal error.
+    Only the upper triangle is read and updated, on the rows not yet
+    pivoted.  Once pivots on a set P are taken, entry (i, j) is the minor
+    of M on the rows P + i and the columns P + j, and D the minor on P, so
+    by Sylvester's identity every division below is exact.  A nonzero
+    diagonal entry a is a 1 x 1 pivot, of the sign of a / D, and D
+    becomes a.  On a zero diagonal, a nonzero entry b at (p, q) is
+    the 2 x 2 pivot [[0, b], [b, 0]] / D, of inertia (1, 1): each w at
+    (i, j) becomes b (y u + x v - b w) / D^2, x and y being the (p, j) and
+    (q, j) entries and u and v the (i, p) and (i, q) ones, and D becomes
+    -b^2 / D.  A zero block left is the nullity.  D_n, the last D, or 0
+    when a block is left, is det M: any other value is an internal error.
     """
-    bound = _charpoly_bound(M)
-    p = _proth_prime((2 * bound).bit_length())
-    chi = _charpoly_mod([[x % p for x in row] for row in M], p)
-    e = [(-1) ** r * (c - p if c > p // 2 else c) for r, c in enumerate(reversed(chi))]
-    if any(abs(x) > bound for x in e):
-        raise InternalError(f"some e_r(M) exceeds the bound {bound}")
-    if e[0] != 1:
-        raise InternalError(f"e_0(M) came out {e[0]}, not 1")
-    if e[-1] != det:
-        raise InternalError(f"e_{len(M)}(M) came out {e[-1]}, not det M = {det}")
-    return descartes_inertia([(x > 0) - (x < 0) for x in e])
+    M = [list(row) for row in M]
+    n = len(M)
+    rest, D, n_minus = list(range(n)), 1, 0
+
+    def column(p):  # the entries (i, p) for i in rest
+        return [M[i][p] if i < p else M[p][i] for i in rest]
+
+    while rest:
+        p = next((i for i in rest if M[i][i]), None)
+        if p is not None:
+            pivot = M[p][p]
+            rest.remove(p)
+            x = column(p)
+            for t, (i, u) in enumerate(zip(rest, x)):
+                if u or pivot != D:  # else the step scales the row by pivot / D = 1
+                    row = M[i]
+                    for j, c in zip(rest[t:], x[t:]):
+                        row[j] = (row[j] * pivot - u * c) // D
+            n_minus += (pivot < 0) != (D < 0)
+            D = pivot
+            continue
+        pair = next(((i, j) for t, i in enumerate(rest) for j in rest[t + 1 :] if M[i][j]), None)
+        if pair is None:
+            break
+        p, q = pair
+        b = M[p][q]
+        rest.remove(p)
+        rest.remove(q)
+        x, y, square = column(p), column(q), D * D
+        for t, (i, u, v) in enumerate(zip(rest, x, y)):
+            row = M[i]
+            for j, xj, yj in zip(rest[t:], x[t:], y[t:]):
+                row[j] = b * (yj * u + xj * v - b * row[j]) // square
+        n_minus += 1
+        D = -b * b // D
+    last = 0 if rest else D
+    if last != det:
+        raise InternalError(f"D_{n} came out {last}, not det M = {det}")
+    return n - len(rest) - n_minus, n_minus, len(rest)
 
 
 def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -451,7 +482,8 @@ def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
     that is not square, TypeError for any other kind of entry, and
     NotHermitian when the matrix differs from its transpose.  M = L h,
     with L the lcm of the denominators, has the same inertia, and
-    _symmetric_inertia checks e_n(M) against det M, taken by Bareiss.
+    _symmetric_inertia checks its last pivot minor against det M, taken
+    by integer_determinant.
     """
     n = len(h)
     for row in h:

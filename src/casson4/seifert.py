@@ -5,12 +5,13 @@ symmetric Alexander polynomial, Tristram-Levine signatures at rational
 points on the circle, the full signature spectrum at a given order, and
 the Arf invariant of the mod-2 quadratic refinement.
 
-Signatures at roots of unity of every order k >= 2 come from Descartes'
-rule on det(x I - H), found modulo one proven prime (_tl_orbit_cached):
-at k = 2 on the integer form S + S^T (inertia._symmetric_inertia), at
-k >= 3 on the integer coordinates of its coefficients, signed by the
-integer cosines of inertia.fixed_point_cosines.  No cyclotomic field is
-built or loaded: casson4.cyclotomic is the tests' oracle.
+Signatures at roots of unity come from _tl_orbit_cached: at k = 2 from
+one fraction-free elimination of the integer form S + S^T, with no prime
+(inertia._symmetric_inertia); at k >= 3 from Descartes' rule on
+det(x I - H), found modulo one proven prime on the integer coordinates
+of its coefficients, signed by the integer cosines of
+inertia.fixed_point_cosines.  No cyclotomic field is built or loaded:
+casson4.cyclotomic is the tests' oracle.
 
 The caches hold one entry per mirror pair.  The public readers pass the
 oriented key of _oriented, the smaller of S and -S^T: the mirror has the
@@ -308,7 +309,8 @@ def _tl_orbit_cached(
     _oriented and apply its sign; on any other valid matrix it is the
     direct route.  At k = 1, and for d = 0, the form is zero.  At k = 2,
     H = 2 (S + S^T) has the inertia of S + S^T, which _symmetric_inertia
-    reads, checked against det(S + S^T) = (-1)^(d/2) Delta(-1).
+    reads by elimination, with no prime, checking its last pivot minor
+    against det(S + S^T) = (-1)^(d/2) Delta(-1).
 
     For k >= 3, H(t) = (1/t - 1)(t S - S^T), so e_r(H(t)) = (1/t - 1)^r g_r(t),
     an integer Laurent polynomial in u_j = t^j + t^-j.  At zeta = zeta_k it

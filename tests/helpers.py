@@ -28,6 +28,7 @@ from casson4.gf2 import bitrows_rank
 from casson4.inertia import (
     _charpoly_mod,
     _proth_prime,
+    _root_product_bound,
     cosine_sum_signs,
     descartes_inertia,
     integer_determinant,
@@ -652,6 +653,41 @@ def proth_split(p: int) -> tuple[int, int]:
     return (p - 1) >> b, b
 
 
+# --- the Descartes route for symmetric integer forms, kept as an oracle ---
+#
+# Moved here verbatim from casson4.inertia, where one fraction-free
+# symmetric elimination replaced it.
+
+def charpoly_bound(M: list[list[int]]) -> int:
+    """B >= |e_r(M)| for every r, for a symmetric integer matrix M.
+
+    Hadamard bounds each principal minor on the index set I by the
+    product of the row norms |M_i.| over I, so |e_r| <= e_r(|M_i.|) <=
+    prod_i (1 + |M_i.|), which _root_product_bound rounds up once.
+    """
+    return _root_product_bound([sum(map(mul, row, row)) for row in M])
+
+
+def symmetric_inertia_by_descartes(M: list[list[int]], det: int) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix M with determinant det.
+
+    e_r(M), (-1)^r times the x^(n - r) coefficient of det(x I - M), is read
+    modulo a Proth prime p > 2 B (B from charpoly_bound) as the residue
+    nearest zero: |e_r| > B, e_0 != 1 or e_n != det is an internal error.
+    """
+    bound = charpoly_bound(M)
+    p = _proth_prime((2 * bound).bit_length())
+    chi = _charpoly_mod([[x % p for x in row] for row in M], p)
+    e = [(-1) ** r * (c - p if c > p // 2 else c) for r, c in enumerate(reversed(chi))]
+    if any(abs(x) > bound for x in e):
+        raise InternalError(f"some e_r(M) exceeds the bound {bound}")
+    if e[0] != 1:
+        raise InternalError(f"e_0(M) came out {e[0]}, not 1")
+    if e[-1] != det:
+        raise InternalError(f"e_{len(M)}(M) came out {e[-1]}, not det M = {det}")
+    return descartes_inertia([(x > 0) - (x < 0) for x in e])
+
+
 def phi_divides(n: int, poly: Sequence[int]) -> bool:
     """Whether Phi_n divides the integer polynomial ``poly`` (constant first).
 
@@ -845,6 +881,23 @@ def skew_alexander_charpoly(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(seifert, "_charpoly_mod", skewed)
+
+
+def skew_symmetric_inertia(monkeypatch, change) -> None:
+    """Hand seifert._symmetric_inertia its S + S^T after change(M), on a copy.
+
+    A defect in the form the order-2 elimination reads makes its last pivot
+    minor disagree with (-1)^(d/2) Delta(-1).  Callers clear
+    seifert._tl_orbit_cached around the patched calls.
+    """
+    eliminate = seifert._symmetric_inertia
+
+    def skewed(M, det):
+        M = [row[:] for row in M]
+        change(M)
+        return eliminate(M, det)
+
+    monkeypatch.setattr(seifert, "_symmetric_inertia", skewed)
 
 
 def random_gl4(rng) -> list[int]:

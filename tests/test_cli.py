@@ -673,36 +673,37 @@ def test_minor_sum_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
     _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "seifert", "_minor_sum_bound", 6)
 
 
-def test_order_two_bound_defect_exits_3_in_one_line(monkeypatch, tmp_path, capsys):
-    # order 2 sizes its prime by the Hadamard bound of S + S^T, in inertia
-    _bound_defect_exits_3(monkeypatch, tmp_path, capsys, "inertia", "_charpoly_bound", 2)
+def _order_two_defect_exits_3(monkeypatch, capsys, change, message):
+    # the order-2 signature of the trefoil fixture eliminates S + S^T after
+    # change(M), and its last pivot minor disagrees with -Delta(-1) = 3
+    from helpers import clear_caches, skew_symmetric_inertia
 
-
-def test_charpoly_defect_exits_3_in_one_line(monkeypatch, capsys):
-    # the order-2 signature of the fixture reads e_0 = 2 from a skewed
-    # characteristic polynomial of S + S^T; its Alexander polynomial is cached first
-    from casson4 import SeifertMatrix, alexander_polynomial, inertia
-    from helpers import clear_caches
-
-    path = FIXTURES / "trefoil.json"
-    charpoly = inertia._charpoly_mod
-
-    def lead_two(H, p):
-        coeffs = charpoly(H, p)
-        coeffs[-1] = 2
-        return coeffs
-
+    skew_symmetric_inertia(monkeypatch, change)
     clear_caches()
-    alexander_polynomial(SeifertMatrix(json.loads(path.read_text())["seifert"]))
-    monkeypatch.setattr(inertia, "_charpoly_mod", lead_two)
     try:
-        code, out, err = run_cli(["knot", "--input", str(path)], capsys)
+        code, out, err = run_cli(["knot", "--input", str(FIXTURES / "trefoil.json")], capsys)
     finally:
         clear_caches()
     assert code == 3
-    assert "e_0(M) came out 2, not 1" in err
     assert out == ""
-    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert err == f"internal error: {message}\n"
+
+
+def test_order_two_zero_diagonal_defect_exits_3_in_one_line(monkeypatch, capsys):
+    # [[0, 1], [1, 0]] takes one 2 x 2 step, to D_2 = -1
+    def zero_diagonal(M):
+        for i, row in enumerate(M):
+            row[i] = 0
+
+    _order_two_defect_exits_3(monkeypatch, capsys, zero_diagonal, "D_2 came out -1, not det M = 3")
+
+
+def test_order_two_entry_defect_exits_3_in_one_line(monkeypatch, capsys):
+    # [[-1, 1], [1, -2]] takes two 1 x 1 steps, to D_2 = 1
+    def add_one(M):
+        M[0][0] += 1
+
+    _order_two_defect_exits_3(monkeypatch, capsys, add_one, "D_2 came out 1, not det M = 3")
 
 
 def test_wrong_delta_at_minus_one_exits_3_in_one_line(monkeypatch, capsys):
@@ -720,7 +721,7 @@ def test_wrong_delta_at_minus_one_exits_3_in_one_line(monkeypatch, capsys):
         clear_caches()
     assert code == 3
     assert out == ""
-    assert err == "internal error: e_2(M) came out 3, not det M = 11\n"
+    assert err == "internal error: D_2 came out 3, not det M = 11\n"
 
 
 @pytest.mark.parametrize(
@@ -856,13 +857,13 @@ def test_bound_limit_is_that_of_the_largest_torus_reference():
 
 def test_cost_cap_holds_every_bound_the_entries_set():
     # the cap of _cost_bits is at least each part of a prime's bound that the
-    # entries set: on seeded matrices, on their conjugates with entries in
-    # the hundreds, and on T(13, 15)
+    # entries set, and the Hadamard bound of S + S^T that the Descartes oracle
+    # of order 2 sizes its prime by: on seeded matrices, on their conjugates
+    # with entries in the hundreds, and on T(13, 15)
     import random
 
     from casson4 import cli, seifert, torus_knot_seifert
-    from casson4.inertia import _charpoly_bound
-    from helpers import congruent, random_seifert, random_unimodular
+    from helpers import charpoly_bound, congruent, random_seifert, random_unimodular
 
     rng = random.Random(2411)
     knots = [s for s in (random_seifert(rng) for _ in range(40)) if s.size]
@@ -873,7 +874,7 @@ def test_cost_cap_holds_every_bound_the_entries_set():
         e = s.entries
         symmetric = [[a + b for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
         bounds = (seifert._coefficient_bound(e), seifert._minor_sum_bound(e),
-                  _charpoly_bound(symmetric))
+                  charpoly_bound(symmetric))
         assert max(b.bit_length() for b in bounds) <= cli._cost_bits(e), s
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,22 +13,28 @@ from casson4.inertia import (
     IntervalWitness,
     _SMALL_ODD_PRIMES,
     _ceil_sqrt,
-    _charpoly_bound,
     _proth_prime,
     _root_product_bound,
+    _symmetric_inertia,
     cosine_sum_signs,
     descartes_inertia,
+    integer_determinant,
 )
+from casson4.seifert import torus_knot_seifert
 from helpers import (
     RationalWitness,
     ZeroWitness,
     certified_sign,
+    charpoly_bound,
     doubled_signature,
     hermitian_pivots,
+    litherland_torus,
     numpy_inertia,
     pivot_signature,
     proth_prime_unsieved,
     proth_split,
+    symmetric_inertia_by_descartes,
+    torus_alexander_closed_form,
 )
 
 
@@ -350,7 +356,7 @@ def test_charpoly_bound_and_prime_hold_the_coefficients():
         a = [[rng.randint(-200, 200) for _ in range(n)] for _ in range(n)]
         M = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
         coeffs = sympy.Matrix(M).charpoly().all_coeffs()
-        bound = _charpoly_bound(M)
+        bound = charpoly_bound(M)
         assert max(abs(int(c)) for c in coeffs) <= bound
         bits = (2 * bound).bit_length()
         p = _proth_prime(bits)
@@ -416,13 +422,133 @@ def test_proth_prime_has_one_bit_more_than_asked(order):
 
 
 def test_too_small_a_prime_fails_the_determinant_check(monkeypatch):
-    # every e_r lifts within the true bound, so the Bareiss determinant decides
-    monkeypatch.setattr("casson4.inertia._proth_prime", lambda bits, order=1: 5)
+    # in the Descartes oracle every e_r lifts within the true bound, so the
+    # Bareiss determinant decides
+    monkeypatch.setattr("helpers._proth_prime", lambda bits, order=1: 5)
     with pytest.raises(InternalError, match=r"e_2\(M\) came out -2, not det M = 3$"):
-        certified_signature([[-2, 1], [1, -2]])  # det 3 lifts to -2 mod 5
+        symmetric_inertia_by_descartes([[-2, 1], [1, -2]], 3)  # det 3 lifts to -2 mod 5
 
 
 def test_too_small_a_bound_fails_the_bound_check(monkeypatch):
-    monkeypatch.setattr("casson4.inertia._charpoly_bound", lambda M: 1)
+    monkeypatch.setattr("helpers.charpoly_bound", lambda M: 1)
     with pytest.raises(InternalError, match=r"some e_r\(M\) exceeds the bound 1$"):
-        certified_signature([[-2, 1], [1, -2]])  # e_2 = 3 lifts to -2 mod 5
+        symmetric_inertia_by_descartes([[-2, 1], [1, -2]], 3)  # e_2 = 3 lifts to -2 mod 5
+
+
+def test_wrong_determinant_fails_the_last_pivot_check(monkeypatch):
+    # the elimination's last pivot minor is checked against the determinant
+    # it is handed, 0 when a zero block is left
+    monkeypatch.setattr("casson4.inertia.integer_determinant", lambda M: 4)
+    with pytest.raises(InternalError, match=r"D_2 came out 3, not det M = 4$"):
+        certified_signature([[-2, 1], [1, -2]])
+    with pytest.raises(InternalError, match=r"D_3 came out 0, not det M = 4$"):
+        certified_signature([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+
+def _e8():
+    """The Cartan matrix of E8: the chain 0 - 1 - .. - 6, with 7 joined to 4."""
+    M = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in [(i, i + 1) for i in range(6)] + [(4, 7)]:
+        M[i][j] = M[j][i] = -1
+    return M
+
+
+def _direct_sum(*blocks):
+    n = sum(map(len, blocks))
+    M, start = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            M[start + i][start : start + len(row)] = row
+        start += len(block)
+    return M
+
+
+def _random_symmetric(rng, n, size):
+    """A seeded symmetric integer matrix of n rows, entries up to size.
+
+    Kinds: entrywise random, with some entries 0; B^T D B with B of k < n
+    rows (singular); a zero diagonal; and [[0, B], [B^T, 0]] under a
+    symmetric permutation, whose diagonal every 2 x 2 step leaves zero, so
+    such steps follow one another until the rank of B is used up.
+    """
+    kind = rng.randrange(4)
+    if kind == 1:
+        k = rng.randrange(n)
+        b = [[rng.randint(-size, size) for _ in range(n)] for _ in range(k)]
+        d = [rng.choice([-1, 1]) * rng.randint(1, 3) for _ in range(k)]
+        return [[sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)] for i in range(n)]
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == 0 or (kind == 2 and i != j) or (kind == 3 and i < n // 2 <= j):
+                M[i][j] = M[j][i] = rng.choice([0, rng.randint(-size, size)])
+    if kind == 3:
+        order = rng.sample(range(n), n)
+        M = [[M[i][j] for j in order] for i in order]
+    return M
+
+
+def test_symmetric_elimination_matches_descartes_and_pivot_oracles():
+    # the fraction-free elimination against the Descartes route it replaced
+    # and against elimination over Q; a success also shows its last pivot
+    # minor equal to the Bareiss determinant, as one unit more is refused.
+    # Entries up to 2^200 go through the Descartes route only at n <= 4: its
+    # prime search at n = 6 takes over a second
+    hyperbolic, e8 = [[0, 1], [1, 0]], _e8()
+    named = {  # E8, H + H (two 2 x 2 steps in a row) and -E8 + H
+        (8, 0, 0): e8,
+        (2, 2, 0): _direct_sum(hyperbolic, hyperbolic),
+        (1, 9, 0): _direct_sum([[-x for x in row] for row in e8], hyperbolic),
+    }
+    for inertia, M in named.items():
+        assert _symmetric_inertia(M, integer_determinant(M)) == inertia
+    rng = random.Random(1031)
+    cases = list(named.values())
+    cases += [_random_symmetric(rng, rng.randint(1, 12), 1000) for _ in range(600)]
+    cases += [_random_symmetric(rng, rng.randint(1, 12), 2**200) for _ in range(60)]
+    singular = 0
+    for M in cases:
+        det = integer_determinant(M)
+        inertia = _symmetric_inertia(M, det)
+        assert inertia == pivot_signature(M), M
+        if max(abs(x) for row in M for x in row) < 2**100 or len(M) <= 4:
+            assert inertia == symmetric_inertia_by_descartes(M, det), M
+        with pytest.raises(InternalError, match="came out"):
+            _symmetric_inertia(M, det + 1)
+        singular += inertia[2] > 0
+    assert singular >= 150
+
+
+def _conjugated(rng, M, moves):
+    """P^T M P, P a product of seeded elementary moves, each made on rows and columns alike."""
+    M = [row[:] for row in M]
+    for _ in range(moves):
+        i, j = rng.sample(range(len(M)), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        M[i] = [x + c * y for x, y in zip(M[i], M[j])]
+        for row in M:
+            row[i] += c * row[j]
+    return M
+
+
+def test_symmetric_elimination_reads_every_torus_knot_to_168_rows():
+    # S + S^T of every T(p, q) with (p - 1)(q - 1) <= 168 on the fiber basis,
+    # and up to 80 rows on a seeded conjugate, has Litherland's signature and
+    # determinant (-1)^(d/2) Delta(-1) from the closed form; up to 48 rows the
+    # Descartes route, elimination over Q and Bareiss agree
+    rng = random.Random(1033)
+    pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 170)
+             if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 168]
+    assert len(pairs) == 256
+    for p, q in pairs:
+        s = torus_knot_seifert(p, q)
+        d = s.size
+        det = sum(c * (-1) ** (e + d // 2) for e, c in torus_alexander_closed_form(p, q).items())
+        signature = litherland_torus(p, q, Fraction(1, 2))[0]
+        expected = ((d + signature) // 2, (d - signature) // 2, 0)
+        fiber = [[x + y for x, y in zip(row, col)] for row, col in zip(s.entries, zip(*s.entries))]
+        for M in [fiber] if d > 80 else [fiber, _conjugated(rng, fiber, d)]:
+            assert _symmetric_inertia(M, det) == expected, (p, q)
+            if d <= 48:
+                assert integer_determinant(M) == det, (p, q)
+                assert symmetric_inertia_by_descartes(M, det) == pivot_signature(M) == expected

@@ -17,6 +17,7 @@ from casson4 import inertia, torus_knot_seifert
 from casson4.errors import InternalError
 from casson4.inertia import _charpoly_mod, _charpoly_packed, _proth_prime, integer_determinant
 from casson4.seifert import _solve_mod
+from helpers import charpoly_bound
 
 PRIMES = (10007, 135 * 2**90 + 1)  # a small prime and a 98-bit Proth prime
 
@@ -204,7 +205,7 @@ def test_charpoly_route_is_chosen_by_size_prime_and_shape(monkeypatch):
     calls.clear()
     for p, q in ((2, 41), (2, 67), (7, 9)):
         H = _half_pencil(p, q)
-        prime = _proth_prime((2 * inertia._charpoly_bound(H)).bit_length(), 2)
+        prime = _proth_prime((2 * charpoly_bound(H)).bit_length(), 2)
         assert len(H) >= N0 and prime.bit_length() <= B0
         _charpoly_mod(H, prime)
     assert [n for n, _ in calls] == [48]

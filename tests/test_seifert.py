@@ -38,7 +38,9 @@ from helpers import (
     random_unimodular,
     rank_over_field,
     skew_alexander_charpoly,
+    skew_symmetric_inertia,
     stabilized,
+    symmetric_inertia_by_descartes,
     sympy_alexander,
     sympy_laurent_product,
     sympy_minor_sums,
@@ -173,14 +175,14 @@ def test_det_s_plus_s_transpose_is_signed_delta_at_minus_one():
 
 
 def test_order_two_is_one_symmetric_inertia(monkeypatch):
-    # k = 2 finds no root of unity, signs no cosine sum, solves no V c = v and
-    # takes no pencil: it hands S + S^T and its determinant to
-    # inertia._symmetric_inertia, which asks one prime, of order 1, above twice
-    # the Hadamard bound of S + S^T.  k = 3 keeps the class route: one class,
-    # one call of each, and no symmetric inertia
+    # k = 2 finds no root of unity, signs no cosine sum, solves no V c = v,
+    # takes no pencil, asks no prime and builds no characteristic polynomial:
+    # it hands S + S^T and its determinant to inertia._symmetric_inertia,
+    # which eliminates.  k = 3 keeps the class route: one class, one call of
+    # each, and no symmetric inertia
     from casson4 import inertia
 
-    calls, asked = [], []
+    calls, asked, charpolys = [], [], []
 
     def counted(name):
         real = getattr(seifert, name)
@@ -194,14 +196,19 @@ def test_order_two_is_one_symmetric_inertia(monkeypatch):
     for name in ("_root_of_unity", "cosine_sum_signs", "_solve_mod", "_principal_sums",
                  "_symmetric_inertia"):
         counted(name)
-    proth = seifert._proth_prime
+    proth, charpoly = seifert._proth_prime, inertia._charpoly_mod
 
     def proth_spy(bits, order=1):
         asked.append((bits, order, proth(bits, order)))
         return asked[-1][2]
 
-    monkeypatch.setattr(seifert, "_proth_prime", proth_spy)
-    monkeypatch.setattr(inertia, "_proth_prime", proth_spy)
+    def charpoly_spy(H, p):
+        charpolys.append(len(H))
+        return charpoly(H, p)
+
+    for module in (seifert, inertia):
+        monkeypatch.setattr(module, "_proth_prime", proth_spy)
+        monkeypatch.setattr(module, "_charpoly_mod", charpoly_spy)
     rng = random.Random(2027)
     knots = [TREFOIL, FIG8, torus_knot_seifert(7, 9)] + [random_seifert(rng) for _ in range(8)]
     for s in filter(lambda s: s.size, knots):
@@ -210,11 +217,10 @@ def test_order_two_is_one_symmetric_inertia(monkeypatch):
         symmetric = [[a + b for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
         calls.clear()
         asked.clear()
+        charpolys.clear()
         seifert._tl_orbit_cached.__wrapped__(e, 2)
         assert calls == [("_symmetric_inertia", (symmetric, integer_determinant(symmetric)))], s
-        bound = inertia._charpoly_bound(symmetric)
-        [(bits, order, p)] = asked
-        assert (bits, order) == ((2 * bound).bit_length(), 1) and p > 2 * bound, s
+        assert asked == [] and charpolys == [], s
         calls.clear()
         asked.clear()
         seifert._tl_orbit_cached.__wrapped__(e, 3)
@@ -378,8 +384,9 @@ def _row_bounds(entries):
 def _lift_bound(entries, k):
     """The bound _tl_orbit_cached must keep what it lifts within, recomputed.
 
-    At k = 2 it lifts e_r(S + S^T) = (-1)^r g_r(-1), within the Hadamard bound
-    of S + S^T; at k >= 3 the coordinates c, within 2^d prod_i (1 + sqrt(a_i)),
+    At k = 2, where _tl_orbit_cached eliminates and lifts nothing, it is
+    the Hadamard bound of S + S^T, which holds e_r(S + S^T) = (-1)^r g_r(-1)
+    as the Descartes oracle lifts them; at k >= 3 the coordinates c, within 2^d prod_i (1 + sqrt(a_i)),
     times the Gram factor when h <= d.  Each product of 1 + sqrt is rounded up
     by _root_product_bound, which test_inertia checks against an enclosure.
     """
@@ -428,7 +435,8 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
     # where d + 1 <= h the coordinates are the Laurent coefficients
     # of e_r(H(t)); each class passes every nonzero one, in the order of r,
     # to one cosine_sum_signs call, and a zero one means e_r(H) = 0; k = 2
-    # signs no coordinate, and lifts e_r(S + S^T) = (-1)^r g_r(-1)
+    # signs no coordinate, and e_r(S + S^T) = (-1)^r g_r(-1) keeps within
+    # the Hadamard bound the Descartes oracle sizes its prime by
     seen = []
     signs = seifert.cosine_sum_signs
 
@@ -462,21 +470,31 @@ def test_conjugate_orbit_matches_interpolation_oracle(monkeypatch):
 
 def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
     # at k >= 3 the orbit's prime is 1 mod k and holds an omega of order k;
-    # at k = 2 the one prime, asked of inertia with order 1, is odd, and -1
-    # is the root of unity that _symmetric_inertia never needs to find
+    # k = 2 eliminates: it asks no prime, builds no characteristic
+    # polynomial and finds no root of unity
     import sympy
 
     from casson4 import inertia
 
-    primes = []
-    proth = seifert._proth_prime
+    primes, charpolys, roots = [], [], []
+    proth, charpoly, root = seifert._proth_prime, inertia._charpoly_mod, seifert._root_of_unity
 
     def spy(bits, order=1):
         primes.append((bits, order, proth(bits, order)))
         return primes[-1][2]
 
-    monkeypatch.setattr(seifert, "_proth_prime", spy)
-    monkeypatch.setattr(inertia, "_proth_prime", spy)
+    def charpoly_spy(H, p):
+        charpolys.append(len(H))
+        return charpoly(H, p)
+
+    def root_spy(p, k):
+        roots.append(k)
+        return root(p, k)
+
+    for module in (seifert, inertia):
+        monkeypatch.setattr(module, "_proth_prime", spy)
+        monkeypatch.setattr(module, "_charpoly_mod", charpoly_spy)
+    monkeypatch.setattr(seifert, "_root_of_unity", root_spy)
     rng = random.Random(2113)
     knots = [torus_knot_seifert(3, 5), torus_knot_seifert(2, 9)]
     knots += [random_seifert(rng) for _ in range(6)]
@@ -485,13 +503,18 @@ def test_conjugate_prime_is_a_proth_prime_one_mod_k(monkeypatch):
             clear_caches()
             seifert._alexander_cached(s.entries)
             primes.clear()
+            charpolys.clear()
+            roots.clear()
             seifert._tl_orbit_cached(s.entries, k)
+            if k == 2:
+                assert primes == [] and charpolys == [] and roots == [], s
+                continue
             [(bits, order, p)] = primes
-            assert order == (1 if k == 2 else k) and (p - 1) % k == 0
+            assert order == k and (p - 1) % k == 0
             assert p > 2 * _lift_bound(s.entries, k)
             c, b = proth_split(p)
             assert p > 1 << bits and c < 1 << b and sympy.isprime(p)
-            omega = p - 1 if k == 2 else seifert._root_of_unity(p, k)
+            omega = seifert._root_of_unity(p, k)
             assert [j for j in range(1, k + 1) if pow(omega, j, p) == 1] == [k]
     clear_caches()
 
@@ -511,8 +534,8 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
     # on ones with entries in the hundreds, at every order 1 .. 64, the realized
     # |coefficient| or |coordinate| <= that bound <= the row-and-column bound,
     # the one prime asked for is a prime above twice that bound, 1 mod the
-    # order (order 1 at k = 2, where inertia lifts e_r(S + S^T)), and Delta
-    # and the spectra are the interpolation oracles'
+    # order, and Delta and the spectra are the interpolation oracles'.  k = 2
+    # eliminates S + S^T: it lifts nothing, and asks no prime and no root of unity
     import sympy
 
     from casson4 import inertia
@@ -521,8 +544,9 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
     knots = [s for s in (random_seifert(rng) for _ in range(8)) if s.size]
     knots += _minor_sum_oracle_knots()
     assert max(abs(x) for s in knots for row in s.entries for x in row) >= 100
-    lifted, asked = [], []
+    lifted, asked, roots = [], [], []
     solve, proth, charpoly = seifert._solve_mod, seifert._proth_prime, inertia._charpoly_mod
+    root = seifert._root_of_unity
 
     def solve_spy(a_rows, b_rows, p):
         X = solve(a_rows, b_rows, p)
@@ -537,6 +561,10 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
     def proth_spy(bits, order=1):
         asked.append((bits, order, proth(bits, order)))
         return asked[-1][2]
+
+    def root_spy(p, k):
+        roots.append(k)
+        return root(p, k)
 
     def sized_by(bound, order):
         [(bits, k, p)] = asked
@@ -559,16 +587,21 @@ def test_no_prime_outgrows_the_row_column_bound(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(seifert, "_solve_mod", solve_spy)
             patch.setattr(inertia, "_charpoly_mod", charpoly_spy)
+            patch.setattr(seifert, "_root_of_unity", root_spy)
             for k in range(1, 65):
                 lifted.clear()
                 asked.clear()
+                roots.clear()
                 if k == 1:  # the zero form: nothing is lifted
                     assert seifert._tl_orbit_cached(e, k) == ((0,), len(e))
                     assert not lifted and not asked
                     continue
                 assert seifert._tl_orbit_cached(e, k) == _descartes_orbit(e, k), (e, k)
+                if k == 2:
+                    assert not lifted and not asked and not roots, e
+                    continue
                 bound = _lift_bound(e, k)
-                sized_by(bound, 1 if k == 2 else k)
+                sized_by(bound, k)
                 assert max(map(abs, lifted)) <= bound <= _row_column_bound(e, k), (e, k)
     clear_caches()
 
@@ -641,8 +674,9 @@ class _Asked(Exception):
 
 
 def _bits_asked(monkeypatch, compute, entries):
-    """The bits the first _proth_prime call asks for, in seifert or in inertia,
-    stopping the computation there."""
+    """The bits the first _proth_prime call asks for, in seifert, in inertia
+    or in the Descartes oracle of helpers, stopping the computation there."""
+    import helpers
     from casson4 import inertia
 
     asked = []
@@ -651,8 +685,8 @@ def _bits_asked(monkeypatch, compute, entries):
         asked.append(bits)
         raise _Asked
 
-    monkeypatch.setattr(seifert, "_proth_prime", spy)
-    monkeypatch.setattr(inertia, "_proth_prime", spy)
+    for module in (seifert, inertia, helpers):
+        monkeypatch.setattr(module, "_proth_prime", spy)
     with pytest.raises(_Asked):
         compute(entries)
     monkeypatch.undo()
@@ -664,12 +698,25 @@ def _bits_asked(monkeypatch, compute, entries):
     [(7, 9, 61, 170), (7, 9, 2, 110), (13, 15, 2, 380)],
 )
 def test_orbit_prime_bits_stay_within_their_guard(monkeypatch, p, q, k, most):
+    from casson4 import inertia
+
     entries = torus_knot_seifert(p, q).entries
-    # order 2 sums Delta(-1) before it asks for its prime: a stub Delta keeps
-    # the Alexander prime out of the count, and nothing is checked before the ask
+    # order 2 sums Delta(-1) first: a stub Delta keeps the Alexander prime out
+    # of the count, and both knots have det(S + S^T) = 1 = Delta(-1) for it
     monkeypatch.setattr(seifert, "_alexander_cached", lambda e: LaurentPolynomial.one())
     orbit = seifert._tl_orbit_cached.__wrapped__
-    assert _bits_asked(monkeypatch, lambda e: orbit(e, k), entries) <= most
+    if k == 2:  # it asks no prime; the Descartes route it replaced keeps its guard
+        asked = []
+        with monkeypatch.context() as patch:
+            for module in (seifert, inertia):
+                patch.setattr(module, "_proth_prime", lambda *args: asked.append(args))
+            orbit(entries, k)
+        assert asked == []
+        symmetric = [[a + b for a, b in zip(row, col)] for row, col in zip(entries, zip(*entries))]
+        oracle = _bits_asked(monkeypatch, lambda M: symmetric_inertia_by_descartes(M, 1), symmetric)
+        assert oracle <= most
+    else:
+        assert _bits_asked(monkeypatch, lambda e: orbit(e, k), entries) <= most
 
 
 @pytest.mark.parametrize("p, q, most", [(7, 9, 90), (13, 15, 320)])  # 97 and 337 with rho_i
@@ -680,10 +727,10 @@ def test_alexander_prime_bits_stay_within_their_guard(monkeypatch, p, q, most):
 
 def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
     # each post-check of _tl_orbit_cached, reached by one defect at orders 2 and
-    # 5: order 2 makes its checks in inertia._symmetric_inertia, so its defects
-    # are injected there
+    # 5: order 2 makes its one check, of the last pivot minor against
+    # (-1)^(d/2) Delta(-1), in inertia._symmetric_inertia, so its defects are
+    # a wrong Delta or a skewed S + S^T handed to the elimination
     from casson4 import LaurentPolynomial as Laurent
-    from casson4 import inertia
 
     big = congruent(torus_knot_seifert(2, 5), random_unimodular(random.Random(2), 4, 48))
     t25 = torus_knot_seifert(2, 5)
@@ -699,10 +746,22 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
             finally:
                 seifert._tl_orbit_cached.cache_clear()
 
+    def add_one(M):  # the trefoil's [[-2, 1], [1, -2]] becomes [[-1, 1], [1, -2]]
+        M[0][0] += 1
+
+    def zero_diagonal(M):  # the elimination starts with a 2 x 2 step
+        for i, row in enumerate(M):
+            row[i] = 0
+
+    def zero_last(M):  # rank 3: a block of one zero is left, and D_4 = 0
+        M[-1] = [0] * len(M)
+        for row in M:
+            row[-1] = 0
+
     # Delta disagrees with g_d; at k = 2, det(S + S^T) = 3 is not -Delta(-1) = -2
     with monkeypatch.context() as patch:
         patch.setattr(seifert, "_alexander_cached", lambda entries: Laurent({0: 2}))
-        reached({2: r"e_2\(M\) came out 3, not det M = -2", 5: "is not det"})
+        reached({2: r"D_2 came out 3, not det M = -2$", 5: "is not det"})
     charpoly = seifert._charpoly_mod
 
     def lead_two(H, p):
@@ -712,26 +771,20 @@ def test_conjugate_orbit_checks_raise_internal_error(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(seifert, "_charpoly_mod", lead_two)
-        patch.setattr(inertia, "_charpoly_mod", lead_two)
-        reached({2: r"e_0\(M\) came out 2, not 1", 5: r"e_0\(H\) has coordinates .*, not 1"})
-    with monkeypatch.context() as patch:  # too small a prime: k = 2 reads the
-        patch.setattr(inertia, "_charpoly_bound", lambda M: 1)  # bound of S + S^T,
-        patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)  # k = 5 this one
-        reached({2: r"some e_r\(M\) exceeds the bound 1$", 5: "exceeds the bound"}, big)
+        skew_symmetric_inertia(patch, add_one)
+        reached({2: r"D_2 came out 1, not det M = 3$", 5: r"e_0\(H\) has coordinates .*, not 1"})
+    with monkeypatch.context() as patch:  # too small a prime at k = 5
+        patch.setattr(seifert, "_minor_sum_bound", lambda entries: 1)
+        skew_symmetric_inertia(patch, zero_diagonal)
+        reached({2: r"D_4 came out -310235687, not det M = 5$", 5: "exceeds the bound"}, big)
     with monkeypatch.context() as patch:  # e_1 = trace H = 0: signs +, 0, +
         patch.setattr(
             seifert, "cosine_sum_signs", lambda vectors, k, m: [IntervalWitness(1, 1, 0)] * len(vectors)
         )
         reached({5: "sign changes"}, FIG8)
-
-    def traceless(H, p):
-        coeffs = charpoly(H, p)
-        coeffs[-2] = 0  # e_1 = 0 in the definite S + S^T of T(2, 5): signs +, 0, +, -, +
-        return coeffs
-
     with monkeypatch.context() as patch:
-        patch.setattr(inertia, "_charpoly_mod", traceless)
-        reached({2: "2 sign changes, but the rank is 4"}, t25)
+        skew_symmetric_inertia(patch, zero_last)
+        reached({2: r"D_4 came out 0, not det M = 5$"}, t25)
 
 
 def test_every_order_takes_the_class_route(monkeypatch):
