@@ -1013,8 +1013,9 @@ def test_mirror_and_connected_sum():
 
 
 def test_mirror_is_a_valid_minus_transpose():
-    # mirror() skips the constructor's unimodularity check; the validating
-    # constructor must accept what it builds
+    # mirror(), connected_sum and torus_knot_seifert skip the constructor's
+    # unimodularity check; the validating constructor must accept what they
+    # build, for every torus reference the CLI accepts, in both orders
     rng = random.Random(2137)
     knots = list(seifert.PRESET_KNOTS.values())
     knots += [torus_knot_seifert(p, q) for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 9))]
@@ -1032,6 +1033,34 @@ def test_mirror_is_a_valid_minus_transpose():
         assert SeifertMatrix(m.entries) == m
         assert m.mirror() == s
         assert skew(m.entries) == skew(s.entries)
+
+    sums = [connected_sum(a, b) for a, b in zip(knots, knots[1:])]  # knots[0] is the unknot
+    sums += [connected_sum(s, s.mirror()) for s in knots[1:12]]
+    tori = [
+        torus_knot_seifert(p, q)
+        for p in range(2, 16)
+        for q in range(2, 16)
+        if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 168
+    ]
+    assert len(tori) == 112
+    for out in [s.mirror() for s in knots] + sums + tori:
+        checked = SeifertMatrix(out.entries)
+        assert checked == out and hash(checked) == hash(out)
+        assert integer_determinant(skew(out.entries)) == 1
+
+
+def test_derived_knots_skip_the_determinant(monkeypatch):
+    a, b = torus_knot_seifert(3, 4), FIG8
+
+    def refuse(rows):
+        raise RuntimeError("integer_determinant called")
+
+    monkeypatch.setattr(seifert, "integer_determinant", refuse)
+    for out in (torus_knot_seifert(13, 15), connected_sum(a, b), a.mirror()):
+        assert type(out.entries) is tuple  # the key every lru_cache in seifert hashes
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in out.entries)
+        with pytest.raises(RuntimeError, match="integer_determinant called"):
+            SeifertMatrix(out.to_lists())
 
 
 def test_mirror_properties_across_corpus():
