@@ -14,7 +14,7 @@ that excludes zero (IntervalWitness.sign); no field is built.  A
 symmetric integer matrix, such as S + S^T at order 2, takes no
 characteristic polynomial and no prime: one fraction-free symmetric
 elimination reads its inertia from the signs of its pivots
-(_symmetric_inertia).
+(_symmetric_inertia), in O(n w^2) on a band of half-width w.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -188,26 +188,52 @@ def descartes_inertia(signs: Sequence[int]) -> tuple[int, int, int]:
 
 # --- exact characteristic polynomials ---
 
+def _current(M: list[list[int]], levels: list[int], ends: list[int], i: int, lo: int, D: int) -> list[int]:
+    """Row i of M, with M[i][lo:ends[i]] taken from the minor levels[i] to D."""
+    row, s = M[i], levels[i]
+    if s != D:
+        row[lo : ends[i]] = [x * D // s for x in row[lo : ends[i]]]
+        levels[i] = D
+    return row
+
+
 def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    """Fraction-free (Bareiss) determinant of an integer matrix.
+
+    A pivot only scales a row with 0 in its column, by pivot / D, and these
+    factors telescope: so a row keeps the minor s of its last update until
+    a pivot reaches it and makes it (x pivot - a y) / s exactly, y the
+    pivot row brought up to date, up to the last column where x or y is
+    nonzero: O(n w^2) on a band of half-width w.  Scaling keeps zeros, so
+    stale rows still place the pivots.
+    """
     M = [list(map(int, row)) for row in rows]
     n = len(M)
-    sign = prev = 1
+    levels = [1] * n
+    ends = [n if row[-1] else n - next(compress(count(), reversed(row)), n) for row in M]
+    sign = D = 1
     for k in range(n - 1):
         if not M[k][k]:
             swap = next((r for r in range(k + 1, n) if M[r][k]), None)
             if swap is None:
                 return 0
             M[k], M[swap] = M[swap], M[k]
+            levels[k], levels[swap] = levels[swap], levels[k]
+            ends[k], ends[swap] = ends[swap], ends[k]
             sign = -sign
-        top, pivot = M[k], M[k][k]
-        for row in M[k + 1:]:
-            a = row[k]
-            if a or pivot != prev:  # else the step scales the row by pivot / prev = 1
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * pivot - a * top[j]) // prev
-        prev = pivot
-    return sign * M[-1][-1] if M else 1
+        top, f = M[k] if levels[k] == D else _current(M, levels, ends, k, k, D), ends[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = M[i]
+            if a := row[k]:
+                s, e = levels[i], ends[i]
+                if e < f:
+                    ends[i] = e = f
+                for j in range(k + 1, e):
+                    row[j] = (row[j] * pivot - a * top[j]) // s
+                levels[i] = pivot
+        D = pivot
+    return sign * (M[-1][-1] * D // levels[-1]) if M else 1
 
 
 def _ceil_sqrt(square: int) -> int:
@@ -433,42 +459,56 @@ def _symmetric_inertia(M: list[list[int]], det: int) -> tuple[int, int, int]:
     (q, j) entries and u and v the (i, p) and (i, q) ones, and D becomes
     -b^2 / D.  A zero block left is the nullity.  D_n, the last D, or 0
     when a block is left, is det M: any other value is an internal error.
+    Rows are lazy as in integer_determinant (the factors pivot / D and
+    -b^2 / D^2 telescope); the updates, which leave 0 in the pivot
+    columns, stop at the last column where the row or a pivot column is
+    nonzero, and only the pivot searches read stale rows.
     """
     M = [list(row) for row in M]
     n = len(M)
     rest, D, n_minus = list(range(n)), 1, 0
+    levels = [1] * n
+    ends = [n if row[-1] else n - next(compress(count(), reversed(row)), n) for row in M]
 
-    def column(p):  # the entries (i, p) for i in rest
-        return [M[i][p] if i < p else M[p][i] for i in rest]
+    def column(p):  # the current entries (i, p) for i in rest, 0 for the pivoted i
+        x = [0] * p + (M[p] if levels[p] == D else _current(M, levels, ends, p, p, D))[p:]
+        for i in rest[: rest.index(p)]:
+            if M[i][p]:
+                x[i] = _current(M, levels, ends, i, i, D)[p]
+        return x
 
     while rest:
         p = next((i for i in rest if M[i][i]), None)
         if p is not None:
-            pivot = M[p][p]
-            rest.remove(p)
             x = column(p)
-            for t, (i, u) in enumerate(zip(rest, x)):
-                if u or pivot != D:  # else the step scales the row by pivot / D = 1
-                    row = M[i]
-                    for j, c in zip(rest[t:], x[t:]):
-                        row[j] = (row[j] * pivot - u * c) // D
+            rest.remove(p)
+            pivot, f = x[p], ends[p]
+            for i in rest:
+                if not x[i]:
+                    continue
+                row = M[i] if levels[i] == D else _current(M, levels, ends, i, i, D)
+                u, ends[i] = x[i], max(ends[i], f)
+                for j in range(i, ends[i]):
+                    row[j] = (row[j] * pivot - u * x[j]) // D
+                levels[i] = pivot
             n_minus += (pivot < 0) != (D < 0)
             D = pivot
             continue
-        pair = next(((i, j) for t, i in enumerate(rest) for j in rest[t + 1 :] if M[i][j]), None)
+        pair = next(((i, j) for i in rest for j in range(i + 1, ends[i]) if M[i][j]), None)
         if pair is None:
             break
         p, q = pair
-        b = M[p][q]
-        rest.remove(p)
-        rest.remove(q)
-        x, y, square = column(p), column(q), D * D
-        for t, (i, u, v) in enumerate(zip(rest, x, y)):
-            row = M[i]
-            for j, xj, yj in zip(rest[t:], x[t:], y[t:]):
-                row[j] = b * (yj * u + xj * v - b * row[j]) // square
+        x, y = column(p), column(q)
+        rest = [i for i in rest if i != p and i != q]
+        b, f, square, after = x[q], max(ends[p], ends[q]), D * D, -x[q] ** 2 // D
+        for i in [i for i in rest if x[i] or y[i]]:
+            row = M[i] if levels[i] == D else _current(M, levels, ends, i, i, D)
+            u, v, ends[i] = x[i], y[i], max(ends[i], f)
+            for j in range(i, ends[i]):
+                row[j] = b * (y[j] * u + x[j] * v - b * row[j]) // square
+            levels[i] = after
         n_minus += 1
-        D = -b * b // D
+        D = after
     last = 0 if rest else D
     if last != det:
         raise InternalError(f"D_{n} came out {last}, not det M = {det}")
@@ -483,7 +523,7 @@ def certified_signature(h: Sequence[Sequence]) -> tuple[int, int, int]:
     NotHermitian when the matrix differs from its transpose.  M = L h,
     with L the lcm of the denominators, has the same inertia, and
     _symmetric_inertia checks its last pivot minor against det M, taken
-    by integer_determinant.
+    by integer_determinant: each O(n w^2) on a band of half-width w.
     """
     n = len(h)
     for row in h:

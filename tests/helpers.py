@@ -251,6 +251,13 @@ def sympy_laurent_product(*polys: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial({e + sum(lows): int(c) for (e,), c in product.terms()})
 
 
+def sympy_determinant(M: Sequence[Sequence[int]]) -> int:
+    """sympy's determinant of a square integer matrix."""
+    import sympy
+
+    return int(sympy.Matrix(len(M), len(M), [x for row in M for x in row]).det())
+
+
 def sympy_minor_sums(s: SeifertMatrix) -> tuple[tuple[int, ...], ...]:
     """Principal-minor oracle for g_r(t) = e_r(t S - S^T), r = 0 .. d.
 
@@ -686,6 +693,93 @@ def symmetric_inertia_by_descartes(M: list[list[int]], det: int) -> tuple[int, i
     if e[-1] != det:
         raise InternalError(f"e_{len(M)}(M) came out {e[-1]}, not det M = {det}")
     return descartes_inertia([(x > 0) - (x < 0) for x in e])
+
+
+# --- the dense fraction-free eliminations, kept as oracles ---
+#
+# Moved here verbatim from casson4.inertia, where eliminations that leave
+# the rows a pivot does not reach alone, and loop each row over its
+# nonzero span only, replaced them.
+
+def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix, every row
+    rescaled at every pivot."""
+    M = [list(map(int, row)) for row in rows]
+    n = len(M)
+    sign = prev = 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        top, pivot = M[k], M[k][k]
+        for row in M[k + 1:]:
+            a = row[k]
+            if a or pivot != prev:  # else the step scales the row by pivot / prev = 1
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return sign * M[-1][-1] if M else 1
+
+
+def dense_symmetric_inertia(M: list[list[int]], det: int) -> tuple[int, int, int]:
+    """Inertia of a symmetric integer matrix M with determinant det, by one
+    fraction-free symmetric elimination: Bareiss's (Math. Comp. 22, 1968),
+    with the 2 x 2 pivots of Bunch & Kaufman (Math. Comp. 31, 1977).
+
+    Only the upper triangle is read and updated, on the rows not yet
+    pivoted.  Once pivots on a set P are taken, entry (i, j) is the minor
+    of M on the rows P + i and the columns P + j, and D the minor on P, so
+    by Sylvester's identity every division below is exact.  A nonzero
+    diagonal entry a is a 1 x 1 pivot, of the sign of a / D, and D
+    becomes a.  On a zero diagonal, a nonzero entry b at (p, q) is
+    the 2 x 2 pivot [[0, b], [b, 0]] / D, of inertia (1, 1): each w at
+    (i, j) becomes b (y u + x v - b w) / D^2, x and y being the (p, j) and
+    (q, j) entries and u and v the (i, p) and (i, q) ones, and D becomes
+    -b^2 / D.  A zero block left is the nullity.  D_n, the last D, or 0
+    when a block is left, is det M: any other value is an internal error.
+    """
+    M = [list(row) for row in M]
+    n = len(M)
+    rest, D, n_minus = list(range(n)), 1, 0
+
+    def column(p):  # the entries (i, p) for i in rest
+        return [M[i][p] if i < p else M[p][i] for i in rest]
+
+    while rest:
+        p = next((i for i in rest if M[i][i]), None)
+        if p is not None:
+            pivot = M[p][p]
+            rest.remove(p)
+            x = column(p)
+            for t, (i, u) in enumerate(zip(rest, x)):
+                if u or pivot != D:  # else the step scales the row by pivot / D = 1
+                    row = M[i]
+                    for j, c in zip(rest[t:], x[t:]):
+                        row[j] = (row[j] * pivot - u * c) // D
+            n_minus += (pivot < 0) != (D < 0)
+            D = pivot
+            continue
+        pair = next(((i, j) for t, i in enumerate(rest) for j in rest[t + 1 :] if M[i][j]), None)
+        if pair is None:
+            break
+        p, q = pair
+        b = M[p][q]
+        rest.remove(p)
+        rest.remove(q)
+        x, y, square = column(p), column(q), D * D
+        for t, (i, u, v) in enumerate(zip(rest, x, y)):
+            row = M[i]
+            for j, xj, yj in zip(rest[t:], x[t:], y[t:]):
+                row[j] = b * (yj * u + xj * v - b * row[j]) // square
+        n_minus += 1
+        D = -b * b // D
+    last = 0 if rest else D
+    if last != det:
+        raise InternalError(f"D_{n} came out {last}, not det M = {det}")
+    return n - len(rest) - n_minus, n_minus, len(rest)
 
 
 def phi_divides(n: int, poly: Sequence[int]) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casson4 import certified_signature
+from casson4 import certified_signature, preset_knot, signature_spectrum
 from casson4.cyclotomic import CyclotomicField
 from casson4.errors import InternalError, NotHermitian
 from casson4.inertia import (
@@ -24,8 +24,10 @@ from casson4.seifert import torus_knot_seifert
 from helpers import (
     RationalWitness,
     ZeroWitness,
+    bareiss_determinant,
     certified_sign,
     charpoly_bound,
+    dense_symmetric_inertia,
     doubled_signature,
     hermitian_pivots,
     litherland_torus,
@@ -34,6 +36,7 @@ from helpers import (
     proth_prime_unsieved,
     proth_split,
     symmetric_inertia_by_descartes,
+    sympy_determinant,
     torus_alexander_closed_form,
 )
 
@@ -488,12 +491,28 @@ def _random_symmetric(rng, n, size):
     return M
 
 
+def _lazy_agrees(M, over_q=True):
+    """(det M, inertia of M) from the lazy eliminations, checked against the
+    dense ones they replaced and, with over_q, elimination over Q; the last
+    pivot minor must not pass for det M + 1."""
+    det = integer_determinant(M)
+    assert det == bareiss_determinant(M), M
+    inertia = _symmetric_inertia(M, det)
+    assert inertia == dense_symmetric_inertia(M, det), M
+    if over_q:
+        assert inertia == pivot_signature(M), M
+    with pytest.raises(InternalError, match="came out"):
+        _symmetric_inertia(M, det + 1)
+    return det, inertia
+
+
 def test_symmetric_elimination_matches_descartes_and_pivot_oracles():
-    # the fraction-free elimination against the Descartes route it replaced
-    # and against elimination over Q; a success also shows its last pivot
-    # minor equal to the Bareiss determinant, as one unit more is refused.
-    # Entries up to 2^200 go through the Descartes route only at n <= 4: its
-    # prime search at n = 6 takes over a second
+    # the lazy fraction-free eliminations against the dense ones they
+    # replaced, the Descartes route before those, elimination over Q and,
+    # up to 8 rows, sympy's determinant; a success also shows the last
+    # pivot minor equal to the Bareiss determinant, as one unit more is
+    # refused.  Entries up to 2^200 go through the Descartes route only at
+    # n <= 4: its prime search at n = 6 takes over a second
     hyperbolic, e8 = [[0, 1], [1, 0]], _e8()
     named = {  # E8, H + H (two 2 x 2 steps in a row) and -E8 + H
         (8, 0, 0): e8,
@@ -508,13 +527,11 @@ def test_symmetric_elimination_matches_descartes_and_pivot_oracles():
     cases += [_random_symmetric(rng, rng.randint(1, 12), 2**200) for _ in range(60)]
     singular = 0
     for M in cases:
-        det = integer_determinant(M)
-        inertia = _symmetric_inertia(M, det)
-        assert inertia == pivot_signature(M), M
+        det, inertia = _lazy_agrees(M)
         if max(abs(x) for row in M for x in row) < 2**100 or len(M) <= 4:
             assert inertia == symmetric_inertia_by_descartes(M, det), M
-        with pytest.raises(InternalError, match="came out"):
-            _symmetric_inertia(M, det + 1)
+        if len(M) <= 8:
+            assert det == sympy_determinant(M), M
         singular += inertia[2] > 0
     assert singular >= 150
 
@@ -533,9 +550,12 @@ def _conjugated(rng, M, moves):
 
 def test_symmetric_elimination_reads_every_torus_knot_to_168_rows():
     # S + S^T of every T(p, q) with (p - 1)(q - 1) <= 168 on the fiber basis,
-    # and up to 80 rows on a seeded conjugate, has Litherland's signature and
-    # determinant (-1)^(d/2) Delta(-1) from the closed form; up to 48 rows the
-    # Descartes route, elimination over Q and Bareiss agree
+    # whose half-bandwidth is q - 1, and up to 80 rows on a seeded conjugate,
+    # which fills the band in, has Litherland's signature and determinant
+    # (-1)^(d/2) Delta(-1) from the closed form, which one unit more fails,
+    # and S - S^T determinant 1, from the lazy eliminations and from the
+    # dense ones they replaced; up to 48 rows the Descartes route and
+    # elimination over Q agree
     rng = random.Random(1033)
     pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 170)
              if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 168]
@@ -546,9 +566,88 @@ def test_symmetric_elimination_reads_every_torus_knot_to_168_rows():
         det = sum(c * (-1) ** (e + d // 2) for e, c in torus_alexander_closed_form(p, q).items())
         signature = litherland_torus(p, q, Fraction(1, 2))[0]
         expected = ((d + signature) // 2, (d - signature) // 2, 0)
-        fiber = [[x + y for x, y in zip(row, col)] for row, col in zip(s.entries, zip(*s.entries))]
-        for M in [fiber] if d > 80 else [fiber, _conjugated(rng, fiber, d)]:
-            assert _symmetric_inertia(M, det) == expected, (p, q)
+        base = [list(row) for row in s.entries]
+        for S in [base] if d > 80 else [base, _conjugated(rng, base, d)]:
+            M = [[x + y for x, y in zip(row, col)] for row, col in zip(S, zip(*S))]
+            A = [[x - y for x, y in zip(row, col)] for row, col in zip(S, zip(*S))]
+            assert integer_determinant(M) == det, (p, q)
+            assert _symmetric_inertia(M, det) == dense_symmetric_inertia(M, det) == expected, (p, q)
+            with pytest.raises(InternalError, match="came out"):
+                _symmetric_inertia(M, det + 1)
+            assert integer_determinant(A) == bareiss_determinant(A) == 1, (p, q)
             if d <= 48:
-                assert integer_determinant(M) == det, (p, q)
+                assert bareiss_determinant(M) == det, (p, q)
                 assert symmetric_inertia_by_descartes(M, det) == pivot_signature(M) == expected
+
+
+def _q_form(entries, n):
+    """Q_n: n - 1 diagonal blocks S + S^T, with -S above them and -S^T below."""
+    d = len(entries)
+    Q = [[0] * (d * (n - 1)) for _ in range(d * (n - 1))]
+    for b in range(n - 1):
+        for i in range(d):
+            for j in range(d):
+                Q[b * d + i][b * d + j] = entries[i][j] + entries[j][i]
+                if b + 1 < n - 1:
+                    Q[b * d + i][(b + 1) * d + j] = -entries[i][j]
+                    Q[(b + 1) * d + j][b * d + i] = -entries[i][j]
+    return Q
+
+
+def _weighted_tree(rng, n, size):
+    """A plumbing form: a seeded tree on n vertices, each edge 1, each weight up to size."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = rng.randint(-size, size)
+        if i:
+            j = rng.randrange(i)
+            M[i][j] = M[j][i] = 1
+    order = rng.sample(range(n), n)
+    return [[M[i][j] for j in order] for i in order]
+
+
+def _banded(rng, n, width, size, zero_diagonal):
+    """A seeded symmetric band of half-width width, entries up to size."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, min(n, i + width + 1)):
+            M[i][j] = M[j][i] = rng.choice([0, rng.randint(-size, size)])
+    return M
+
+
+def test_lazy_eliminations_match_dense_oracles_on_structured_forms():
+    # Q_n of three knots at n = 2 .. 5, whose signature is the spectrum total
+    # (Viro); E8 and seeded plumbing trees; zero-diagonal bands, whose 2 x 2
+    # steps make D negative and alternate with 1 x 1 pivots once the band is
+    # wider than 1; singular forms; and entries up to 2^200
+    for s in (preset_knot("figure_eight"), torus_knot_seifert(3, 5), torus_knot_seifert(5, 7)):
+        for n in range(2, 6):
+            Q = _q_form(s.entries, n)
+            _, (n_plus, n_minus, _) = _lazy_agrees(Q, over_q=len(Q) <= 32)
+            assert n_plus - n_minus == signature_spectrum(s, n).total(), (s.size, n)
+    # the path of 6 vertices: 2 x 2 steps only, D = -1, 1, -1; and a triangle:
+    # one 2 x 2 step, then a 1 x 1 pivot 2 on D = -1
+    assert _lazy_agrees([[int(abs(i - j) == 1) for j in range(6)] for i in range(6)]) == (-1, (3, 3, 0))
+    assert _lazy_agrees([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (2, (1, 2, 0))
+    rng = random.Random(1049)
+    cases = [_e8()] + [_weighted_tree(rng, rng.randint(1, 40), 3) for _ in range(60)]
+    for _ in range(120):
+        n, width = rng.randint(1, 24), rng.randint(1, 4)
+        cases.append(_banded(rng, n, width, rng.choice([1, 5, 2**200]), rng.random() < 0.5))
+    for _ in range(40):  # singular: row and column i repeat j's, or are zero
+        M = _banded(rng, rng.randint(2, 16), rng.randint(0, 3), 5, rng.random() < 0.5)
+        i, j = rng.sample(range(len(M)), 2)
+        if rng.random() < 0.5:
+            index = [j if k == i else k for k in range(len(M))]
+            M = [[M[a][b] for b in index] for a in index]
+        else:
+            M = [[0 if i in (a, b) else x for b, x in enumerate(row)] for a, row in enumerate(M)]
+        assert integer_determinant(M) == 0
+        cases.append(M)
+    singular = 0
+    for M in cases:
+        det, inertia = _lazy_agrees(M, over_q=len(M) <= 24)
+        if len(M) <= 8:
+            assert det == sympy_determinant(M), M
+        singular += inertia[2] > 0
+    assert singular >= 40

@@ -17,17 +17,13 @@ from casson4 import inertia, torus_knot_seifert
 from casson4.errors import InternalError
 from casson4.inertia import _charpoly_mod, _charpoly_packed, _proth_prime, integer_determinant
 from casson4.seifert import _solve_mod
-from helpers import charpoly_bound
+from helpers import charpoly_bound, sympy_determinant
 
 PRIMES = (10007, 135 * 2**90 + 1)  # a small prime and a 98-bit Proth prime
 
 
 def _random_matrix(rng, n, low=-3, high=3):
     return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-
-
-def _sympy_det(M):
-    return int(sympy.Matrix(len(M), len(M), [x for row in M for x in row]).det())
 
 
 def _determinant_cases():
@@ -56,10 +52,10 @@ def _determinant_cases():
 
 def test_integer_determinant_matches_sympy():
     cases = list(_determinant_cases())
-    assert any(_sympy_det(M) == 0 for M in cases)
+    assert any(sympy_determinant(M) == 0 for M in cases)
     for M in cases:
         before = [row[:] for row in M]
-        assert integer_determinant(M) == _sympy_det(M), M
+        assert integer_determinant(M) == sympy_determinant(M), M
         assert M == before  # the input is not touched
 
 
@@ -67,7 +63,7 @@ def test_integer_determinant_of_large_entries():
     rng = random.Random(4102)
     for n in (2, 5, 8):
         M = _random_matrix(rng, n, -(10**30), 10**30)
-        assert integer_determinant(M) == _sympy_det(M)
+        assert integer_determinant(M) == sympy_determinant(M)
 
 
 def _invertible_mod(rng, n, p):

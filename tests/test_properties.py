@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casson4 import (
     BranchedQuotientData,
@@ -24,12 +28,16 @@ from casson4 import (
     torus4_ring,
     ThreeTorusForm,
 )
+from casson4.inertia import _symmetric_inertia, integer_determinant
 from helpers import (
     alexander_at_root_of_unity,
+    bareiss_determinant,
     change_basis,
     corpus_knots,
+    dense_symmetric_inertia,
     random_gl4,
     random_seifert,
+    random_unimodular,
 )
 
 
@@ -115,3 +123,37 @@ def test_spectrum_total_is_mirror_antisymmetric():
                 signature_spectrum(s.mirror(), n).total()
                 == -signature_spectrum(s, n).total()
             )
+
+
+@st.composite
+def banded_forms(draw):
+    """A symmetric integer band of 1 to 24 rows and half-width 0 to 4, with
+    or without a zero diagonal."""
+    n, width, zero_diagonal = draw(st.integers(1, 24)), draw(st.integers(0, 4)), draw(st.booleans())
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, min(n, i + width + 1)):
+            M[i][j] = M[j][i] = draw(st.integers(-4, 4))
+    return M
+
+
+@given(banded_forms(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_lazy_symmetric_inertia_is_the_dense_one_and_a_congruence_invariant(M, rng):
+    n = len(M)
+    det = integer_determinant(M)
+    inertia = _symmetric_inertia(M, det)
+    assert inertia == dense_symmetric_inertia(M, det)
+    P = random_unimodular(rng, n)
+    MP = [[sum(map(mul, row, col)) for col in zip(*P)] for row in M]
+    PtMP = [[sum(map(mul, col, col2)) for col2 in zip(*MP)] for col in zip(*P)]
+    assert _symmetric_inertia(PtMP, integer_determinant(PtMP)) == inertia
+
+
+@given(banded_forms(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_lazy_determinant_is_bareiss_on_a_band_with_one_row_swap(M, rng):
+    if len(M) > 1:
+        i, j = rng.sample(range(len(M)), 2)
+        M[i], M[j] = M[j], M[i]
+    assert integer_determinant(M) == bareiss_determinant(M)
